@@ -12,7 +12,11 @@ uniformly, which is why it scales every rate but cancels in the QBER.
 
 The Monte Carlo samples only symbols that produce a detectable photon
 (geometric gaps over the slot lattice), so cost scales with click counts,
-not symbol counts, and multi-gigasymbol blocks stay cheap.
+not symbol counts, and multi-gigasymbol blocks stay cheap. On a lazy
+symbol stream no stage steps through events in Python: each symbol's basis
+and bit come from one hash word, drift is one vectorized rotation, and the
+dead-time filter finds every event's successor with one ``searchsorted``
+and follows the survivor chain by pointer doubling.
 """
 from __future__ import annotations
 
@@ -206,16 +210,32 @@ class ClickStream:
 
 
 def dead_time_filter(times: np.ndarray, dead_time: float) -> np.ndarray:
-    """Surviving-event indices for a non-paralyzable detector (sorted input)."""
+    """Surviving-event indices for a non-paralyzable detector (sorted input).
+
+    An event survives iff it arrives at least ``dead_time`` after the last
+    survivor; event 0 always survives. If event i survives, the next
+    survivor is the first j > i with ``times[j] >= times[i] + dead_time``,
+    so one vectorized ``searchsorted`` gives every event's successor. The
+    survivors are the successor chain from event 0, read off by pointer
+    doubling (Wyllie 1979): each round appends the next stretch of the
+    chain and squares the jump table, so ``log2(survivors)`` rounds of
+    array work replace a Python step per survivor.
+    """
     n = len(times)
     if dead_time <= 0.0 or n == 0:
         return np.arange(n, dtype=np.int64)
-    kept = []
-    i = 0
-    while i < n:
-        kept.append(i)
-        i = int(np.searchsorted(times, times[i] + dead_time, side="left"))
-    return np.asarray(kept, dtype=np.int64)
+    # jump[i]: survivor after a surviving event i; n is a sentinel past the
+    # end that maps to itself. The floor of i + 1 keeps the chain moving
+    # when dead_time vanishes against times[i] in floating point.
+    jump = np.empty(n + 1, dtype=np.int64)
+    jump[:n] = np.searchsorted(times, times + dead_time, side="left")
+    np.maximum(jump[:n], np.arange(1, n + 1), out=jump[:n])
+    jump[n] = n
+    chain = np.zeros(1, dtype=np.int64)
+    while chain[-1] != n:
+        chain = np.concatenate([chain, jump[chain]])
+        jump = jump[jump]
+    return chain[: np.searchsorted(chain, n)]
 
 
 def _sample_detection_indices(rng: np.random.Generator, n: int, q: float) -> np.ndarray:
@@ -241,8 +261,8 @@ def _sample_detection_indices(rng: np.random.Generator, n: int, q: float) -> np.
 
 def _symbol_arrays(symbols, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Basis-code/bit arrays of ``symbols`` at ``indices`` (lazy or materialized)."""
-    if hasattr(symbols, "bases_at"):
-        return symbols.bases_at(indices), symbols.bits_at(indices)
+    if hasattr(symbols, "symbols_at"):
+        return symbols.symbols_at(indices)
     bases = np.empty(len(indices), dtype=np.uint8)
     bits = np.empty(len(indices), dtype=np.uint8)
     for k, i in enumerate(indices.tolist()):

@@ -159,8 +159,22 @@ def depolarize(state: PolarizationState, p: float) -> PolarizationState:
 
 
 def rotate_many(vectors: np.ndarray, axis: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """Vectorized Rodrigues rotation: (n,3) states about one axis by (n,) angles."""
+    """Vectorized Rodrigues rotation: (n,3) states about one axis by (n,) angles.
+
+    v c + (u x v) s + u (u.v)(1 - c), written out per Stokes component.
+    Each component is rounded exactly as the vector form with ``np.cross``
+    rounds it, so results are bit-identical to it, with fewer (n,3)
+    temporaries.
+    """
     u = np.asarray(axis, dtype=float)
-    c = np.cos(angles)[:, None]
-    sn = np.sin(angles)[:, None]
-    return vectors * c + np.cross(u, vectors) * sn + u * (vectors @ u)[:, None] * (1.0 - c)
+    ux, uy, uz = u
+    c = np.cos(angles)
+    sn = np.sin(angles)
+    omc = 1.0 - c
+    dot = vectors @ u
+    x, y, z = vectors.T
+    out = np.empty(vectors.shape)
+    out[:, 0] = x * c + (uy * z - uz * y) * sn + ux * dot * omc
+    out[:, 1] = y * c + (uz * x - ux * z) * sn + uy * dot * omc
+    out[:, 2] = z * c + (ux * y - uy * x) * sn + uz * dot * omc
+    return out

@@ -55,27 +55,31 @@ class SymbolSequence:
             raise ValidationError("symbol index out of range")
         return hash_stream(self.seed, idx)
 
+    def symbols_at(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Basis codes and bits at the given indices, from one hash word each."""
+        words = self._words(indices)
+        bases = (words & np.uint64(1)).astype(np.uint8)
+        bits = ((words >> np.uint64(1)) & np.uint64(1)).astype(np.uint8)
+        return bases, bits
+
     def bases_at(self, indices: np.ndarray) -> np.ndarray:
         """Basis codes (0=RL, 1=AD) at the given indices."""
-        return (self._words(indices) & np.uint64(1)).astype(np.uint8)
+        return self.symbols_at(indices)[0]
 
     def bits_at(self, indices: np.ndarray) -> np.ndarray:
-        return ((self._words(indices) >> np.uint64(1)) & np.uint64(1)).astype(np.uint8)
+        return self.symbols_at(indices)[1]
 
     def __getitem__(self, i: int) -> BB84Symbol:
         if not 0 <= i < self.n:
             raise IndexError(i)
-        idx = np.asarray([i])
-        return BB84Symbol(
-            basis=CODE_BASES[int(self.bases_at(idx)[0])],
-            bit=int(self.bits_at(idx)[0]),
-        )
+        bases, bits = self.symbols_at(np.asarray([i]))
+        return BB84Symbol(basis=CODE_BASES[int(bases[0])], bit=int(bits[0]))
 
     def __iter__(self):
         chunk = 65536
         for start in range(0, self.n, chunk):
             idx = np.arange(start, min(start + chunk, self.n))
-            bases, bits = self.bases_at(idx), self.bits_at(idx)
+            bases, bits = self.symbols_at(idx)
             for b, x in zip(bases, bits):
                 yield BB84Symbol(basis=CODE_BASES[int(b)], bit=int(x))
 
@@ -122,22 +126,20 @@ def bob_announce(clicks: ClickStream) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return indices[first], bases[first], bits[first]
 
 
-def alice_match(alice: SymbolSequence, indices: np.ndarray,
-                basis_codes: np.ndarray) -> np.ndarray:
-    """Alice's reply: boolean mask of announcements whose basis matches hers."""
-    return alice.bases_at(indices) == basis_codes
-
-
 def sift(alice, clicks: ClickStream) -> SiftResult:
-    """Run the two-message sifting dialogue and return the kept bits."""
+    """Run the two-message sifting dialogue and return the kept bits.
+
+    Alice looks up each announced symbol once: the same fetch that answers
+    the basis comparison already holds her bits for the kept subset.
+    """
     if not isinstance(alice, SymbolSequence):
         alice = _materialized(alice)
     indices, bases, bob_bits = bob_announce(clicks)
-    keep = alice_match(alice, indices, bases)
-    kept_idx = indices[keep]
+    alice_bases, alice_bits = alice.symbols_at(indices)
+    keep = alice_bases == bases
     return SiftResult(
-        kept_indices=kept_idx,
-        alice_bits=alice.bits_at(kept_idx),
+        kept_indices=indices[keep],
+        alice_bits=alice_bits[keep],
         bob_bits=bob_bits[keep],
     )
 
@@ -155,11 +157,9 @@ class _ListSymbols(SymbolSequence):
         self._bases = np.array([BASIS_CODES[s.basis] for s in symbols], dtype=np.uint8)
         self._bits = np.array([s.bit for s in symbols], dtype=np.uint8)
 
-    def bases_at(self, indices):
-        return self._bases[np.asarray(indices, dtype=np.int64)]
-
-    def bits_at(self, indices):
-        return self._bits[np.asarray(indices, dtype=np.int64)]
+    def symbols_at(self, indices):
+        idx = np.asarray(indices, dtype=np.int64)
+        return self._bases[idx], self._bits[idx]
 
 
 def _materialized(symbols) -> _ListSymbols:

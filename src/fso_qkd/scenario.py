@@ -261,6 +261,13 @@ def resolve_config(overrides: dict | None = None) -> ScenarioConfig:
                     active=flat["classical.enabled"],
                     crosstalk_rate_at_0dbm=flat["classical.crosstalk_rate_at_0dbm"])
 
+    # The threshold crossing scans upward crossings in list order and the
+    # operating point is the first entry, so the grid must ascend from >= 0.
+    el_db = flat["sweep.el_db"]
+    if any(el < 0.0 for el in el_db):
+        raise ValidationError(f"sweep.el_db: excess losses must be >= 0 dB, got {el_db}")
+    if any(a >= b for a, b in zip(el_db, el_db[1:])):
+        raise ValidationError(f"sweep.el_db: must be strictly increasing, got {el_db}")
     if flat["sweep.symbols_per_point"] < 1:
         raise ValidationError("sweep.symbols_per_point: must be >= 1")
     if flat["session.blocks"] < 0:

@@ -1,0 +1,66 @@
+"""Golden CLI outputs: every file of four small runs, pinned by sha256.
+
+The CLI promises byte-identical outputs for an identical config and seed.
+These hashes hold that promise across changes to the Monte Carlo hot path:
+a change that moves one draw, one survivor or one last-ulp float shows up
+here. A change that moves outputs on purpose re-pins the hashes and says
+why in CHANGES.md.
+
+The runs are small (about a second each) but reach every stage: a
+Monte Carlo sweep, an OM4 session with polarization drift and dead time at
+load*tau ~ 3, an alternating co-existence session, and the spectral plan.
+The drift rotation uses numpy's float64 sin/cos, so a platform whose
+vectorized kernels round differently will need its own pins.
+"""
+import hashlib
+
+import pytest
+
+from fso_qkd.cli import main
+
+GOLDEN = {
+    "sweep-el": (
+        ["sweep-el", "--seed", "7", "--set", "sweep.symbols_per_point=500000000"],
+        {
+            "sweep_el.csv":
+                "362b5fc7f65a789c5b0ee6075ef21b4be48be05ae8841df9b18c32a7b443de85",
+            "sweep_el_summary.json":
+                "eb1da36cbaf7c949829c12d702faeaf7e4945e853219507f5b6a1947fe88d8f3",
+        },
+    ),
+    "stability-om4": (
+        ["stability", "--seed", "101", "--set", "channel.fiber_kind=OM4",
+         "--set", "session.symbols_per_block=200000000"],
+        {
+            "stability_blocks.csv":
+                "e70c6fd8fde539c0eeaf1f198bad53de97ed9798424b6a9ab1bff2fe967253c9",
+            "stability_summary.json":
+                "c95732fd68d7cbab192bcb1d9d6bfa7b3fd2a02dc4c598e5ca969c36306840dc",
+        },
+    ),
+    "coexist": (
+        ["coexist", "--seed", "7", "--set", "session.symbols_per_block=1000000000"],
+        {
+            "coexist_blocks.csv":
+                "3e9c2c128260454f384beac524b61c65261f59d8fc1bef826484472329d2eb72",
+            "coexist_summary.json":
+                "8a5f78d0272be83b1d7b2eb8c48ec1382778a8d2898df5dd300b87307c4f0918",
+        },
+    ),
+    "plan-spectrum": (
+        ["plan-spectrum", "--seed", "7"],
+        {
+            "channel_ranking.json":
+                "0b2c89745529dbb6e8a6852debccba59dad48dfcc896ba925375fc643232d97f",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("run", sorted(GOLDEN))
+def test_outputs_match_golden_hashes(run, tmp_path):
+    argv, expected = GOLDEN[run]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.iterdir()}
+    assert written == expected

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from fso_qkd.errors import ValidationError
 from fso_qkd.linkmodel import (
@@ -76,6 +77,69 @@ class TestDeadTime:
         assert np.all(gaps >= 1e-3)
         # every dropped event sits within dead time of the previous kept one
         assert len(kept) < 5000
+
+
+def greedy_survivors(times, dead_time) -> list[int]:
+    """Reference rule, one event at a time: keep an event iff it arrives at
+    least ``dead_time`` after the last kept event."""
+    kept = []
+    ready = -math.inf
+    for i, t in enumerate(times):
+        if t >= ready:
+            kept.append(i)
+            ready = t + dead_time
+    return kept
+
+
+def assert_matches_greedy(times, dead_time):
+    times = np.asarray(times, dtype=np.float64)
+    kept = dead_time_filter(times, dead_time)
+    assert kept.dtype == np.int64
+    assert kept.tolist() == greedy_survivors(times.tolist(), dead_time)
+
+
+class TestDeadTimeFilterExact:
+    def test_event_exactly_one_dead_time_later_survives(self):
+        times = np.array([0.0, 0.5, 1.0, 1.75, 2.0, 2.25])
+        assert dead_time_filter(times, 1.0).tolist() == [0, 2, 4]
+        assert_matches_greedy(times, 1.0)
+
+    def test_equal_timestamps(self):
+        times = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 3.0, 3.0])
+        assert dead_time_filter(times, 0.5).tolist() == [0, 3, 5]
+        assert_matches_greedy(times, 0.5)
+
+    def test_empty_and_single_event(self):
+        assert dead_time_filter(np.empty(0), 1e-3).tolist() == []
+        assert dead_time_filter(np.empty(0), 1e-3).dtype == np.int64
+        assert dead_time_filter(np.array([7.0]), 1e-3).tolist() == [0]
+
+    def test_zero_dead_time_keeps_everything(self):
+        times = np.array([0.0, 0.0, 1e-12, 1e-12, 2.0])
+        assert dead_time_filter(times, 0.0).tolist() == [0, 1, 2, 3, 4]
+        assert_matches_greedy(times, 0.0)
+
+    def test_dead_time_below_timestamp_resolution(self):
+        # t + tau rounds back to t: every later event, equal ones too, is due.
+        times = np.array([1e20, 1e20, 1e20, 2e20])
+        assert dead_time_filter(times, 1.0).tolist() == [0, 1, 2, 3]
+        assert_matches_greedy(times, 1.0)
+
+    @pytest.mark.parametrize("load_tau", [0.1, 1.0, 3.0])
+    def test_poisson_stream_matches_greedy(self, load_tau):
+        dead_time = 25e-6
+        rng = np.random.default_rng(int(load_tau * 10))
+        n = 20_000
+        times = np.cumsum(rng.exponential(dead_time / load_tau, size=n))
+        kept = dead_time_filter(times, dead_time)
+        assert kept.tolist() == greedy_survivors(times.tolist(), dead_time)
+        # survival fraction of a non-paralyzable detector: 1 / (1 + load tau)
+        assert len(kept) / n == pytest.approx(1.0 / (1.0 + load_tau), rel=0.05)
+
+    @given(st.lists(st.floats(min_value=0.0, max_value=100.0), max_size=200),
+           st.floats(min_value=0.0, max_value=20.0))
+    def test_random_streams_match_greedy(self, raw_times, dead_time):
+        assert_matches_greedy(sorted(raw_times), dead_time)
 
 
 class TestFiberPresets:

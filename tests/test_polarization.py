@@ -19,6 +19,7 @@ from fso_qkd.polarization import (
     depolarize,
     encode_symbol,
     projection_probability,
+    rotate_many,
 )
 
 TOL = 1e-12
@@ -138,6 +139,28 @@ class TestRotation:
     def test_non_unit_axis_rejected(self):
         with pytest.raises(ValidationError):
             apply_rotation(R, (1.0, 1.0, 0.0), 0.3)
+
+    def test_rotate_many_bit_identical_to_cross_product_form(self):
+        rng = np.random.default_rng(11)
+        vectors = rng.normal(size=(5000, 3)) * rng.uniform(0, 1, size=(5000, 1))
+        axis = rng.normal(size=3)
+        axis /= np.linalg.norm(axis)
+        angles = rng.uniform(-50, 50, size=5000)
+        c, sn = np.cos(angles)[:, None], np.sin(angles)[:, None]
+        reference = (vectors * c + np.cross(axis, vectors) * sn
+                     + axis * (vectors @ axis)[:, None] * (1.0 - c))
+        assert np.array_equal(rotate_many(vectors, axis, angles), reference)
+
+    def test_rotate_many_matches_apply_rotation(self):
+        rng = np.random.default_rng(12)
+        vectors = rng.normal(size=(50, 3)) * 0.5 / np.sqrt(3)
+        axis = rng.normal(size=3)
+        axis /= np.linalg.norm(axis)
+        angles = rng.uniform(-10, 10, size=50)
+        got = rotate_many(vectors, axis, angles)
+        for v, a, g in zip(vectors, angles, got):
+            expected = apply_rotation(PolarizationState(*v), axis, a).vector
+            assert np.allclose(g, expected, atol=TOL)
 
 
 class TestDepolarize:

@@ -135,6 +135,26 @@ class TestSift:
         assert result.kept == 1
         assert result.alice_bits.tolist() == [alice[7].bit]
 
+    def test_materialized_list_matches_lazy_sequence(self):
+        lazy = alice_generate(200_000, 23)
+        listed = list(lazy)
+        kwargs = dict(src=SourceParams(mu_q=0.5),
+                      ch=quiet_channel(depol_p=0.1, drift_rate=0.05),
+                      det=DetectorParams(dead_time=20e-9),
+                      bg=BackgroundBudget(solar_rate=5e6),
+                      rng_seed=31, intrinsic_error=0.03, start_time=100.0)
+        clicks_lazy = simulate_clicks(lazy, **kwargs)
+        clicks_list = simulate_clicks(listed, **kwargs)
+        assert np.count_nonzero(clicks_lazy.is_signal) > 500
+        assert np.count_nonzero(~clicks_lazy.is_signal) > 500
+        for attr in ClickStream.__slots__:
+            assert np.array_equal(getattr(clicks_lazy, attr), getattr(clicks_list, attr))
+        sift_lazy, sift_list = sift(lazy, clicks_lazy), sift(listed, clicks_list)
+        assert sift_lazy.kept > 50
+        assert np.array_equal(sift_lazy.kept_indices, sift_list.kept_indices)
+        assert np.array_equal(sift_lazy.alice_bits, sift_list.alice_bits)
+        assert np.array_equal(sift_lazy.bob_bits, sift_list.bob_bits)
+
 
 class TestBlockStats:
     def test_operating_point_numbers(self):

@@ -194,6 +194,13 @@ class TestMainEntry:
         assert main(["sweep-el", "--out", str(tmp_path),
                      "--set", "sweep.el_db=[]"]) == 2
 
+    @pytest.mark.parametrize("grid", ["[0, 2, 1]", "[0, 1, 1]", "[-1, 0, 1]"])
+    def test_unsorted_or_negative_sweep_exit_two(self, tmp_path, capsys, grid):
+        assert main(["sweep-el", "--out", str(tmp_path),
+                     "--set", f"sweep.el_db={grid}"]) == 2
+        assert "sweep.el_db" in capsys.readouterr().err
+        assert not (tmp_path / "sweep_el.csv").exists()
+
     def test_config_file_plus_flag_override(self, tmp_path):
         cfg_file = tmp_path / "c.json"
         cfg_file.write_text(json.dumps({
