@@ -11,10 +11,8 @@ receiver input (detector efficiency folded in, receiver filters excluded).
 Run from the repository root:  python scripts/generate_default_spectrum.py
 """
 import numpy as np
-from scipy.optimize import brentq
 
-from fso_qkd.calibration import ANCHOR_SOLAR_1430, CALIBRATION
-from fso_qkd.linkparams import DetectorParams
+from fso_qkd.calibration import ANCHOR_SOLAR_1430, CALIBRATION, brentq
 from fso_qkd.spectrum import (
     CwdmChannel,
     SpectralTable,
@@ -24,7 +22,6 @@ from fso_qkd.spectrum import (
     integrate_background,
 )
 
-DET = DetectorParams()
 CHANNELS = {nm: CwdmChannel(nm) for nm in (1390.0, 1410.0, 1430.0)}
 
 
@@ -45,7 +42,7 @@ def build(notch_db: float, slope_db_per_nm: float) -> SpectralTable:
 
 def solar(table: SpectralTable, nm: float) -> float:
     channel = CHANNELS[nm]
-    return integrate_background(table, channel, default_filters(channel), DET)
+    return integrate_background(table, channel, default_filters(channel))
 
 
 def main() -> None:

@@ -8,16 +8,9 @@ from .coexistence import (
     link_margin,
     ook_ber,
 )
-from .errors import (
-    SaturatedDetectorError,
-    SimulationError,
-    SpectrumFormatError,
-    ValidationError,
-)
+from .errors import SimulationError, SpectrumFormatError, ValidationError
 from .linkmodel import (
-    ClickRecord,
     ClickStream,
-    CyclicAnalyzerSchedule,
     RandomAnalyzerSchedule,
     dead_time_corrected,
     expected_rates,

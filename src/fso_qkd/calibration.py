@@ -18,14 +18,16 @@ the anchors:
     co-existence crosstalk rate.
 
 Everything here is closed-form or a one-dimensional root solve, so the
-derived constants are identical on every import.
+derived constants are identical on every import. The scalar link formulas
+that the solve shares with ``linkmodel`` live here, since ``linkparams``
+imports this module and ``linkmodel`` imports both.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
+from .errors import ValidationError
 
 # Fixed instrument parameters of the testbed.
 SYMBOL_RATE = 5e8           # symbols/s
@@ -57,14 +59,32 @@ DEPOL_MMF25 = 0.02
 DRIFT_RATE_DEFAULT = 2e-4   # rad/s; <=1% QBER growth over a 10-minute run
 
 
-def _p_click(loss_db: float) -> float:
-    t = 10.0 ** (-loss_db / 10.0)
-    return 1.0 - math.exp(-MU_Q * DETECTOR_EFFICIENCY * t)
+def transmittance(loss_db: float) -> float:
+    """Linear power transmission for a loss in dB."""
+    if loss_db < 0:
+        raise ValidationError(f"loss must be >= 0 dB, got {loss_db}")
+    return 10.0 ** (-loss_db / 10.0)
 
 
-def _sifted_signal_rate(loss_db: float) -> float:
-    # basis match (1/2) times single-port Malus split (1/2), before dead time
-    return SYMBOL_RATE * _p_click(loss_db) * SIGNAL_GATE_ACCEPTANCE * 0.25
+def pulse_click_probability(mu_q: float, t: float, efficiency: float) -> float:
+    """Probability that a weak-coherent pulse puts a count on the SPAD."""
+    return 1.0 - math.exp(-mu_q * t * efficiency)
+
+
+def sifted_signal_rate(symbol_rate: float, p_click: float, gate_acceptance: float) -> float:
+    """Sifted signal rate before dead time: basis match (1/2) times the
+    single-port Malus split (1/2) of the gated clicks."""
+    return symbol_rate * p_click * gate_acceptance * 0.25
+
+
+def arrival_rate(symbol_rate: float, p_click: float, background_rate: float) -> float:
+    """SPAD arrival rate before dead time: half the photons pass the port."""
+    return symbol_rate * p_click * 0.5 + background_rate
+
+
+def dead_time_thinning(load: float, dead_time: float) -> float:
+    """Surviving share of a Poisson stream at a non-paralyzable detector."""
+    return 1.0 / (1.0 + load * dead_time)
 
 
 def combined_polarization_error(intrinsic_error: float, depol_p: float) -> float:
@@ -81,24 +101,72 @@ def _intrinsic_from_combined(e_combined: float, depol_p: float) -> float:
     return (e_combined - depol_p / 2.0) / (1.0 - depol_p)
 
 
-def _qber(e_combined: float, bg_to_signal: float) -> float:
-    # x is the sifted background-to-signal ratio; background bits are random
-    return (e_combined + 0.5 * bg_to_signal) / (1.0 + bg_to_signal)
+def _signal_at(loss_db: float) -> tuple[float, float]:
+    """Click probability and sifted signal rate of the testbed at a total loss."""
+    p = pulse_click_probability(MU_Q, transmittance(loss_db), DETECTOR_EFFICIENCY)
+    return p, sifted_signal_rate(SYMBOL_RATE, p, SIGNAL_GATE_ACCEPTANCE)
 
 
 def _solve_at(rx_insertion_db: float):
     """Solve (e, background) from the two QBER anchors at a trial insertion loss."""
     loss0 = FSO_LOSS_MMF25_DB + rx_insertion_db
-    s0 = _sifted_signal_rate(loss0)
-    ratio = s0 / _sifted_signal_rate(loss0 + ANCHOR_EL_AT_THRESHOLD)
+    p0, s0 = _signal_at(loss0)
+    ratio = s0 / _signal_at(loss0 + ANCHOR_EL_AT_THRESHOLD)[1]
     denom = ANCHOR_QBER_EL0 - 0.5 + ratio * (0.5 - ANCHOR_QBER_THRESHOLD)
     x0 = (ANCHOR_QBER_THRESHOLD - ANCHOR_QBER_EL0) / denom
     e_combined = ANCHOR_QBER_EL0 * (1.0 + x0) - 0.5 * x0
     sifted_bg = x0 * s0
     bg_total = sifted_bg * 2.0 / GATE_FRACTION
-    load = SYMBOL_RATE * _p_click(loss0) * 0.5 + bg_total
-    rawkey = (s0 + sifted_bg) / (1.0 + load * DEAD_TIME)
+    load = arrival_rate(SYMBOL_RATE, p0, bg_total)
+    rawkey = (s0 + sifted_bg) * dead_time_thinning(load, DEAD_TIME)
     return rawkey, e_combined, x0, s0, bg_total
+
+
+def brentq(f, a: float, b: float, xtol: float) -> float:
+    """Root of ``f`` in [a, b] by Brent's method (Brent 1973, ch. 4).
+
+    A step-for-step port of the widely used C routine ``brentq.c`` at its
+    default ``rtol = 4 eps`` and 100 iterations, so it returns the same
+    float; ``tests/test_linkmodel.py`` holds the two roots bit-equal.
+    """
+    rtol = 4.0 * 2.0 ** -52
+    xpre, xcur = a, b
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError("brentq did not converge in 100 iterations")
 
 
 @dataclass(frozen=True)
@@ -140,7 +208,7 @@ def _derive() -> LinkCalibration:
     offset_1430 = _intrinsic_from_combined(e30, DEPOL_MMF25) - intrinsic_base
 
     # OM4: same system error, heavier depolarization, much stronger signal.
-    s4 = _sifted_signal_rate(FSO_LOSS_OM4_DB + rx_db)
+    s4 = _signal_at(FSO_LOSS_OM4_DB + rx_db)[1]
     x4 = (bg_total * GATE_FRACTION / 2.0) / s4
     e4 = ANCHOR_QBER_OM4 * (1.0 + x4) - 0.5 * x4
     depol_om4 = (e4 - intrinsic_base) / (0.5 - intrinsic_base)

@@ -308,8 +308,6 @@ def main(argv=None) -> int:
         overrides.update(_parse_set(args.set))
         if args.seed is not None:
             overrides["rng_seed"] = args.seed
-        if args.command == "coexist":
-            overrides.setdefault("classical.enabled", True)
         config = resolve_config(overrides)
         out_dir = Path(args.out) if args.out else Path(config.output_path)
 

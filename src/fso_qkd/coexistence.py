@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy.stats import norm
+from statistics import NormalDist
 
 from .calibration import CALIBRATION
 from .errors import ValidationError
@@ -61,9 +60,10 @@ def ook_ber(received_power_dbm: float, params: ClassicalParams) -> float:
     """
     if not math.isfinite(received_power_dbm):
         raise ValidationError("received power must be finite")
-    q_anchor = norm.isf(params.fec_ber)
+    # -inv_cdf(p), not inv_cdf(1 - p): the tail stays exact at small p
+    q_anchor = -NormalDist().inv_cdf(params.fec_ber)
     q = q_anchor * 10.0 ** ((received_power_dbm - params.sensitivity_dbm_at_fec) / 10.0)
-    return float(norm.sf(q))
+    return 0.5 * math.erfc(q / math.sqrt(2.0))
 
 
 def link_margin(params: ClassicalParams, total_loss_db: float) -> float:

@@ -18,6 +18,3 @@ class SpectrumFormatError(ValidationError):
 class SimulationError(RuntimeError):
     """A run failed at execution time (as opposed to config validation)."""
 
-
-class SaturatedDetectorError(SimulationError):
-    """Expected detector load exceeds the sane dead-time regime (rate * tau > 10)."""

@@ -12,20 +12,26 @@ uniformly, which is why it scales every rate but cancels in the QBER.
 
 The Monte Carlo samples only symbols that produce a detectable photon
 (geometric gaps over the slot lattice), so cost scales with click counts,
-not symbol counts, and multi-gigasymbol blocks stay cheap. On a lazy
-symbol stream no stage steps through events in Python: each symbol's basis
-and bit come from one hash word, drift is one vectorized rotation, and the
-dead-time filter finds every event's successor with one ``searchsorted``
-and follows the survivor chain by pointer doubling.
+not symbol counts, and multi-gigasymbol blocks stay cheap. No stage steps
+through events in Python: each symbol's basis and bit come from one hash
+word, drift is one vectorized rotation, and the dead-time filter finds
+every event's successor with one ``searchsorted`` and follows the survivor
+chain by pointer doubling.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import combined_polarization_error
+from .calibration import (
+    arrival_rate,
+    combined_polarization_error,
+    dead_time_thinning,
+    pulse_click_probability,
+    sifted_signal_rate,
+    transmittance,
+)
 from .errors import ValidationError
 from .linkparams import (
     BackgroundBudget,
@@ -34,28 +40,15 @@ from .linkparams import (
     RatePrediction,
     SourceParams,
 )
-from .polarization import Basis, rotate_many
+from .polarization import PORT_STATES, Basis, rotate_many
 from .seeding import hash_stream, mix64, rng_from
 
 BASIS_CODES = {Basis.RL: 0, Basis.AD: 1, Basis.HV: 2}
-CODE_BASES = {code: basis for basis, code in BASIS_CODES.items()}
 HV_CODE = BASIS_CODES[Basis.HV]
 
 # Stokes vectors indexed [basis_code, bit]: R/L, D/A, H/V.
 STATE_TABLE = np.array(
-    [
-        [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]],
-        [[0.0, 1.0, 0.0], [0.0, -1.0, 0.0]],
-        [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]],
-    ]
-)
-
-
-def transmittance(loss_db: float) -> float:
-    """Linear power transmission for a loss in dB."""
-    if loss_db < 0:
-        raise ValidationError(f"loss must be >= 0 dB, got {loss_db}")
-    return 10.0 ** (-loss_db / 10.0)
+    [[PORT_STATES[(basis, bit)].vector for bit in (0, 1)] for basis in BASIS_CODES])
 
 
 def dead_time_corrected(true_rate: float, dead_time: float) -> float:
@@ -64,19 +57,18 @@ def dead_time_corrected(true_rate: float, dead_time: float) -> float:
         raise ValidationError(f"rate must be >= 0, got {true_rate}")
     if dead_time < 0:
         raise ValidationError(f"dead time must be >= 0, got {dead_time}")
-    return true_rate / (1.0 + true_rate * dead_time)
+    return true_rate * dead_time_thinning(true_rate, dead_time)
 
 
 def click_probability(src: SourceParams, ch: ChannelParams, det: DetectorParams) -> float:
     """Per-symbol probability that the pulse puts a count on the SPAD."""
-    t = transmittance(ch.total_loss_db)
-    return 1.0 - math.exp(-src.mu_q * t * det.efficiency)
+    return pulse_click_probability(src.mu_q, transmittance(ch.total_loss_db), det.efficiency)
 
 
 def detector_load(src: SourceParams, ch: ChannelParams, det: DetectorParams,
                   bg: BackgroundBudget) -> float:
     """Total arrival rate at the SPAD before dead time (all ports, all gates)."""
-    return src.symbol_rate * click_probability(src, ch, det) * 0.5 + bg.total_rate
+    return arrival_rate(src.symbol_rate, click_probability(src, ch, det), bg.total_rate)
 
 
 def expected_rates(
@@ -98,10 +90,10 @@ def expected_rates(
     if not 0.0 <= intrinsic_error <= 0.5:
         raise ValidationError(f"intrinsic_error must be in [0, 0.5], got {intrinsic_error}")
     p_click = click_probability(src, ch, det)
-    s_port = src.symbol_rate * p_click * det.signal_gate_acceptance * 0.25
+    s_port = sifted_signal_rate(src.symbol_rate, p_click, det.signal_gate_acceptance)
     b_gated = bg.total_rate * det.gate_fraction
     b_key = 0.5 * b_gated
-    thin = 1.0 / (1.0 + detector_load(src, ch, det, bg) * det.dead_time)
+    thin = dead_time_thinning(detector_load(src, ch, det, bg), det.dead_time)
     e_pol = combined_polarization_error(intrinsic_error, ch.depol_p)
     kept = s_port + b_key
     qber = 0.5 if kept == 0 else (e_pol * s_port + 0.5 * b_key) / kept
@@ -120,59 +112,20 @@ def expected_rates(
 class RandomAnalyzerSchedule:
     """Uniform random choice among the four key ports, one per symbol slot.
 
-    ``monitor_fraction`` diverts that share of slots to the H/V monitor
-    ports. The schedule is a pure function of (seed, index), so any slice
-    of it can be regenerated independently.
+    The schedule is a pure function of (seed, index), so any slice of it
+    can be regenerated independently.
     """
 
-    def __init__(self, seed: int, monitor_fraction: float = 0.0):
-        if not 0.0 <= monitor_fraction < 1.0:
-            raise ValidationError("monitor_fraction must be in [0, 1)")
+    def __init__(self, seed: int):
         self._seed = seed
-        self._monitor_fraction = monitor_fraction
 
     def ports_at(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        words = hash_stream(self._seed, indices)
-        port = (words & np.uint64(3)).astype(np.uint8)
-        basis = port >> 1
-        bit = port & 1
-        if self._monitor_fraction > 0.0:
-            u = ((words >> np.uint64(32)) & np.uint64(0xFFFFFF)).astype(np.float64) / float(1 << 24)
-            monitor = u < self._monitor_fraction
-            basis = np.where(monitor, np.uint8(HV_CODE), basis)
-        return basis, bit
-
-
-class CyclicAnalyzerSchedule:
-    """Cycle R, L, D, A ports in fixed dwell blocks (sequential polarimeter)."""
-
-    def __init__(self, dwell: int = 1):
-        if dwell < 1:
-            raise ValidationError("dwell must be >= 1 symbols")
-        self._dwell = int(dwell)
-
-    def ports_at(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        port = ((np.asarray(indices, dtype=np.int64) // self._dwell) % 4).astype(np.uint8)
+        port = (hash_stream(self._seed, indices) & np.uint64(3)).astype(np.uint8)
         return port >> 1, port & 1
 
 
-# ---------------------------------------------------------------------------
-# Click records
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ClickRecord:
-    """One detection event as logged by the time tagger."""
-
-    timestamp: float
-    symbol_index: int
-    analyzer: tuple[Basis, int]
-    in_gate: bool
-    origin: str  # "signal" or "background"
-
-
 class ClickStream:
-    """Array-backed, time-ordered sequence of ClickRecord."""
+    """Array-backed, time-ordered detection events as logged by the time tagger."""
 
     __slots__ = ("timestamps", "symbol_indices", "analyzer_basis_codes",
                  "analyzer_bits", "in_gate", "is_signal")
@@ -192,18 +145,6 @@ class ClickStream:
 
     def __len__(self) -> int:
         return len(self.timestamps)
-
-    def __getitem__(self, i: int) -> ClickRecord:
-        return ClickRecord(
-            timestamp=float(self.timestamps[i]),
-            symbol_index=int(self.symbol_indices[i]),
-            analyzer=(CODE_BASES[int(self.analyzer_basis_codes[i])], int(self.analyzer_bits[i])),
-            in_gate=bool(self.in_gate[i]),
-            origin="signal" if self.is_signal[i] else "background",
-        )
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
 
     def gated_count(self) -> int:
         return int(np.count_nonzero(self.in_gate))
@@ -259,19 +200,6 @@ def _sample_detection_indices(rng: np.random.Generator, n: int, q: float) -> np.
     return (np.concatenate(chunks) - 1).astype(np.int64)
 
 
-def _symbol_arrays(symbols, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Basis-code/bit arrays of ``symbols`` at ``indices`` (lazy or materialized)."""
-    if hasattr(symbols, "symbols_at"):
-        return symbols.symbols_at(indices)
-    bases = np.empty(len(indices), dtype=np.uint8)
-    bits = np.empty(len(indices), dtype=np.uint8)
-    for k, i in enumerate(indices.tolist()):
-        sym = symbols[i]
-        bases[k] = BASIS_CODES[sym.basis]
-        bits[k] = sym.bit
-    return bases, bits
-
-
 def _random_unit_vector(rng: np.random.Generator) -> np.ndarray:
     v = rng.normal(size=3)
     return v / np.linalg.norm(v)
@@ -288,16 +216,12 @@ def simulate_clicks(
     intrinsic_error: float = 0.0,
     start_time: float = 0.0,
     drift_axis=None,
-    receiver: str = "sequential",
 ) -> ClickStream:
     """Monte Carlo detection run over ``symbols``; deterministic per seed.
 
-    Sequential mode (the deployed receiver) puts one SPAD behind the port
-    chosen by ``analyzer_schedule`` for each slot; a photon clicks with the
-    Malus probability of that port and is otherwise absorbed. The passive
-    mode routes every photon through a 50/50 basis splitter onto one of
-    four ports with independent dead times, splitting the non-dark
-    background evenly across ports.
+    One SPAD sits behind the port chosen by ``analyzer_schedule`` for each
+    slot; a photon clicks with the Malus probability of that port and is
+    otherwise absorbed.
 
     Polarization drift rotates the transmitted states about ``drift_axis``
     (drawn from the seed when not given) by ``ch.drift_rate * t_elapsed``
@@ -305,8 +229,6 @@ def simulate_clicks(
     the past of this call. Background and dark counts arrive uniformly;
     dead time is enforced on the merged event stream.
     """
-    if receiver not in ("sequential", "passive"):
-        raise ValidationError(f"unknown receiver mode {receiver!r}")
     if not 0.0 <= intrinsic_error <= 0.5:
         raise ValidationError(f"intrinsic_error must be in [0, 0.5], got {intrinsic_error}")
     n = len(symbols)
@@ -319,27 +241,41 @@ def simulate_clicks(
         analyzer_schedule = RandomAnalyzerSchedule(mix64(rng_seed, 0xA11A))
 
     slot = 1.0 / src.symbol_rate
-    duration = n * slot
-    q = click_probability(src, ch, det)
-    idx = _sample_detection_indices(rng, n, q)
+    idx = _sample_detection_indices(rng, n, click_probability(src, ch, det))
 
-    bases, bits = _symbol_arrays(symbols, idx)
+    bases, bits = symbols.symbols_at(idx)
     kappa = (1.0 - ch.depol_p) * (1.0 - 2.0 * intrinsic_error)
     states = STATE_TABLE[bases, bits] * kappa
     if ch.drift_rate > 0.0 and len(idx):
         angles = ch.drift_rate * (start_time + (idx + 0.5) * slot)
         states = rotate_many(states, axis, angles)
 
-    if receiver == "sequential":
-        return _detect_sequential(rng, states, idx, analyzer_schedule, src, det, bg,
-                                  start_time, slot, n, duration)
-    return _detect_passive(rng, states, idx, src, det, bg, start_time, slot, n, duration)
+    abasis, abit = analyzer_schedule.ports_at(idx)
+    p_pass = 0.5 * (1.0 + np.einsum("ij,ij->i", states, STATE_TABLE[abasis, abit]))
+    clicked = rng.random(len(idx)) < p_pass
+    sig_idx = idx[clicked]
+    if det.signal_gate_acceptance >= 1.0:
+        sig_gate = np.ones(len(sig_idx), dtype=bool)
+    else:
+        sig_gate = rng.random(len(sig_idx)) < det.signal_gate_acceptance
+    sig_times = start_time + (sig_idx + 0.5) * slot
 
+    bg_idx, bg_times, bg_gate = _background_events(
+        rng, bg.total_rate, n, n * slot, slot, start_time, det.gate_fraction)
+    bg_basis, bg_bit = analyzer_schedule.ports_at(bg_idx)
 
-def _gate_flags(rng, count: int, acceptance: float) -> np.ndarray:
-    if acceptance >= 1.0:
-        return np.ones(count, dtype=bool)
-    return rng.random(count) < acceptance
+    # Signal events lead the merged arrays: a survivor is signal iff keep < len(sig_idx).
+    times = np.concatenate([sig_times, bg_times])
+    order = np.argsort(times, kind="stable")
+    keep = order[dead_time_filter(times[order], det.dead_time)]
+    return ClickStream(
+        times[keep],
+        np.concatenate([sig_idx, bg_idx])[keep],
+        np.concatenate([abasis[clicked], bg_basis])[keep],
+        np.concatenate([abit[clicked], bg_bit])[keep],
+        np.concatenate([sig_gate, bg_gate])[keep],
+        keep < len(sig_idx),
+    )
 
 
 def _background_events(rng, rate: float, n: int, duration: float, slot: float,
@@ -356,83 +292,3 @@ def _background_events(rng, rate: float, n: int, duration: float, slot: float,
     times = start_time + (bidx + frac) * slot
     in_gate = np.abs(frac - 0.5) <= gate_fraction / 2.0
     return bidx.astype(np.int64), times, in_gate
-
-
-def _assemble(times, indices, abasis, abit, in_gate, is_signal, dead_time) -> ClickStream:
-    order = np.argsort(times, kind="stable")
-    times, indices = times[order], indices[order]
-    abasis, abit = abasis[order], abit[order]
-    in_gate, is_signal = in_gate[order], is_signal[order]
-    alive = dead_time_filter(times, dead_time)
-    return ClickStream(times[alive], indices[alive], abasis[alive], abit[alive],
-                       in_gate[alive], is_signal[alive])
-
-
-def _detect_sequential(rng, states, idx, schedule, src, det, bg,
-                       start_time, slot, n, duration) -> ClickStream:
-    abasis, abit = schedule.ports_at(idx)
-    analyzers = STATE_TABLE[abasis, abit]
-    p_pass = 0.5 * (1.0 + np.einsum("ij,ij->i", states, analyzers))
-    clicked = rng.random(len(idx)) < p_pass
-    sig_idx = idx[clicked]
-    sig_basis, sig_bit = abasis[clicked], abit[clicked]
-    sig_gate = _gate_flags(rng, len(sig_idx), det.signal_gate_acceptance)
-    sig_times = start_time + (sig_idx + 0.5) * slot
-
-    bg_idx, bg_times, bg_gate = _background_events(
-        rng, bg.total_rate, n, duration, slot, start_time, det.gate_fraction)
-    bg_basis, bg_bit = schedule.ports_at(bg_idx)
-
-    return _assemble(
-        np.concatenate([sig_times, bg_times]),
-        np.concatenate([sig_idx, bg_idx]),
-        np.concatenate([sig_basis, bg_basis]),
-        np.concatenate([sig_bit, bg_bit]),
-        np.concatenate([sig_gate, bg_gate]),
-        np.concatenate([np.ones(len(sig_idx), bool), np.zeros(len(bg_idx), bool)]),
-        det.dead_time,
-    )
-
-
-def _detect_passive(rng, states, idx, src, det, bg,
-                    start_time, slot, n, duration) -> ClickStream:
-    """Idealized 2-basis/4-output receiver; every photon clicks one port."""
-    k = len(idx)
-    arm = (rng.random(k) < 0.5).astype(np.uint8)       # 0 -> RL arm, 1 -> AD arm
-    port0 = STATE_TABLE[arm, np.zeros(k, dtype=np.uint8)]
-    p_bit0 = 0.5 * (1.0 + np.einsum("ij,ij->i", states, port0))
-    bit = (rng.random(k) >= p_bit0).astype(np.uint8)
-    sig_gate = _gate_flags(rng, k, det.signal_gate_acceptance)
-    sig_times = start_time + (idx + 0.5) * slot
-
-    # Non-dark background splits across the four ports; darks are per SPAD.
-    per_port_rate = (bg.total_rate - bg.dark_rate) / 4.0 + bg.dark_rate
-    streams = []
-    for basis_code in (0, 1):
-        for port_bit in (0, 1):
-            mask = (arm == basis_code) & (bit == port_bit)
-            bg_idx, bg_times, bg_gate = _background_events(
-                rng, per_port_rate, n, duration, slot, start_time, det.gate_fraction)
-            times = np.concatenate([sig_times[mask], bg_times])
-            order = np.argsort(times, kind="stable")
-            indices = np.concatenate([idx[mask], bg_idx])[order]
-            in_gate = np.concatenate([sig_gate[mask], bg_gate])[order]
-            is_signal = np.concatenate(
-                [np.ones(int(mask.sum()), bool), np.zeros(len(bg_idx), bool)])[order]
-            times = times[order]
-            alive = dead_time_filter(times, det.dead_time)
-            streams.append((times[alive], indices[alive],
-                            np.full(len(alive), basis_code, dtype=np.uint8),
-                            np.full(len(alive), port_bit, dtype=np.uint8),
-                            in_gate[alive], is_signal[alive]))
-
-    times = np.concatenate([s[0] for s in streams])
-    order = np.argsort(times, kind="stable")
-    return ClickStream(
-        times[order],
-        np.concatenate([s[1] for s in streams])[order],
-        np.concatenate([s[2] for s in streams])[order],
-        np.concatenate([s[3] for s in streams])[order],
-        np.concatenate([s[4] for s in streams])[order],
-        np.concatenate([s[5] for s in streams])[order],
-    )

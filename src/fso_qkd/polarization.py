@@ -138,15 +138,13 @@ def projection_probability(state: PolarizationState, analyzer: PolarizationState
 def apply_rotation(state: PolarizationState, axis, angle: float) -> PolarizationState:
     """Rotate a Stokes vector rigidly about ``axis`` by ``angle`` (right-handed).
 
-    Rodrigues form; preserves DOP exactly up to rounding.
+    Rodrigues form (see ``rotate_many``); preserves DOP exactly up to rounding.
     """
     u = np.asarray(axis, dtype=float)
     norm = float(np.linalg.norm(u))
     if abs(norm - 1.0) > 1e-9:
         raise ValidationError(f"rotation axis must be unit length, |axis| = {norm}")
-    s = state.vector
-    c, sn = math.cos(angle), math.sin(angle)
-    rotated = s * c + np.cross(u, s) * sn + u * np.dot(u, s) * (1.0 - c)
+    rotated = rotate_many(state.vector[np.newaxis], u, np.array([angle]))[0]
     return PolarizationState(*rotated)
 
 

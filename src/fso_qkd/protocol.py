@@ -7,8 +7,8 @@ value exchanges so the session could later be split across a transport.
 
 Alice's random symbols are a counter-based stream: symbol i is a pure
 function of (seed, i), so gigasymbol sequences are addressable without
-being materialized and the sparse Monte Carlo path sees exactly the same
-values as an element-by-element reader.
+being materialized, and the Monte Carlo and the sifting dialogue read the
+same values at the same indices.
 """
 from __future__ import annotations
 
@@ -21,13 +21,11 @@ from .coexistence import crosstalk_background
 from .errors import ValidationError
 from .linkmodel import (
     HV_CODE,
-    CODE_BASES,
     ClickStream,
     RandomAnalyzerSchedule,
     detector_load,
     simulate_clicks,
 )
-from .polarization import BB84Symbol
 from .scenario import ScenarioConfig
 from .seeding import hash_stream, mix64, rng_from
 
@@ -56,32 +54,12 @@ class SymbolSequence:
         return hash_stream(self.seed, idx)
 
     def symbols_at(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Basis codes and bits at the given indices, from one hash word each."""
+        """Basis codes (0=RL, 1=AD) and bits at the given indices, from one
+        hash word each."""
         words = self._words(indices)
         bases = (words & np.uint64(1)).astype(np.uint8)
         bits = ((words >> np.uint64(1)) & np.uint64(1)).astype(np.uint8)
         return bases, bits
-
-    def bases_at(self, indices: np.ndarray) -> np.ndarray:
-        """Basis codes (0=RL, 1=AD) at the given indices."""
-        return self.symbols_at(indices)[0]
-
-    def bits_at(self, indices: np.ndarray) -> np.ndarray:
-        return self.symbols_at(indices)[1]
-
-    def __getitem__(self, i: int) -> BB84Symbol:
-        if not 0 <= i < self.n:
-            raise IndexError(i)
-        bases, bits = self.symbols_at(np.asarray([i]))
-        return BB84Symbol(basis=CODE_BASES[int(bases[0])], bit=int(bits[0]))
-
-    def __iter__(self):
-        chunk = 65536
-        for start in range(0, self.n, chunk):
-            idx = np.arange(start, min(start + chunk, self.n))
-            bases, bits = self.symbols_at(idx)
-            for b, x in zip(bases, bits):
-                yield BB84Symbol(basis=CODE_BASES[int(b)], bit=int(x))
 
 
 def alice_generate(n: int, rng_seed: int) -> SymbolSequence:
@@ -126,14 +104,12 @@ def bob_announce(clicks: ClickStream) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return indices[first], bases[first], bits[first]
 
 
-def sift(alice, clicks: ClickStream) -> SiftResult:
+def sift(alice: SymbolSequence, clicks: ClickStream) -> SiftResult:
     """Run the two-message sifting dialogue and return the kept bits.
 
     Alice looks up each announced symbol once: the same fetch that answers
     the basis comparison already holds her bits for the kept subset.
     """
-    if not isinstance(alice, SymbolSequence):
-        alice = _materialized(alice)
     indices, bases, bob_bits = bob_announce(clicks)
     alice_bases, alice_bits = alice.symbols_at(indices)
     keep = alice_bases == bases
@@ -142,28 +118,6 @@ def sift(alice, clicks: ClickStream) -> SiftResult:
         alice_bits=alice_bits[keep],
         bob_bits=bob_bits[keep],
     )
-
-
-class _ListSymbols(SymbolSequence):
-    """Adapter giving explicit BB84Symbol lists the array interface."""
-
-    __slots__ = ("_bases", "_bits")
-
-    def __init__(self, symbols):
-        self.n = len(symbols)
-        self.seed = 0
-        from .linkmodel import BASIS_CODES
-
-        self._bases = np.array([BASIS_CODES[s.basis] for s in symbols], dtype=np.uint8)
-        self._bits = np.array([s.bit for s in symbols], dtype=np.uint8)
-
-    def symbols_at(self, indices):
-        idx = np.asarray(indices, dtype=np.int64)
-        return self._bases[idx], self._bits[idx]
-
-
-def _materialized(symbols) -> _ListSymbols:
-    return _ListSymbols(list(symbols))
 
 
 @dataclass(frozen=True)

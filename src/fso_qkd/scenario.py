@@ -230,7 +230,7 @@ def resolve_config(overrides: dict | None = None) -> ScenarioConfig:
     mode = flat["background.mode"]
     if mode == "spectrum":
         solar = _solar_from_spectrum(flat["background.spectrum_path"],
-                                     source.wavelength_nm, detector)
+                                     source.wavelength_nm)
         flat["background.solar_rate"] = solar
     elif mode == "explicit":
         solar = flat["background.solar_rate"]
@@ -296,8 +296,7 @@ def resolve_config(overrides: dict | None = None) -> ScenarioConfig:
     )
 
 
-def _solar_from_spectrum(path: str | None, wavelength_nm: float,
-                         detector: DetectorParams) -> float:
+def _solar_from_spectrum(path: str | None, wavelength_nm: float) -> float:
     table = (spectrum_mod.load_default_spectrum() if path is None
              else spectrum_mod.load_spectrum(path))
     try:
@@ -307,7 +306,7 @@ def _solar_from_spectrum(path: str | None, wavelength_nm: float,
             f"source.wavelength_nm: {wavelength_nm} nm is not a CWDM channel; "
             "use background.mode='explicit' for off-grid wavelengths") from None
     return spectrum_mod.integrate_background(
-        table, channel, spectrum_mod.default_filters(channel), detector)
+        table, channel, spectrum_mod.default_filters(channel))
 
 
 def load_config_file(path: str | Path) -> dict:

@@ -124,17 +124,15 @@ def integrate_background(
     spectrum: SpectralTable,
     channel: CwdmChannel,
     filters: list[FilterSpec],
-    detector: DetectorParams,
 ) -> float:
     """In-band background rate (counts/s) for one channel behind the cascade.
 
     Converts the PSD to linear counts/s/nm, multiplies the filter
     transmissions pointwise, and integrates over the channel passband with
     the trapezoidal rule on a mesh containing every sample point, channel
-    edge and filter edge. The table is normalized to detected counts, so
-    ``detector`` enters comparisons (dark-rate flags) but not the integral.
+    edge and filter edge. The table is normalized to detected counts, so no
+    detector efficiency enters the integral.
     """
-    del detector  # normalization is as-detected; kept for interface symmetry
     lo, hi = channel.edges_nm
     knots = [lo, hi]
     knots.extend(w for w in spectrum.wavelengths_nm if lo < w < hi)
@@ -154,7 +152,6 @@ def rank_channels(
     spectrum: SpectralTable,
     channels: list[CwdmChannel],
     filters: list[FilterSpec] | None,
-    detector: DetectorParams,
 ) -> list[tuple[CwdmChannel, float]]:
     """Channels ordered by ascending background; ties go to shorter wavelength.
 
@@ -165,7 +162,7 @@ def rank_channels(
     rates = []
     for ch in channels:
         cascade = default_filters(ch) if filters is None else filters
-        rates.append((ch, integrate_background(spectrum, ch, cascade, detector)))
+        rates.append((ch, integrate_background(spectrum, ch, cascade)))
     return sorted(rates, key=lambda item: (item[1], item[0].center_nm))
 
 
@@ -175,7 +172,7 @@ def ranking_report(
     detector: DetectorParams,
 ) -> list[dict]:
     """JSON-ready ranking rows with dark-level flags and total floors."""
-    ranked = rank_channels(spectrum, channels, None, detector)
+    ranked = rank_channels(spectrum, channels, None)
     return [
         {
             "channel_nm": ch.center_nm,

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from fso_qkd.errors import ValidationError
 from fso_qkd.linkmodel import (
     ClickStream,
-    CyclicAnalyzerSchedule,
     RandomAnalyzerSchedule,
     dead_time_corrected,
     dead_time_filter,
@@ -25,6 +24,7 @@ from fso_qkd.linkparams import (
     fiber_preset,
 )
 from fso_qkd.protocol import alice_generate, sift
+from fso_qkd import calibration
 from fso_qkd.calibration import CALIBRATION
 
 
@@ -163,6 +163,37 @@ class TestFiberPresets:
         assert not ch.alignment_stable
 
 
+class TestBrent:
+    """The stdlib Brent solve returns scipy's root bit for bit, so the
+    calibration constants, and every config hash built on them, do not
+    depend on scipy being installed."""
+
+    def test_brent_matches_scipy_brentq(self, monkeypatch):
+        from scipy.optimize import brentq as scipy_brentq
+
+        def residual(lrx):
+            return calibration._solve_at(lrx)[0] - calibration.ANCHOR_RAWKEY_EL0
+
+        cases = [
+            (residual, 0.01, 30.0, 1e-12),
+            (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0, 1e-12),
+            # equal |f| on both sides never passes the interpolation test, so
+            # this bisects until the relative tolerance (at x ~ 3e7) stops it
+            (lambda x: -1.0 if x < 1e8 / 3.0 else 1.0, 0.0, 1e8, 1e-12),
+        ]
+        for f, a, b, xtol in cases:
+            assert calibration.brentq(f, a, b, xtol) == scipy_brentq(f, a, b, xtol=xtol)
+        assert calibration.brentq(residual, 0.01, 30.0, 1e-12) == 6.655291206280735
+
+        monkeypatch.setattr(calibration, "brentq",
+                            lambda f, a, b, xtol: scipy_brentq(f, a, b, xtol=xtol))
+        assert calibration._derive() == CALIBRATION
+
+    def test_no_sign_change_rejected(self):
+        with pytest.raises(ValueError):
+            calibration.brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
+
+
 class TestExpectedRates:
     def test_calibrated_baseline(self):
         pred = expected_rates(
@@ -268,15 +299,6 @@ class TestMonteCarlo:
         gaps = np.diff(clicks.timestamps)
         assert np.all(gaps >= DetectorParams().dead_time)
 
-    def test_record_view(self):
-        alice = alice_generate(1_000_000, 6)
-        clicks = simulate_clicks(alice, SourceParams(), quiet_channel(),
-                                 DetectorParams(), BackgroundBudget(), rng_seed=10)
-        rec = clicks[0]
-        assert rec.origin in ("signal", "background")
-        assert rec.analyzer[1] in (0, 1)
-        assert isinstance(rec.in_gate, bool)
-
     @pytest.mark.parametrize("seed", [101, 202, 303, 404, 505])
     def test_matches_rate_equation_within_3_sigma(self, seed):
         """Random operating points: gated counts and QBER track the model."""
@@ -321,26 +343,6 @@ class TestMonteCarlo:
         sigma = math.sqrt(0.25 / sifted.kept)
         assert abs(qber - 0.5) <= 3 * sigma
 
-    def test_passive_receiver_consistency(self):
-        """Four-port mode without dead time: every photon clicks some port."""
-        src = SourceParams()
-        ch = quiet_channel(depol_p=0.1)
-        det = DetectorParams(dark_rate=0.0, dead_time=0.0)
-        bg = BackgroundBudget(dark_rate=0.0)
-        alice = alice_generate(3_000_000, 41)
-        clicks = simulate_clicks(alice, src, ch, det, bg, rng_seed=42,
-                                 intrinsic_error=0.02, receiver="passive")
-        q = 1 - math.exp(-src.mu_q * det.efficiency * transmittance(ch.total_loss_db))
-        exp_photons = 3_000_000 * q
-        assert abs(len(clicks) - exp_photons) <= 3 * math.sqrt(exp_photons)
-        sifted = sift(alice, clicks)
-        # with four always-on ports, every detected matched-basis photon is kept
-        expected_qber = 0.5 * (1 - (1 - 0.1) * (1 - 2 * 0.02))
-        sigma = math.sqrt(expected_qber * (1 - expected_qber) / sifted.kept)
-        assert abs(sifted.mismatches / sifted.kept - expected_qber) <= 3 * sigma
-        exp_kept = exp_photons * 0.5
-        assert abs(sifted.kept - exp_kept) <= 3 * math.sqrt(exp_kept)
-
     def test_partial_gate_acceptance_matches_model(self):
         """Non-default gating (acceptance 0.7, gate 0.3) under heavy dead time."""
         src = SourceParams()
@@ -361,11 +363,6 @@ class TestMonteCarlo:
         exp_kept = pred.sifted_key_rate * duration
         assert abs(sifted.kept - exp_kept) <= 3 * math.sqrt(exp_kept)
 
-    def test_unknown_receiver_rejected(self):
-        with pytest.raises(ValidationError):
-            simulate_clicks(alice_generate(10, 1), SourceParams(), quiet_channel(),
-                            DetectorParams(), BackgroundBudget(), receiver="garbled")
-
 
 class TestSchedules:
     def test_random_schedule_deterministic(self):
@@ -375,15 +372,3 @@ class TestSchedules:
         b2, x2 = RandomAnalyzerSchedule(99).ports_at(idx)
         assert np.array_equal(b1, b2) and np.array_equal(x1, x2)
         assert set(np.unique(b1)) <= {0, 1}
-
-    def test_monitor_fraction_produces_hv(self):
-        sched = RandomAnalyzerSchedule(7, monitor_fraction=0.3)
-        bases, _ = sched.ports_at(np.arange(20000))
-        frac = np.mean(bases == 2)
-        assert 0.25 < frac < 0.35
-
-    def test_cyclic_schedule(self):
-        sched = CyclicAnalyzerSchedule(dwell=2)
-        bases, bits = sched.ports_at(np.arange(8))
-        assert bases.tolist() == [0, 0, 0, 0, 1, 1, 1, 1]
-        assert bits.tolist() == [0, 0, 1, 1, 0, 0, 1, 1]

@@ -1,5 +1,9 @@
 """Config resolution, CLI subcommands, reproducibility, exit codes."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from scipy.stats import linregress
@@ -229,3 +233,24 @@ class TestMainEntry:
         ]
         assert rows[0][1] == rows[1][1]      # model column identical
         assert rows[0][2] != rows[1][2]      # MC column reseeded
+
+
+def test_runtime_imports_without_scipy(tmp_path):
+    """The CLI runs with scipy unimportable: the runtime needs numpy only."""
+    import fso_qkd
+
+    script = "\n".join([
+        "import sys",
+        "sys.modules['scipy'] = None",
+        "from fso_qkd.cli import main",
+        f"assert main(['plan-spectrum', '--out', {str(tmp_path / 'plan')!r}]) == 0",
+        "assert main(['coexist', '--set', 'session.blocks=2',",
+        "             '--set', 'session.symbols_per_block=100000000',",
+        f"             '--out', {str(tmp_path / 'coexist')!r}]) == 0",
+    ])
+    src = str(Path(fso_qkd.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "coexist" / "coexist_summary.json").is_file()

@@ -29,23 +29,23 @@ def flat_table(level_db: float) -> SpectralTable:
 class TestIntegration:
     def test_flat_26db_notch_ceiling(self):
         # 10^2.6 counts/s/nm over a 13-nm passband
-        rate = integrate_background(flat_table(26.0), CwdmChannel(1410.0), UNITY, DET)
+        rate = integrate_background(flat_table(26.0), CwdmChannel(1410.0), UNITY)
         assert rate == pytest.approx(10**2.6 * 13.0, rel=1e-6)
         assert rate == pytest.approx(5.17e3, rel=2e-3)
 
     def test_zero_psd(self):
-        rate = integrate_background(flat_table(-400.0), CwdmChannel(1410.0), UNITY, DET)
+        rate = integrate_background(flat_table(-400.0), CwdmChannel(1410.0), UNITY)
         assert rate == pytest.approx(0.0, abs=1e-30)
 
     def test_default_spectrum_reproduces_channel_floors(self):
         table = load_default_spectrum()
         ch = CwdmChannel(1430.0)
-        solar = integrate_background(table, ch, default_filters(ch), DET)
+        solar = integrate_background(table, ch, default_filters(ch))
         assert solar == pytest.approx(290.0, abs=5.0)
         assert solar + DET.dark_rate == pytest.approx(590.0, abs=5.0)
         for nm in (1390.0, 1410.0):
             ch = CwdmChannel(nm)
-            low = integrate_background(table, ch, default_filters(ch), DET)
+            low = integrate_background(table, ch, default_filters(ch))
             assert low < DET.dark_rate
 
     def test_linearity_in_linear_psd(self):
@@ -53,28 +53,28 @@ class TestIntegration:
         doubled = SpectralTable(table.wavelengths_nm,
                                 table.psd_db + 10.0 * np.log10(2.0))
         ch = CwdmChannel(1410.0)
-        r1 = integrate_background(table, ch, default_filters(ch), DET)
-        r2 = integrate_background(doubled, ch, default_filters(ch), DET)
+        r1 = integrate_background(table, ch, default_filters(ch))
+        r2 = integrate_background(doubled, ch, default_filters(ch))
         assert r2 == pytest.approx(2.0 * r1, rel=1e-9)
 
     def test_extra_filter_never_increases_rate(self):
         table = load_default_spectrum()
         rng = np.random.default_rng(2)
         ch = CwdmChannel(1430.0)
-        base = integrate_background(table, ch, default_filters(ch), DET)
+        base = integrate_background(table, ch, default_filters(ch))
         for _ in range(20):
             extra = FilterSpec(center_nm=rng.uniform(1380, 1460),
                                width_nm=rng.uniform(1, 60),
                                in_band_transmission=rng.uniform(0.05, 1.0),
                                out_of_band_suppression_db=rng.uniform(0, 50))
             cascaded = integrate_background(
-                table, ch, default_filters(ch) + [extra], DET)
+                table, ch, default_filters(ch) + [extra])
             assert cascaded <= base + 1e-9
 
     def test_channel_outside_domain_rejected(self):
         narrow = SpectralTable(np.array([1400.0, 1412.0]), np.array([0.0, 0.0]))
         with pytest.raises(ValidationError):
-            integrate_background(narrow, CwdmChannel(1430.0), UNITY, DET)
+            integrate_background(narrow, CwdmChannel(1430.0), UNITY)
 
     def test_off_grid_channel_rejected(self):
         with pytest.raises(ValidationError):
@@ -85,27 +85,27 @@ class TestRanking:
     def test_default_spectrum_prefers_shorter_channels(self):
         table = load_default_spectrum()
         channels = [CwdmChannel(nm) for nm in CWDM_GRID_NM]
-        ranked = rank_channels(table, channels, None, DET)
+        ranked = rank_channels(table, channels, None)
         assert [c.center_nm for c, _ in ranked] == [1390.0, 1410.0, 1430.0]
         assert ranked[0][1] < ranked[2][1]
 
     def test_flat_spectrum_ties_break_by_wavelength(self):
         channels = [CwdmChannel(nm) for nm in (1430.0, 1390.0, 1410.0)]
-        ranked = rank_channels(flat_table(10.0), channels, UNITY, DET)
+        ranked = rank_channels(flat_table(10.0), channels, UNITY)
         assert [c.center_nm for c, _ in ranked] == [1390.0, 1410.0, 1430.0]
 
     def test_single_channel(self):
-        ranked = rank_channels(flat_table(10.0), [CwdmChannel(1410.0)], UNITY, DET)
+        ranked = rank_channels(flat_table(10.0), [CwdmChannel(1410.0)], UNITY)
         assert len(ranked) == 1
 
     def test_output_is_permutation(self):
         channels = [CwdmChannel(nm) for nm in CWDM_GRID_NM]
-        ranked = rank_channels(load_default_spectrum(), channels, None, DET)
+        ranked = rank_channels(load_default_spectrum(), channels, None)
         assert sorted(c.center_nm for c, _ in ranked) == sorted(CWDM_GRID_NM)
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
-            rank_channels(flat_table(0.0), [], UNITY, DET)
+            rank_channels(flat_table(0.0), [], UNITY)
 
     def test_report_flags(self):
         report = ranking_report(load_default_spectrum(),
