@@ -14,9 +14,11 @@ The Monte Carlo samples only symbols that produce a detectable photon
 (geometric gaps over the slot lattice), so cost scales with click counts,
 not symbol counts, and multi-gigasymbol blocks stay cheap. No stage steps
 through events in Python: each symbol's basis and bit come from one hash
-word, drift is one vectorized rotation, and the dead-time filter finds
-every event's successor with one ``searchsorted`` and follows the survivor
-chain by pointer doubling.
+word, and the dead-time filter finds every event's successor with one
+``searchsorted`` and follows the survivor chain by pointer doubling. Drift
+and the analyzer meet in the one Stokes component that each photon's port
+reads, A cos a + B sin a + C (1 - cos a), with (A, B, C) from a per-call
+table of Rodrigues terms over the six states.
 """
 from __future__ import annotations
 
@@ -40,7 +42,7 @@ from .linkparams import (
     RatePrediction,
     SourceParams,
 )
-from .polarization import PORT_STATES, Basis, rotate_many
+from .polarization import PORT_STATES, Basis, rodrigues_terms
 from .seeding import hash_stream, mix64, rng_from
 
 BASIS_CODES = {Basis.RL: 0, Basis.AD: 1, Basis.HV: 2}
@@ -49,6 +51,11 @@ HV_CODE = BASIS_CODES[Basis.HV]
 # Stokes vectors indexed [basis_code, bit]: R/L, D/A, H/V.
 STATE_TABLE = np.array(
     [[PORT_STATES[(basis, bit)].vector for bit in (0, 1)] for basis in BASIS_CODES])
+
+# Expected detector events (signal photons plus background arrivals) that
+# one simulate_clicks call may hold. Each adds about 80 bytes to the peak
+# resident set (measured on OM4 blocks), so the budget is about 1.6 GB.
+MAX_EXPECTED_EVENTS = 2e7
 
 
 def dead_time_corrected(true_rate: float, dead_time: float) -> float:
@@ -205,6 +212,32 @@ def _random_unit_vector(rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def _pass_probability(bases, bits, abasis, abit, kappa: float, axis,
+                      angles=None) -> np.ndarray:
+    """Malus probability that each photon passes its analyzer port.
+
+    Photon i is sent in ``STATE_TABLE[bases[i], bits[i]] * kappa``, rotated
+    about ``axis`` by ``angles[i]`` (no drift when ``angles`` is None) and
+    met by port ``STATE_TABLE[abasis[i], abit[i]]``. Every state and port
+    lies on one Stokes axis, so the component the port reads is
+    A cos a + B sin a + C (1 - cos a), where (A, B, C) are the Rodrigues
+    terms of the sent state on that axis, signed by the port: a 6x6 table
+    per call instead of an (n, 3) rotation. The products with the port
+    vector select one component and fold in its +-1 sign exactly, so each
+    probability is rounded as the full rotation and dot product round it.
+    """
+    ports = STATE_TABLE.reshape(-1, 3)
+    a_term, b_term, c_term = (
+        (t @ ports.T).ravel() for t in rodrigues_terms(ports * kappa, axis))
+    column = ((bases * 2 + bits) * 3 + abasis) * 2 + abit
+    x = np.take(a_term, column)
+    if angles is not None:
+        c = np.cos(angles)
+        x = x * c + np.take(b_term, column) * np.sin(angles) \
+            + np.take(c_term, column) * (1.0 - c)
+    return 0.5 * (1.0 + x)
+
+
 def simulate_clicks(
     symbols,
     src: SourceParams,
@@ -227,38 +260,46 @@ def simulate_clicks(
     (drawn from the seed when not given) by ``ch.drift_rate * t_elapsed``
     with ``t_elapsed`` counted from the session origin, ``start_time`` into
     the past of this call. Background and dark counts arrive uniformly;
-    dead time is enforced on the merged event stream.
+    dead time is enforced on the merged event stream. A call that expects
+    more than ``MAX_EXPECTED_EVENTS`` detector events is refused with
+    ``ValidationError`` before anything is allocated.
     """
     if not 0.0 <= intrinsic_error <= 0.5:
         raise ValidationError(f"intrinsic_error must be in [0, 0.5], got {intrinsic_error}")
     n = len(symbols)
     if n == 0:
         return ClickStream.empty()
+    slot = 1.0 / src.symbol_rate
+    q = click_probability(src, ch, det)
+    expected_events = n * min(q, 1.0) + bg.total_rate * n * slot
+    if expected_events > MAX_EXPECTED_EVENTS:
+        raise ValidationError(
+            f"source.mu_q: {n} symbols at detection probability {q:.3g} plus "
+            f"background expect {expected_events:.3g} detector events in one run, "
+            f"over the memory budget of {MAX_EXPECTED_EVENTS:.0e}; lower source.mu_q "
+            "or the symbols per run (session.symbols_per_block or "
+            "sweep.symbols_per_point)")
     rng = rng_from(rng_seed)
     axis = np.asarray(drift_axis, dtype=float) if drift_axis is not None \
         else _random_unit_vector(rng)
     if analyzer_schedule is None:
         analyzer_schedule = RandomAnalyzerSchedule(mix64(rng_seed, 0xA11A))
 
-    slot = 1.0 / src.symbol_rate
-    idx = _sample_detection_indices(rng, n, click_probability(src, ch, det))
+    idx = _sample_detection_indices(rng, n, q)
+    t = start_time + (idx + 0.5) * slot
 
     bases, bits = symbols.symbols_at(idx)
-    kappa = (1.0 - ch.depol_p) * (1.0 - 2.0 * intrinsic_error)
-    states = STATE_TABLE[bases, bits] * kappa
-    if ch.drift_rate > 0.0 and len(idx):
-        angles = ch.drift_rate * (start_time + (idx + 0.5) * slot)
-        states = rotate_many(states, axis, angles)
-
     abasis, abit = analyzer_schedule.ports_at(idx)
-    p_pass = 0.5 * (1.0 + np.einsum("ij,ij->i", states, STATE_TABLE[abasis, abit]))
+    kappa = (1.0 - ch.depol_p) * (1.0 - 2.0 * intrinsic_error)
+    angles = ch.drift_rate * t if ch.drift_rate > 0.0 else None
+    p_pass = _pass_probability(bases, bits, abasis, abit, kappa, axis, angles)
     clicked = rng.random(len(idx)) < p_pass
     sig_idx = idx[clicked]
     if det.signal_gate_acceptance >= 1.0:
         sig_gate = np.ones(len(sig_idx), dtype=bool)
     else:
         sig_gate = rng.random(len(sig_idx)) < det.signal_gate_acceptance
-    sig_times = start_time + (sig_idx + 0.5) * slot
+    sig_times = t[clicked]
 
     bg_idx, bg_times, bg_gate = _background_events(
         rng, bg.total_rate, n, n * slot, slot, start_time, det.gate_fraction)

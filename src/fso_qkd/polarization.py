@@ -156,23 +156,28 @@ def depolarize(state: PolarizationState, p: float) -> PolarizationState:
     return PolarizationState(state.s1 * k, state.s2 * k, state.s3 * k)
 
 
-def rotate_many(vectors: np.ndarray, axis: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """Vectorized Rodrigues rotation: (n,3) states about one axis by (n,) angles.
+def rodrigues_terms(vectors: np.ndarray, axis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three angle-free Rodrigues terms of (n,3) states about one axis.
 
-    v c + (u x v) s + u (u.v)(1 - c), written out per Stokes component.
-    Each component is rounded exactly as the vector form with ``np.cross``
-    rounds it, so results are bit-identical to it, with fewer (n,3)
-    temporaries.
+    Returns (v, u x v, u (u.v)); the rotation by angle a is
+    v cos a + (u x v) sin a + u (u.v)(1 - cos a). Each component is rounded
+    exactly as the vector form with ``np.cross`` rounds it.
     """
     u = np.asarray(axis, dtype=float)
     ux, uy, uz = u
-    c = np.cos(angles)
-    sn = np.sin(angles)
-    omc = 1.0 - c
-    dot = vectors @ u
-    x, y, z = vectors.T
-    out = np.empty(vectors.shape)
-    out[:, 0] = x * c + (uy * z - uz * y) * sn + ux * dot * omc
-    out[:, 1] = y * c + (uz * x - ux * z) * sn + uy * dot * omc
-    out[:, 2] = z * c + (ux * y - uy * x) * sn + uz * dot * omc
-    return out
+    v = np.asarray(vectors, dtype=float)
+    dot = v @ u
+    x, y, z = v.T
+    w = np.stack([uy * z - uz * y, uz * x - ux * z, ux * y - uy * x], axis=-1)
+    return v, w, dot[:, np.newaxis] * u
+
+
+def rotate_many(vectors: np.ndarray, axis: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """Vectorized Rodrigues rotation: (n,3) states about one axis by (n,) angles.
+
+    v c + (u x v) s + u (u.v)(1 - c) over ``rodrigues_terms``, bit-identical
+    to the vector form with ``np.cross``.
+    """
+    v, w, p = rodrigues_terms(vectors, axis)
+    c = np.cos(angles)[:, np.newaxis]
+    return v * c + w * np.sin(angles)[:, np.newaxis] + p * (1.0 - c)

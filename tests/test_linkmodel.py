@@ -3,12 +3,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from fso_qkd.errors import ValidationError
 from fso_qkd.linkmodel import (
+    MAX_EXPECTED_EVENTS,
+    STATE_TABLE,
     ClickStream,
     RandomAnalyzerSchedule,
+    _pass_probability,
     dead_time_corrected,
     dead_time_filter,
     expected_rates,
@@ -23,6 +26,7 @@ from fso_qkd.linkparams import (
     SourceParams,
     fiber_preset,
 )
+from fso_qkd.polarization import rotate_many
 from fso_qkd.protocol import alice_generate, sift
 from fso_qkd import calibration
 from fso_qkd.calibration import CALIBRATION
@@ -260,6 +264,51 @@ def mc_counts(clicks: ClickStream):
     return gated_sig, gated_bg
 
 
+def full_rotation_pass_probability(bases, bits, abasis, abit, kappa, axis, angles):
+    """Reference: rotate whole (n, 3) states, then dot them with the port vectors."""
+    states = STATE_TABLE[bases, bits] * kappa
+    if angles is not None:
+        states = rotate_many(states, axis, angles)
+    return 0.5 * (1.0 + np.einsum("ij,ij->i", states, STATE_TABLE[abasis, abit]))
+
+
+# Every sent key state against every analyzer port, the HV monitor ports included.
+PHOTON_GRID = np.array([(b, bit, ab, abit) for b in (0, 1) for bit in (0, 1)
+                        for ab in (0, 1, 2) for abit in (0, 1)]).T
+
+
+def assert_pass_probability_matches(axis, kappa, angles):
+    photons = np.arange(len(angles)) % PHOTON_GRID.shape[1]
+    bases, bits, abasis, abit = PHOTON_GRID[:, photons]
+    for a in (angles, None):  # with drift and without
+        got = _pass_probability(bases, bits, abasis, abit, kappa, axis, a)
+        expected = full_rotation_pass_probability(bases, bits, abasis, abit, kappa, axis, a)
+        assert np.array_equal(got, expected)
+
+
+class TestPassProbability:
+    """One Stokes component per photon equals the full rotation, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kappa", [0.0, "random", 1.0])
+    def test_matches_full_rotation(self, seed, kappa):
+        rng = np.random.default_rng(seed)
+        axis = rng.normal(size=3)
+        axis /= np.linalg.norm(axis)
+        kappa = rng.uniform(0.0, 1.0) if kappa == "random" else kappa
+        angles = np.concatenate([[0.0, 50.0, -50.0], rng.uniform(-50, 50, 24_000)])
+        assert_pass_probability_matches(axis, kappa, angles)
+
+    @given(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).filter(
+               lambda u: np.linalg.norm(u) > 1e-3),
+           st.floats(0.0, 1.0),
+           st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=100))
+    @example([0.0, 0.0, -1.0], 0.9, list(np.linspace(-50.0, 50.0, 97)))  # on a Stokes axis
+    def test_matches_full_rotation_property(self, raw_axis, kappa, angles):
+        axis = np.array(raw_axis) / np.linalg.norm(raw_axis)
+        assert_pass_probability_matches(axis, kappa, np.array(angles))
+
+
 class TestMonteCarlo:
     def test_no_light_no_clicks(self):
         alice = alice_generate(10_000, 3)
@@ -268,6 +317,15 @@ class TestMonteCarlo:
             DetectorParams(dark_rate=0.0), BackgroundBudget(dark_rate=0.0),
             rng_seed=4)
         assert len(clicks) == 0
+
+    def test_over_memory_budget_rejected(self):
+        """Expected background alone past the event budget is refused up front."""
+        src = SourceParams()
+        n = 1_000_000_000
+        solar = 2.0 * MAX_EXPECTED_EVENTS * src.symbol_rate / n
+        with pytest.raises(ValidationError, match="source.mu_q"):
+            simulate_clicks(alice_generate(n, 1), src, quiet_channel(fso_loss_db=float("inf")),
+                            DetectorParams(), BackgroundBudget(solar_rate=solar), rng_seed=2)
 
     def test_empty_symbols_empty_stream(self):
         clicks = simulate_clicks(alice_generate(0, 1), SourceParams(),

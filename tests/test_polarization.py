@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.transform import Rotation
 
 from fso_qkd.errors import ValidationError
 from fso_qkd.polarization import (
@@ -161,6 +162,9 @@ class TestRotation:
         for v, a, g in zip(vectors, angles, got):
             expected = apply_rotation(PolarizationState(*v), axis, a).vector
             assert np.allclose(g, expected, atol=TOL)
+        # apply_rotation calls rotate_many; scipy's rotation is the independent oracle
+        oracle = Rotation.from_rotvec(axis * angles[:, np.newaxis]).apply(vectors)
+        assert np.allclose(got, oracle, atol=TOL)
 
 
 class TestDepolarize:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -204,6 +205,20 @@ class TestMainEntry:
                      "--set", f"sweep.el_db={grid}"]) == 2
         assert "sweep.el_db" in capsys.readouterr().err
         assert not (tmp_path / "sweep_el.csv").exists()
+
+    @pytest.mark.parametrize("args, key", [
+        (["stability", "--set", "detector.dead_time=0"], "session.symbols_per_block"),
+        (["sweep-el", "--workers", "2", "--set", "sweep.symbols_per_point=2000000000"],
+         "sweep.symbols_per_point"),
+    ], ids=["stability", "sweep-el-workers-2"])
+    def test_over_memory_budget_exit_two(self, tmp_path, capsys, args, key):
+        # mu_q = 100 at 2e9 symbols expects ~7e7 detector events per run
+        start = time.perf_counter()
+        assert main(args + ["--set", "source.mu_q=100", "--out", str(tmp_path)]) == 2
+        assert time.perf_counter() - start < 1.0  # refused before any allocation
+        err = capsys.readouterr().err
+        assert "source.mu_q" in err and key in err
+        assert not any(tmp_path.iterdir())
 
     def test_config_file_plus_flag_override(self, tmp_path):
         cfg_file = tmp_path / "c.json"
