@@ -14,11 +14,15 @@ The Monte Carlo samples only symbols that produce a detectable photon
 (geometric gaps over the slot lattice), so cost scales with click counts,
 not symbol counts, and multi-gigasymbol blocks stay cheap. No stage steps
 through events in Python: each symbol's basis and bit come from one hash
-word, and the dead-time filter finds every event's successor with one
-``searchsorted`` and follows the survivor chain by pointer doubling. Drift
-and the analyzer meet in the one Stokes component that each photon's port
-reads, A cos a + B sin a + C (1 - cos a), with (A, B, C) from a per-call
-table of Rodrigues terms over the six states.
+word, and the dead-time filter starts a survivor chain at every cluster
+head (an event at least one dead time after its predecessor) and advances
+all chains with one ``searchsorted`` per round, handing clusters too long
+for a bounded number of rounds to pointer doubling. Drift and the analyzer
+meet in the one Stokes component that each photon's port reads,
+A cos a + B sin a + C (1 - cos a), with (A, B, C) from a per-call table of
+Rodrigues terms over the six states. Clicks, survivors and their columns
+are selected by position (``flatnonzero`` and ``take``), and each
+``ClickStream`` column is gathered once, at survivor length.
 """
 from __future__ import annotations
 
@@ -56,6 +60,11 @@ STATE_TABLE = np.array(
 # one simulate_clicks call may hold. Each adds about 80 bytes to the peak
 # resident set (measured on OM4 blocks), so the budget is about 1.6 GB.
 MAX_EXPECTED_EVENTS = 2e7
+
+# Rounds of the dead-time head walk before the chains still open go to
+# pointer doubling: enough for every cluster at load*tau ~ 3, and a bound on
+# the Python rounds when the clusters merge at heavy load.
+_HEAD_WALK_ROUNDS = 64
 
 
 def dead_time_corrected(true_rate: float, dead_time: float) -> float:
@@ -127,7 +136,9 @@ class RandomAnalyzerSchedule:
         self._seed = seed
 
     def ports_at(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        port = (hash_stream(self._seed, indices) & np.uint64(3)).astype(np.uint8)
+        words = hash_stream(self._seed, indices)
+        words &= np.uint64(3)
+        port = words.astype(np.uint8)
         return port >> 1, port & 1
 
 
@@ -162,27 +173,62 @@ def dead_time_filter(times: np.ndarray, dead_time: float) -> np.ndarray:
 
     An event survives iff it arrives at least ``dead_time`` after the last
     survivor; event 0 always survives. If event i survives, the next
-    survivor is the first j > i with ``times[j] >= times[i] + dead_time``,
-    so one vectorized ``searchsorted`` gives every event's successor. The
-    survivors are the successor chain from event 0, read off by pointer
-    doubling (Wyllie 1979): each round appends the next stretch of the
-    chain and squares the jump table, so ``log2(survivors)`` rounds of
-    array work replace a Python step per survivor.
+    survivor is the first j > i with ``times[j] >= times[i] + dead_time``.
+    A cluster head, an event at least ``dead_time`` after its predecessor,
+    survives whatever came before it, and no survivor's successor lies past
+    the next head. So the walk starts one survivor chain at every head and
+    advances all open chains together, one ``searchsorted`` of the frontier
+    per round; a chain closes when it reaches a head. Under heavy load the
+    clusters grow long, and chains still open after ``_HEAD_WALK_ROUNDS``
+    rounds go to pointer doubling (Wyllie 1979) over the suffix from the
+    first of them, which bounds the cost at any load.
     """
     n = len(times)
     if dead_time <= 0.0 or n == 0:
         return np.arange(n, dtype=np.int64)
-    # jump[i]: survivor after a surviving event i; n is a sentinel past the
-    # end that maps to itself. The floor of i + 1 keeps the chain moving
-    # when dead_time vanishes against times[i] in floating point.
+    due = times + dead_time
+    # head[n] is a sentinel that closes every chain running off the end.
+    head = np.empty(n + 1, dtype=bool)
+    head[0] = head[n] = True
+    np.greater_equal(times[1:], due[:-1], out=head[1:n])
+    alive = head[:n].copy()
+    chain = np.flatnonzero(alive)
+    for _ in range(_HEAD_WALK_ROUNDS):
+        # If dead_time vanishes against times[i] in floating point, the step
+        # may fall back to an earlier equal timestamp; that event is a head,
+        # so the chain closes there.
+        step = np.searchsorted(times, due.take(chain), side="left")
+        chain = step.compress(~head.take(step))
+        if chain.size == 0:
+            return np.flatnonzero(alive)
+        alive[chain] = True
+    start = int(chain[0])
+    return np.concatenate([np.flatnonzero(alive[:start]),
+                           start + _doubling_survivors(times[start:], due[start:])])
+
+
+def _doubling_survivors(times: np.ndarray, due: np.ndarray) -> np.ndarray:
+    """Survivor chain from event 0 by pointer doubling, ``due = times + tau``.
+
+    ``jump[i]`` is the survivor after a surviving event i, and n is a
+    sentinel past the end that maps to itself; the floor of i + 1 keeps the
+    chain moving when dead_time vanishes against times[i] in floating point.
+    Each round appends the next stretch of the chain and squares the jump
+    table, so ``log2(survivors)`` rounds of array work follow the whole chain.
+    """
+    n = len(times)
     jump = np.empty(n + 1, dtype=np.int64)
-    jump[:n] = np.searchsorted(times, times + dead_time, side="left")
+    jump[:n] = np.searchsorted(times, due, side="left")
     np.maximum(jump[:n], np.arange(1, n + 1), out=jump[:n])
     jump[n] = n
     chain = np.zeros(1, dtype=np.int64)
+    squared = np.empty_like(jump)
     while chain[-1] != n:
         chain = np.concatenate([chain, jump[chain]])
-        jump = jump[jump]
+        # jump[jump] into the spare table; every entry is in range, and
+        # mode="clip" lets take write it without a buffer
+        jump.take(jump, out=squared, mode="clip")
+        jump, squared = squared, jump
     return chain[: np.searchsorted(chain, n)]
 
 
@@ -195,16 +241,18 @@ def _sample_detection_indices(rng: np.random.Generator, n: int, q: float) -> np.
     expected = n * q
     batch = int(expected + 6.0 * math.sqrt(expected) + 16.0)
     chunks = []
-    position = 0
+    last = -1  # slot of the last detection so far
     while True:
-        cum = np.cumsum(rng.geometric(q, size=batch)) + position
-        if cum.size and cum[-1] > n:
-            chunks.append(cum[: np.searchsorted(cum, n, side="right")])
+        cum = rng.geometric(q, size=batch)
+        np.cumsum(cum, out=cum)
+        cum += last
+        if cum[-1] >= n:
+            chunks.append(cum[: np.searchsorted(cum, n, side="left")])
             break
         chunks.append(cum)
-        position = int(cum[-1])
+        last = int(cum[-1])
         batch = max(batch // 2, 1024)
-    return (np.concatenate(chunks) - 1).astype(np.int64)
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 
 def _random_unit_vector(rng: np.random.Generator) -> np.ndarray:
@@ -229,13 +277,31 @@ def _pass_probability(bases, bits, abasis, abit, kappa: float, axis,
     ports = STATE_TABLE.reshape(-1, 3)
     a_term, b_term, c_term = (
         (t @ ports.T).ravel() for t in rodrigues_terms(ports * kappa, axis))
-    column = ((bases * 2 + bits) * 3 + abasis) * 2 + abit
-    x = np.take(a_term, column)
+    # ((bases * 2 + bits) * 3 + abasis) * 2 + abit, built in place in the
+    # inputs' narrow dtype and widened once: take would otherwise convert the
+    # index to intp on each of its three calls.
+    column = bases * 2
+    column += bits
+    column *= 3
+    column += abasis
+    column *= 2
+    column += abit
+    column = column.astype(np.intp)
+    x = a_term.take(column)
     if angles is not None:
+        # ((x c) + (B s)) + (C (1 - c)) in place, in that rounding order.
+        # column is always in range; mode="clip" lets take fill term unbuffered.
         c = np.cos(angles)
-        x = x * c + np.take(b_term, column) * np.sin(angles) \
-            + np.take(c_term, column) * (1.0 - c)
-    return 0.5 * (1.0 + x)
+        x *= c
+        term = np.sin(angles)
+        term *= b_term.take(column)
+        x += term
+        np.subtract(1.0, c, out=c)
+        c *= c_term.take(column, out=term, mode="clip")
+        x += c
+    x += 1.0
+    x *= 0.5
+    return x
 
 
 def simulate_clicks(
@@ -286,36 +352,52 @@ def simulate_clicks(
         analyzer_schedule = RandomAnalyzerSchedule(mix64(rng_seed, 0xA11A))
 
     idx = _sample_detection_indices(rng, n, q)
-    t = start_time + (idx + 0.5) * slot
+    t = idx + 0.5  # start_time + (idx + 0.5) * slot, in place
+    t *= slot
+    t += start_time
 
     bases, bits = symbols.symbols_at(idx)
     abasis, abit = analyzer_schedule.ports_at(idx)
     kappa = (1.0 - ch.depol_p) * (1.0 - 2.0 * intrinsic_error)
     angles = ch.drift_rate * t if ch.drift_rate > 0.0 else None
     p_pass = _pass_probability(bases, bits, abasis, abit, kappa, axis, angles)
-    clicked = rng.random(len(idx)) < p_pass
-    sig_idx = idx[clicked]
-    if det.signal_gate_acceptance >= 1.0:
-        sig_gate = np.ones(len(sig_idx), dtype=bool)
-    else:
-        sig_gate = rng.random(len(sig_idx)) < det.signal_gate_acceptance
-    sig_times = t[clicked]
+    clicked = np.flatnonzero(rng.random(len(idx)) < p_pass)
+    n_sig = len(clicked)
+    sig_gate = None if det.signal_gate_acceptance >= 1.0 \
+        else rng.random(n_sig) < det.signal_gate_acceptance
 
     bg_idx, bg_times, bg_gate = _background_events(
         rng, bg.total_rate, n, n * slot, slot, start_time, det.gate_fraction)
     bg_basis, bg_bit = analyzer_schedule.ports_at(bg_idx)
 
-    # Signal events lead the merged arrays: a survivor is signal iff keep < len(sig_idx).
-    times = np.concatenate([sig_times, bg_times])
+    # Signal clicks lead the merged stream: a survivor is signal iff keep < n_sig.
+    times = np.concatenate([t.take(clicked), bg_times])
     order = np.argsort(times, kind="stable")
-    keep = order[dead_time_filter(times[order], det.dead_time)]
+    times = times.take(order)
+    survivors = dead_time_filter(times, det.dead_time)
+    keep = order.take(survivors)
+    is_signal = keep < n_sig
+    # Each column is gathered at survivor length only: signal survivors from
+    # their photons (click k is photon clicked[k]), background ones from bg.
+    sig_at = np.flatnonzero(is_signal)
+    bg_at = np.flatnonzero(~is_signal)
+    sig_click = keep.take(sig_at)
+    photon = clicked.take(sig_click)
+    bg_pos = keep.take(bg_at) - n_sig
+
+    def column(sig_values, bg_values):
+        out = np.empty(len(keep), dtype=bg_values.dtype)
+        out[sig_at] = sig_values
+        out[bg_at] = bg_values.take(bg_pos)
+        return out
+
     return ClickStream(
-        times[keep],
-        np.concatenate([sig_idx, bg_idx])[keep],
-        np.concatenate([abasis[clicked], bg_basis])[keep],
-        np.concatenate([abit[clicked], bg_bit])[keep],
-        np.concatenate([sig_gate, bg_gate])[keep],
-        keep < len(sig_idx),
+        times.take(survivors),
+        column(idx.take(photon), bg_idx),
+        column(abasis.take(photon), bg_basis),
+        column(abit.take(photon), bg_bit),
+        column(True if sig_gate is None else sig_gate.take(sig_click), bg_gate),
+        is_signal,
     )
 
 

@@ -57,9 +57,9 @@ class SymbolSequence:
         """Basis codes (0=RL, 1=AD) and bits at the given indices, from one
         hash word each."""
         words = self._words(indices)
-        bases = (words & np.uint64(1)).astype(np.uint8)
-        bits = ((words >> np.uint64(1)) & np.uint64(1)).astype(np.uint8)
-        return bases, bits
+        words &= np.uint64(3)
+        port = words.astype(np.uint8)
+        return port & 1, port >> 1
 
 
 def alice_generate(n: int, rng_seed: int) -> SymbolSequence:
@@ -95,13 +95,11 @@ def bob_announce(clicks: ClickStream) -> tuple[np.ndarray, np.ndarray, np.ndarra
     earliest (the dead time should make duplicates impossible; their
     presence would indicate a harness bug, not physics).
     """
-    usable = clicks.in_gate & (clicks.analyzer_basis_codes != HV_CODE)
-    indices = clicks.symbol_indices[usable]
-    bases = clicks.analyzer_basis_codes[usable]
-    bits = clicks.analyzer_bits[usable]
+    usable = np.flatnonzero(clicks.in_gate & (clicks.analyzer_basis_codes != HV_CODE))
     # click streams are time ordered, so unique() keeps the earliest
-    _, first = np.unique(indices, return_index=True)
-    return indices[first], bases[first], bits[first]
+    indices, first = np.unique(clicks.symbol_indices.take(usable), return_index=True)
+    at = usable.take(first)
+    return indices, clicks.analyzer_basis_codes.take(at), clicks.analyzer_bits.take(at)
 
 
 def sift(alice: SymbolSequence, clicks: ClickStream) -> SiftResult:
@@ -112,11 +110,11 @@ def sift(alice: SymbolSequence, clicks: ClickStream) -> SiftResult:
     """
     indices, bases, bob_bits = bob_announce(clicks)
     alice_bases, alice_bits = alice.symbols_at(indices)
-    keep = alice_bases == bases
+    keep = np.flatnonzero(alice_bases == bases)
     return SiftResult(
-        kept_indices=indices[keep],
-        alice_bits=alice_bits[keep],
-        bob_bits=bob_bits[keep],
+        kept_indices=indices.take(keep),
+        alice_bits=alice_bits.take(keep),
+        bob_bits=bob_bits.take(keep),
     )
 
 

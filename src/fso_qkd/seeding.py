@@ -35,12 +35,21 @@ def hash_stream(seed: int, indices: np.ndarray) -> np.ndarray:
     Returns uint64 words; each word is an independent uniform draw keyed by
     (seed, index), suitable for slicing bits off for discrete choices.
     """
-    idx = np.asarray(indices, dtype=np.uint64)
+    # z = seed + (index + 1) * golden, then three xor-shift-multiply rounds,
+    # in place on one copy of the indices and one scratch array.
+    z = np.array(indices, dtype=np.uint64)
+    shifted = np.empty_like(z)
     with np.errstate(over="ignore"):
-        z = np.uint64(seed & _MASK) + (idx + np.uint64(1)) * np.uint64(_GOLDEN)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_A)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_B)
-    return z ^ (z >> np.uint64(31))
+        z += np.uint64(1)
+        z *= np.uint64(_GOLDEN)
+        z += np.uint64(seed & _MASK)
+        for shift, mult in ((30, _MIX_A), (27, _MIX_B)):
+            np.right_shift(z, np.uint64(shift), out=shifted)
+            z ^= shifted
+            z *= np.uint64(mult)
+    np.right_shift(z, np.uint64(31), out=shifted)
+    z ^= shifted
+    return z
 
 
 def rng_from(seed: int) -> np.random.Generator:

@@ -16,6 +16,7 @@ filters *not* included) and shaped so the water-vapor notch floor and the
 from __future__ import annotations
 
 import importlib.resources
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -202,6 +203,8 @@ def load_spectrum(path: str | Path) -> SpectralTable:
             wl, db = float(cells[0]), float(cells[1])
         except ValueError:
             raise SpectrumFormatError(f"non-numeric row {raw!r}", line=lineno) from None
+        if not (math.isfinite(wl) and math.isfinite(db)):
+            raise SpectrumFormatError(f"non-finite value in row {raw!r}", line=lineno)
         if wavelengths and wl <= wavelengths[-1]:
             raise SpectrumFormatError(
                 f"wavelength {wl} not increasing after {wavelengths[-1]}", line=lineno

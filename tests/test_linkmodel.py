@@ -1,16 +1,19 @@
 """Rate equations, presets, and Monte Carlo vs closed-form agreement."""
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from fso_qkd import linkmodel
 from fso_qkd.errors import ValidationError
 from fso_qkd.linkmodel import (
     MAX_EXPECTED_EVENTS,
     STATE_TABLE,
     ClickStream,
     RandomAnalyzerSchedule,
+    _doubling_survivors,
     _pass_probability,
     dead_time_corrected,
     dead_time_filter,
@@ -129,21 +132,47 @@ class TestDeadTimeFilterExact:
         assert dead_time_filter(times, 1.0).tolist() == [0, 1, 2, 3]
         assert_matches_greedy(times, 1.0)
 
-    @pytest.mark.parametrize("load_tau", [0.1, 1.0, 3.0])
-    def test_poisson_stream_matches_greedy(self, load_tau):
+    @pytest.mark.parametrize("load_tau", [0.1, 1.0, 3.0, 10.0, 30.0])
+    def test_poisson_stream_matches_greedy(self, load_tau, monkeypatch):
         dead_time = 25e-6
         rng = np.random.default_rng(int(load_tau * 10))
         n = 20_000
         times = np.cumsum(rng.exponential(dead_time / load_tau, size=n))
+        doubling = []
+
+        def spy(*args):
+            doubling.append(len(args[0]))
+            return _doubling_survivors(*args)
+
+        monkeypatch.setattr(linkmodel, "_doubling_survivors", spy)
         kept = dead_time_filter(times, dead_time)
         assert kept.tolist() == greedy_survivors(times.tolist(), dead_time)
         # survival fraction of a non-paralyzable detector: 1 / (1 + load tau)
         assert len(kept) / n == pytest.approx(1.0 / (1.0 + load_tau), rel=0.05)
+        # from load*tau 10 on, clusters outrun the head walk and doubling ends it
+        assert bool(doubling) == (load_tau >= 10.0)
+
+    @pytest.mark.parametrize("dead_time", [2.0 ** -10, 25e-6])
+    def test_gaps_of_exactly_one_dead_time_are_all_heads(self, dead_time):
+        times = [0.0]
+        for _ in range(4999):
+            times.append(times[-1] + dead_time)
+        assert dead_time_filter(np.array(times), dead_time).tolist() == list(range(5000))
+        assert_matches_greedy(times, dead_time)
 
     @given(st.lists(st.floats(min_value=0.0, max_value=100.0), max_size=200),
            st.floats(min_value=0.0, max_value=20.0))
     def test_random_streams_match_greedy(self, raw_times, dead_time):
         assert_matches_greedy(sorted(raw_times), dead_time)
+
+    @given(st.lists(st.floats(min_value=0.0, max_value=100.0), max_size=200),
+           st.floats(min_value=0.0, max_value=20.0),
+           st.integers(min_value=0, max_value=3))
+    def test_doubling_fallback_matches_greedy(self, raw_times, dead_time, rounds):
+        """A round limit of 0-3 sends most streams through pointer doubling."""
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linkmodel, "_HEAD_WALK_ROUNDS", rounds)
+            assert_matches_greedy(sorted(raw_times), dead_time)
 
 
 class TestFiberPresets:
@@ -420,6 +449,52 @@ class TestMonteCarlo:
         sifted = sift(alice, clicks)
         exp_kept = pred.sifted_key_rate * duration
         assert abs(sifted.kept - exp_kept) <= 3 * math.sqrt(exp_kept)
+
+
+CLICK_COLUMNS = ("timestamps", "symbol_indices", "analyzer_basis_codes",
+                 "analyzer_bits", "in_gate", "is_signal")
+
+# sha256 of each ClickStream column, pinned before the click assembly was
+# rewritten. The golden CLI runs never read timestamps or is_signal and never
+# draw a partial gate acceptance, so these pins are what hold those columns.
+# The drift goes through numpy's float64 sin/cos, so like the golden CLI
+# pins they hold for one platform's vectorized kernels.
+CLICK_PINS = {
+    "acceptance-0.8": (
+        DetectorParams(signal_gate_acceptance=0.8),
+        ["d30eb86d4a8d378a33c25cadeba3659eb98ae866dae3c463dc39864fede8696d",
+         "002f4df46cb077666a8869ebd91b8a1f447b9a4af076ec9a430705560a2a4dc7",
+         "9564718fd6753282feadf540c700e023563f9ec4e5598b50d36fb6a503855bdc",
+         "3bd8cf15bd5e6cceb551ab678ecf1753aeb7e378bb789599ca8cd07fdcb077f9",
+         "376ef8f5b74cfb3e46aacfa828e715c42cac8774e54f54326066dc433b663868",
+         "c3dbbbf82d723a251c75af47772dccf9d10ef7580f27f4af7e9046c8ae4a4211"],
+    ),
+    "no-dead-time": (
+        DetectorParams(dead_time=0.0),
+        ["1fa5ea65d40aec0bf2b26908adbf39b6744ba1b24c29dcbc5a00c9be8349b5a0",
+         "d0583495d34043cbae6e34500ee13fec84f827668ada53f0f0ba729b939e12cb",
+         "f34ae6b48be2beb6d6572ae84a0683ff5362e3ad563dcbd16a89d68f317b9f29",
+         "de9093388a7bdb6263d7bc0f4d6b41359e6e0d598144f1c31853fb6bc7cf24e3",
+         "745639fca29bc684d4b3a9a28cb9c9e842cf7e3cefd2aa3a7721175b8c2ee6ff",
+         "3c853f56c3571a34b5dccbdd6f798fb4d6c4155ab8c784d86a65302f18e0f262"],
+    ),
+}
+
+
+class TestClickStreamPins:
+    """Every column of two small runs (drift, background, load*tau ~ 5.7)."""
+
+    @pytest.mark.parametrize("case", sorted(CLICK_PINS))
+    def test_columns_match_pins(self, case):
+        det, pins = CLICK_PINS[case]
+        clicks = simulate_clicks(
+            alice_generate(50_000_000, 41), SourceParams(),
+            quiet_channel(fso_loss_db=13.0, depol_p=0.05, drift_rate=3.0),
+            det, BackgroundBudget(solar_rate=1e5), rng_seed=43,
+            intrinsic_error=0.03, start_time=50.0)
+        digests = [hashlib.sha256(np.ascontiguousarray(getattr(clicks, name)).tobytes())
+                   .hexdigest() for name in CLICK_COLUMNS]
+        assert dict(zip(CLICK_COLUMNS, digests)) == dict(zip(CLICK_COLUMNS, pins))
 
 
 class TestSchedules:

@@ -237,6 +237,14 @@ class TestMainEntry:
         assert main(["plan-spectrum", "--spectrum", str(bad),
                      "--out", str(tmp_path)]) == 2
 
+    def test_plan_spectrum_non_finite_psd_exit_two(self, tmp_path):
+        """A nan PSD would reach channel_ranking.json as NaN, which is not JSON."""
+        bad = tmp_path / "nan.csv"
+        bad.write_text("wavelength_nm,psd_db_hz_per_nm\n1300,nan\n1500.0,10.0\n")
+        assert main(["plan-spectrum", "--spectrum", str(bad),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o" / "channel_ranking.json").exists()
+
     def test_cli_seed_changes_mc_not_model(self, tmp_path):
         for seed in ("1", "2"):
             main(["sweep-el", "--out", str(tmp_path / seed), "--seed", seed,

@@ -134,6 +134,13 @@ class TestCsv:
         with pytest.raises(SpectrumFormatError, match="line 2"):
             load_spectrum(p)
 
+    @pytest.mark.parametrize("row", ["1300,nan", "1300,inf", "1300,-inf", "nan,1.0", "inf,1.0"])
+    def test_non_finite_error_names_line(self, tmp_path, row):
+        p = tmp_path / "s.csv"
+        p.write_text(f"wavelength_nm,psd_db_hz_per_nm\n1200.0,1.0\n{row}\n1500.0,2.0\n")
+        with pytest.raises(SpectrumFormatError, match="line 3"):
+            load_spectrum(p)
+
     def test_bad_header(self, tmp_path):
         p = tmp_path / "s.csv"
         p.write_text("lambda,db\n1300.0,1.0\n")
