@@ -21,22 +21,15 @@ import numpy as np
 
 from .coexistence import link_margin, ook_ber
 from .errors import SimulationError, ValidationError
-from .linkmodel import RandomAnalyzerSchedule, expected_rates, simulate_clicks
+from .linkmodel import expected_rates
 from .linkparams import RatePrediction
-from .protocol import (
-    BlockStats,
-    alice_generate,
-    run_session,
-    secure_fraction,
-    sift,
-)
+from .protocol import BlockStats, run_block, run_session, secure_fraction
 from .scenario import ScenarioConfig, load_config_file, resolve_config
-from .seeding import mix64
 from . import spectrum as spectrum_mod
 
 QBER_THRESHOLD = 0.11
 
-_TAG_SWEEP_ALICE, _TAG_SWEEP_SCHEDULE, _TAG_SWEEP_CLICKS = 101, 103, 107
+_SWEEP_TAGS = (101, 103, 107)
 
 
 def _fmt(value) -> str:
@@ -64,15 +57,7 @@ def _sweep_point(config: ScenarioConfig, index: int, el_db: float) -> dict:
     model = expected_rates(config.source, channel, config.detector,
                            config.background, config.intrinsic_error)
     n = config.sweep_symbols_per_point
-    alice = alice_generate(n, mix64(config.rng_seed, index, _TAG_SWEEP_ALICE))
-    schedule = RandomAnalyzerSchedule(mix64(config.rng_seed, index, _TAG_SWEEP_SCHEDULE))
-    clicks = simulate_clicks(
-        alice, config.source, channel, config.detector, config.background,
-        analyzer_schedule=schedule,
-        rng_seed=mix64(config.rng_seed, index, _TAG_SWEEP_CLICKS),
-        intrinsic_error=config.intrinsic_error,
-    )
-    sifted = sift(alice, clicks)
+    sifted, _ = run_block(config, index, _SWEEP_TAGS, n, channel, config.background)
     duration = n / config.source.symbol_rate
     qber_mc = sifted.mismatches / sifted.kept if sifted.kept else float("nan")
     return {
@@ -324,7 +309,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
-    except SimulationError as exc:
+    except (SimulationError, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
 

@@ -20,7 +20,7 @@ all chains with one ``searchsorted`` per round, handing clusters too long
 for a bounded number of rounds to pointer doubling. Drift and the analyzer
 meet in the one Stokes component that each photon's port reads,
 A cos a + B sin a + C (1 - cos a), with (A, B, C) from a per-call table of
-Rodrigues terms over the six states. Clicks, survivors and their columns
+Rodrigues terms over the four states. Clicks, survivors and their columns
 are selected by position (``flatnonzero`` and ``take``), and each
 ``ClickStream`` column is gathered once, at survivor length.
 """
@@ -46,15 +46,14 @@ from .linkparams import (
     RatePrediction,
     SourceParams,
 )
-from .polarization import PORT_STATES, Basis, rodrigues_terms
+from .polarization import Basis, encode_symbol, rodrigues_terms
 from .seeding import hash_stream, mix64, rng_from
 
-BASIS_CODES = {Basis.RL: 0, Basis.AD: 1, Basis.HV: 2}
-HV_CODE = BASIS_CODES[Basis.HV]
+BASIS_CODES = {Basis.RL: 0, Basis.AD: 1}
 
-# Stokes vectors indexed [basis_code, bit]: R/L, D/A, H/V.
+# Stokes vectors of sent states and analyzer ports, [basis_code, bit]: R/L, D/A.
 STATE_TABLE = np.array(
-    [[PORT_STATES[(basis, bit)].vector for bit in (0, 1)] for basis in BASIS_CODES])
+    [[encode_symbol(basis, bit).vector for bit in (0, 1)] for basis in BASIS_CODES])
 
 # Expected detector events (signal photons plus background arrivals) that
 # one simulate_clicks call may hold. Each adds about 80 bytes to the peak
@@ -255,7 +254,7 @@ def _sample_detection_indices(rng: np.random.Generator, n: int, q: float) -> np.
     return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 
-def _random_unit_vector(rng: np.random.Generator) -> np.ndarray:
+def random_unit_vector(rng: np.random.Generator) -> np.ndarray:
     v = rng.normal(size=3)
     return v / np.linalg.norm(v)
 
@@ -269,7 +268,7 @@ def _pass_probability(bases, bits, abasis, abit, kappa: float, axis,
     met by port ``STATE_TABLE[abasis[i], abit[i]]``. Every state and port
     lies on one Stokes axis, so the component the port reads is
     A cos a + B sin a + C (1 - cos a), where (A, B, C) are the Rodrigues
-    terms of the sent state on that axis, signed by the port: a 6x6 table
+    terms of the sent state on that axis, signed by the port: a 4x4 table
     per call instead of an (n, 3) rotation. The products with the port
     vector select one component and fold in its +-1 sign exactly, so each
     probability is rounded as the full rotation and dot product round it.
@@ -277,12 +276,12 @@ def _pass_probability(bases, bits, abasis, abit, kappa: float, axis,
     ports = STATE_TABLE.reshape(-1, 3)
     a_term, b_term, c_term = (
         (t @ ports.T).ravel() for t in rodrigues_terms(ports * kappa, axis))
-    # ((bases * 2 + bits) * 3 + abasis) * 2 + abit, built in place in the
+    # ((bases * 2 + bits) * 2 + abasis) * 2 + abit, built in place in the
     # inputs' narrow dtype and widened once: take would otherwise convert the
     # index to intp on each of its three calls.
     column = bases * 2
     column += bits
-    column *= 3
+    column *= 2
     column += abasis
     column *= 2
     column += abit
@@ -347,7 +346,7 @@ def simulate_clicks(
             "sweep.symbols_per_point)")
     rng = rng_from(rng_seed)
     axis = np.asarray(drift_axis, dtype=float) if drift_axis is not None \
-        else _random_unit_vector(rng)
+        else random_unit_vector(rng)
     if analyzer_schedule is None:
         analyzer_schedule = RandomAnalyzerSchedule(mix64(rng_seed, 0xA11A))
 
@@ -368,7 +367,6 @@ def simulate_clicks(
 
     bg_idx, bg_times, bg_gate = _background_events(
         rng, bg.total_rate, n, n * slot, slot, start_time, det.gate_fraction)
-    bg_basis, bg_bit = analyzer_schedule.ports_at(bg_idx)
 
     # Signal clicks lead the merged stream: a survivor is signal iff keep < n_sig.
     times = np.concatenate([t.take(clicked), bg_times])
@@ -379,16 +377,19 @@ def simulate_clicks(
     is_signal = keep < n_sig
     # Each column is gathered at survivor length only: signal survivors from
     # their photons (click k is photon clicked[k]), background ones from bg.
+    # The port hash is counter-based, so only surviving background is hashed.
     sig_at = np.flatnonzero(is_signal)
     bg_at = np.flatnonzero(~is_signal)
     sig_click = keep.take(sig_at)
     photon = clicked.take(sig_click)
     bg_pos = keep.take(bg_at) - n_sig
+    bg_idx = bg_idx.take(bg_pos)
+    bg_basis, bg_bit = analyzer_schedule.ports_at(bg_idx)
 
     def column(sig_values, bg_values):
         out = np.empty(len(keep), dtype=bg_values.dtype)
         out[sig_at] = sig_values
-        out[bg_at] = bg_values.take(bg_pos)
+        out[bg_at] = bg_values
         return out
 
     return ClickStream(
@@ -396,7 +397,8 @@ def simulate_clicks(
         column(idx.take(photon), bg_idx),
         column(abasis.take(photon), bg_basis),
         column(abit.take(photon), bg_bit),
-        column(True if sig_gate is None else sig_gate.take(sig_click), bg_gate),
+        column(True if sig_gate is None else sig_gate.take(sig_click),
+               bg_gate.take(bg_pos)),
         is_signal,
     )
 

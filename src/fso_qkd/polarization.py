@@ -25,15 +25,11 @@ _DOP_TOL = 1e-9
 
 
 class Basis(enum.Enum):
-    """Measurement/encoding bases. RL and AD generate key; HV is monitor-only."""
+    """Bases: RL and AD generate key; HV is refused by the encoder, not analyzed."""
 
     RL = "RL"
     AD = "AD"
     HV = "HV"
-
-    @property
-    def is_key_basis(self) -> bool:
-        return self is not Basis.HV
 
 
 @dataclass(frozen=True)
@@ -95,16 +91,6 @@ A = PolarizationState(0.0, -1.0, 0.0)
 R = PolarizationState(0.0, 0.0, 1.0)
 L = PolarizationState(0.0, 0.0, -1.0)
 
-# Analyzer port states: bit 0 / bit 1 per basis (H plays bit 0 in the monitor basis).
-PORT_STATES = {
-    (Basis.AD, 0): D,
-    (Basis.AD, 1): A,
-    (Basis.RL, 0): R,
-    (Basis.RL, 1): L,
-    (Basis.HV, 0): H,
-    (Basis.HV, 1): V,
-}
-
 
 def encode_symbol(basis: Basis, bit: int) -> PolarizationState:
     """Encode a BB84 symbol as the Stokes vector of (|H> + e^{i phi}|V>)/sqrt(2).
@@ -138,14 +124,17 @@ def projection_probability(state: PolarizationState, analyzer: PolarizationState
 def apply_rotation(state: PolarizationState, axis, angle: float) -> PolarizationState:
     """Rotate a Stokes vector rigidly about ``axis`` by ``angle`` (right-handed).
 
-    Rodrigues form (see ``rotate_many``); preserves DOP exactly up to rounding.
+    Rodrigues form over ``rodrigues_terms``, bit-identical to the vector form
+    with ``np.cross`` (cos and sin of a length-1 array, as numpy's vector loop
+    rounds them); preserves DOP exactly up to rounding.
     """
     u = np.asarray(axis, dtype=float)
     norm = float(np.linalg.norm(u))
     if abs(norm - 1.0) > 1e-9:
         raise ValidationError(f"rotation axis must be unit length, |axis| = {norm}")
-    rotated = rotate_many(state.vector[np.newaxis], u, np.array([angle]))[0]
-    return PolarizationState(*rotated)
+    v, w, p = rodrigues_terms(state.vector[np.newaxis], u)
+    c, s = np.cos([angle]), np.sin([angle])
+    return PolarizationState(*(v * c + w * s + p * (1.0 - c))[0])
 
 
 def depolarize(state: PolarizationState, p: float) -> PolarizationState:
@@ -171,13 +160,3 @@ def rodrigues_terms(vectors: np.ndarray, axis) -> tuple[np.ndarray, np.ndarray, 
     w = np.stack([uy * z - uz * y, uz * x - ux * z, ux * y - uy * x], axis=-1)
     return v, w, dot[:, np.newaxis] * u
 
-
-def rotate_many(vectors: np.ndarray, axis: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """Vectorized Rodrigues rotation: (n,3) states about one axis by (n,) angles.
-
-    v c + (u x v) s + u (u.v)(1 - c) over ``rodrigues_terms``, bit-identical
-    to the vector form with ``np.cross``.
-    """
-    v, w, p = rodrigues_terms(vectors, axis)
-    c = np.cos(angles)[:, np.newaxis]
-    return v * c + w * np.sin(angles)[:, np.newaxis] + p * (1.0 - c)

@@ -20,17 +20,18 @@ import numpy as np
 from .coexistence import crosstalk_background
 from .errors import ValidationError
 from .linkmodel import (
-    HV_CODE,
     ClickStream,
     RandomAnalyzerSchedule,
     detector_load,
+    random_unit_vector,
     simulate_clicks,
 )
+from .linkparams import BackgroundBudget, ChannelParams
 from .scenario import ScenarioConfig
 from .seeding import hash_stream, mix64, rng_from
 
-# Sub-stream tags for deriving per-block seeds from the session seed.
-_TAG_ALICE, _TAG_SCHEDULE, _TAG_CLICKS, _TAG_AXIS = 11, 13, 17, 19
+# Sub-stream tags of a block's Alice, schedule and click seeds, and of the drift axis.
+_SESSION_TAGS, _TAG_AXIS = (11, 13, 17), 19
 
 
 class SymbolSequence:
@@ -89,13 +90,13 @@ class SiftResult:
 
 
 def bob_announce(clicks: ClickStream) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Bob's sifting message: (index, basis code) of gated key-basis clicks.
+    """Bob's sifting message: (index, basis code) of gated clicks.
 
     His measured bits stay local. Duplicate clicks on one symbol keep the
     earliest (the dead time should make duplicates impossible; their
     presence would indicate a harness bug, not physics).
     """
-    usable = np.flatnonzero(clicks.in_gate & (clicks.analyzer_basis_codes != HV_CODE))
+    usable = np.flatnonzero(clicks.in_gate)
     # click streams are time ordered, so unique() keeps the earliest
     indices, first = np.unique(clicks.symbol_indices.take(usable), return_index=True)
     at = usable.take(first)
@@ -184,6 +185,29 @@ def secure_fraction(qber: float) -> float:
     return max(0.0, 1.0 - 2.0 * binary_entropy(qber))
 
 
+def run_block(config: ScenarioConfig, index: int, tags: tuple[int, int, int], n: int,
+              channel: ChannelParams, bg: BackgroundBudget, start_time: float = 0.0,
+              drift_axis=None) -> tuple[SiftResult, int]:
+    """Simulate and sift n symbols: one sweep point or one session block.
+
+    Alice's symbols, the analyzer schedule and the click stream draw from
+    ``mix64(config.rng_seed, index, tag)`` for the three ``tags``, so the
+    result is a pure function of the arguments. Returns the sifted block and
+    its gated click count.
+    """
+    tag_alice, tag_schedule, tag_clicks = tags
+    alice = alice_generate(n, mix64(config.rng_seed, index, tag_alice))
+    clicks = simulate_clicks(
+        alice, config.source, channel, config.detector, bg,
+        analyzer_schedule=RandomAnalyzerSchedule(mix64(config.rng_seed, index, tag_schedule)),
+        rng_seed=mix64(config.rng_seed, index, tag_clicks),
+        intrinsic_error=config.intrinsic_error,
+        start_time=start_time,
+        drift_axis=drift_axis,
+    )
+    return sift(alice, clicks), clicks.gated_count()
+
+
 def run_session(config: ScenarioConfig) -> list[BlockStats]:
     """Execute a block-wise BB84 session described by ``config``.
 
@@ -196,13 +220,12 @@ def run_session(config: ScenarioConfig) -> list[BlockStats]:
     flagged ``saturated`` and not simulated.
     """
     stats: list[BlockStats] = []
-    axis_rng = rng_from(mix64(config.rng_seed, _TAG_AXIS))
-    axis = axis_rng.normal(size=3)
-    axis /= np.linalg.norm(axis)
+    axis = random_unit_vector(rng_from(mix64(config.rng_seed, _TAG_AXIS)))
     n = config.symbols_per_block
     sim_duration = n / config.source.symbol_rate
 
     for block in range(config.blocks):
+        start = block * config.block_duration_s
         kappa = config.coexist.active and block % 2 == 1
         xtalk = crosstalk_background(
             replace(config.coexist, active=kappa), config.classical.launch_power_dbm)
@@ -211,27 +234,13 @@ def run_session(config: ScenarioConfig) -> list[BlockStats]:
         if detector_load(config.source, config.channel, config.detector, bg) \
                 * config.detector.dead_time > 10.0:
             stats.append(BlockStats(
-                block_start=block * config.block_duration_s,
-                block_duration=sim_duration,
+                block_start=start, block_duration=sim_duration,
                 raw_key_rate=0.0, qber=0.0, gated_clicks=0,
                 kappa=kappa, flag="saturated"))
             continue
 
-        alice = alice_generate(n, mix64(config.rng_seed, block, _TAG_ALICE))
-        schedule = RandomAnalyzerSchedule(mix64(config.rng_seed, block, _TAG_SCHEDULE))
-        clicks = simulate_clicks(
-            alice, config.source, config.channel, config.detector, bg,
-            analyzer_schedule=schedule,
-            rng_seed=mix64(config.rng_seed, block, _TAG_CLICKS),
-            intrinsic_error=config.intrinsic_error,
-            start_time=block * config.block_duration_s,
-            drift_axis=axis,
-        )
-        sifted = sift(alice, clicks)
+        sifted, gated = run_block(config, block, _SESSION_TAGS, n, config.channel, bg,
+                                  start_time=start, drift_axis=axis)
         stats.append(estimate_block_stats(
-            sifted, sim_duration,
-            gated_clicks=clicks.gated_count(),
-            block_start=block * config.block_duration_s,
-            kappa=kappa,
-        ))
+            sifted, sim_duration, gated_clicks=gated, block_start=start, kappa=kappa))
     return stats

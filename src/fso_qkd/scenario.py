@@ -297,8 +297,11 @@ def resolve_config(overrides: dict | None = None) -> ScenarioConfig:
 
 
 def _solar_from_spectrum(path: str | None, wavelength_nm: float) -> float:
-    table = (spectrum_mod.load_default_spectrum() if path is None
-             else spectrum_mod.load_spectrum(path))
+    try:
+        table = (spectrum_mod.load_default_spectrum() if path is None
+                 else spectrum_mod.load_spectrum(path))
+    except ValidationError as exc:
+        raise ValidationError(f"background.spectrum_path: {exc}") from None
     try:
         channel = spectrum_mod.CwdmChannel(center_nm=float(round(wavelength_nm)))
     except ValidationError:
@@ -315,6 +318,8 @@ def load_config_file(path: str | Path) -> dict:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config file {path}: invalid JSON ({exc})") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"config file {path}: cannot read ({exc})") from None
     if not isinstance(data, dict):
         raise ValidationError(f"config file {path}: top level must be an object")
     return data

@@ -188,8 +188,10 @@ def ranking_report(
 def load_spectrum(path: str | Path) -> SpectralTable:
     """Parse a spectrum CSV; malformed rows are reported with line numbers."""
     path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SpectrumFormatError(f"cannot read spectrum file {path} ({exc})") from None
     if not lines or lines[0].strip() != CSV_HEADER:
         raise SpectrumFormatError(f"expected header '{CSV_HEADER}'", line=1)
     wavelengths, psd = [], []

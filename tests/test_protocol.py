@@ -11,6 +11,7 @@ from fso_qkd.linkmodel import (
     ClickStream,
     RandomAnalyzerSchedule,
     expected_rates,
+    random_unit_vector,
     simulate_clicks,
 )
 from fso_qkd.linkparams import (
@@ -19,16 +20,18 @@ from fso_qkd.linkparams import (
     DetectorParams,
     SourceParams,
 )
-from fso_qkd.polarization import Basis, BB84Symbol
+from fso_qkd.polarization import BB84Symbol
 from fso_qkd.protocol import (
     SiftResult,
     alice_generate,
     estimate_block_stats,
+    run_block,
     run_session,
     secure_fraction,
     sift,
 )
 from fso_qkd.scenario import resolve_config
+from fso_qkd.seeding import mix64, rng_from
 
 
 def quiet_channel(**kwargs) -> ChannelParams:
@@ -46,10 +49,11 @@ def symbol(alice, i: int) -> BB84Symbol:
 
 
 def stream_from_rows(rows) -> ClickStream:
-    """Build a ClickStream from (timestamp, index, basis, bit, in_gate) rows."""
+    """Build a ClickStream from (timestamp, index, basis, bit, in_gate) rows;
+    a basis is a ``Basis`` or a raw analyzer code."""
     ts, idx, bas, bit, gate = zip(*rows)
     return ClickStream(
-        np.array(ts), np.array(idx), np.array([BASIS_CODES[b] for b in bas]),
+        np.array(ts), np.array(idx), np.array([BASIS_CODES.get(b, b) for b in bas]),
         np.array(bit), np.array(gate), np.ones(len(rows), bool))
 
 
@@ -113,8 +117,10 @@ class TestSift:
         assert sift(alice, stream_from_rows(rows)).kept == 0
 
     def test_hv_monitor_clicks_excluded_from_key(self):
+        # Code 2 is no key basis: Alice never sends it, so the basis
+        # comparison alone drops the click.
         alice = alice_generate(100, 4)
-        rows = [(1e-9, 0, Basis.HV, 0, True),
+        rows = [(1e-9, 0, 2, 0, True),
                 ((5 + 0.5) * 2e-9, 5, symbol(alice, 5).basis, symbol(alice, 5).bit, True)]
         result = sift(alice, stream_from_rows(rows))
         assert result.kept_indices.tolist() == [5]
@@ -268,6 +274,23 @@ class TestEndToEnd:
         })
         stats = run_session(cfg)
         assert stats[0].flag == "saturated"
+
+    def test_session_block_is_pure_function_of_index_and_axis(self):
+        """Each session block equals a standalone run_block call for its index,
+        in any order, given the session's shared drift axis."""
+        cfg = resolve_config({"channel.fiber_kind": "OM4", "channel.drift_rate": 0.02,
+                              "session.blocks": 3, "session.symbols_per_block": 20_000_000})
+        stats = run_session(cfg)
+        axis = random_unit_vector(rng_from(mix64(cfg.rng_seed, 19)))
+        n = cfg.symbols_per_block
+        for block in reversed(range(cfg.blocks)):
+            start = block * cfg.block_duration_s
+            sifted, gated = run_block(cfg, block, (11, 13, 17), n, cfg.channel,
+                                      cfg.background, start_time=start, drift_axis=axis)
+            assert sifted.kept > 0
+            assert stats[block] == estimate_block_stats(
+                sifted, n / cfg.source.symbol_rate, gated_clicks=gated,
+                block_start=start)
 
     def test_session_blocks_deterministic(self):
         cfg = resolve_config({"session.blocks": 3,

@@ -13,6 +13,18 @@ from fso_qkd.cli import cmd_coexist, cmd_plan_spectrum, cmd_stability, cmd_sweep
 from fso_qkd.errors import ValidationError
 from fso_qkd.scenario import default_flat_config, resolve_config
 
+UNREADABLE = ["missing", "directory", "not-utf8"]
+
+
+def unreadable_path(tmp_path, kind) -> Path:
+    """A path that cannot be read as text: missing, a directory, or not UTF-8."""
+    path = tmp_path / f"{kind}.input"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf8":
+        path.write_bytes(b"\xff\xfe\xfa not text\n")
+    return path
+
 
 class TestConfigResolution:
     def test_defaults_reproduce_baseline(self):
@@ -195,6 +207,30 @@ class TestMainEntry:
         assert rc == 2
         assert "validation error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", UNREADABLE)
+    @pytest.mark.parametrize("option", ["--config", "background.spectrum_path"])
+    def test_unreadable_input_exit_two(self, tmp_path, capsys, option, kind):
+        path = unreadable_path(tmp_path, kind)
+        args = (["--config", str(path)] if option == "--config"
+                else ["--set", f"{option}={path}"])
+        out = tmp_path / "out"
+        assert main(["sweep-el", "--out", str(out)] + args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error") and str(path) in err
+        if option != "--config":
+            assert option in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["plan-spectrum"],
+        ["sweep-el", "--set", "sweep.el_db=[0.0]", "--set", "sweep.symbols_per_point=1000000"],
+    ], ids=["plan-spectrum", "sweep-el"])
+    def test_unwritable_out_exit_three(self, tmp_path, capsys, command):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory\n")
+        assert main(command + ["--out", str(blocker / "sub")]) == 3
+        assert capsys.readouterr().err.startswith("runtime error:")
+
     def test_empty_sweep_exit_two(self, tmp_path):
         assert main(["sweep-el", "--out", str(tmp_path),
                      "--set", "sweep.el_db=[]"]) == 2
@@ -236,6 +272,15 @@ class TestMainEntry:
         bad.write_text("wavelength_nm,psd_db_hz_per_nm\n1300.0,a\n")
         assert main(["plan-spectrum", "--spectrum", str(bad),
                      "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("kind", UNREADABLE)
+    def test_plan_spectrum_unreadable_file_exit_two(self, tmp_path, capsys, kind):
+        path = unreadable_path(tmp_path, kind)
+        assert main(["plan-spectrum", "--spectrum", str(path),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error") and str(path) in err
+        assert not (tmp_path / "o").exists()
 
     def test_plan_spectrum_non_finite_psd_exit_two(self, tmp_path):
         """A nan PSD would reach channel_ranking.json as NaN, which is not JSON."""
