@@ -8,7 +8,7 @@ from .coexistence import (
     link_margin,
     ook_ber,
 )
-from .errors import SimulationError, SpectrumFormatError, ValidationError
+from .errors import SpectrumFormatError, ValidationError
 from .linkmodel import (
     ClickStream,
     RandomAnalyzerSchedule,

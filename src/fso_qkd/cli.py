@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .coexistence import link_margin, ook_ber
-from .errors import SimulationError, ValidationError
+from .errors import ValidationError
 from .linkmodel import expected_rates
 from .linkparams import RatePrediction
 from .protocol import BlockStats, run_block, run_session, secure_fraction
@@ -99,7 +99,7 @@ def cmd_sweep_el(config: ScenarioConfig, out_dir: Path, workers: int = 1) -> dic
         raise ValidationError("sweep.el_db: sweep list must be non-empty")
     points = list(enumerate(config.sweep_el_db))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(points))) as pool:
             results = list(pool.map(_sweep_point, [config] * len(points),
                                     [i for i, _ in points], [el for _, el in points]))
     else:
@@ -309,7 +309,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
-    except (SimulationError, OSError) as exc:
+    except OSError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
 

@@ -16,6 +16,8 @@ from statistics import NormalDist
 from .calibration import CALIBRATION
 from .errors import ValidationError
 
+MAX_ABS_DBM = 1000.0
+
 
 @dataclass(frozen=True)
 class ClassicalParams:
@@ -31,9 +33,14 @@ class ClassicalParams:
     def __post_init__(self):
         if not 0.0 < self.fec_ber < 0.5:
             raise ValidationError(f"fec_ber must be in (0, 0.5), got {self.fec_ber}")
+        # 10 ** (dBm / 10) overflows a float past ~3083 dBm. Within the bound,
+        # the crosstalk scale stays <= 1e100 and the OOK Q-factor exponent,
+        # received minus sensitivity with loss >= 0, stays <= 2000 dB.
         for name in ("launch_power_dbm", "sensitivity_dbm_at_fec"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"{name} must be finite")
+            value = getattr(self, name)
+            if not abs(value) <= MAX_ABS_DBM:
+                raise ValidationError(
+                    f"{name} must be within +-{MAX_ABS_DBM:g} dBm, got {value}")
         if self.bit_rate <= 0:
             raise ValidationError(f"bit_rate must be > 0, got {self.bit_rate}")
         if self.rx_insertion_db < 0:

@@ -13,8 +13,3 @@ class SpectrumFormatError(ValidationError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-
-
-class SimulationError(RuntimeError):
-    """A run failed at execution time (as opposed to config validation)."""
-

@@ -32,80 +32,49 @@ from . import spectrum as spectrum_mod
 
 _SWEEP_DEFAULT = tuple(round(0.5 * i, 1) for i in range(21))  # 0..10 dB
 
-_SCHEMA: dict[str, str] = {
-    "source.mu_q": "float",
-    "source.symbol_rate": "float",
-    "source.wavelength_nm": "float",
-    "channel.fiber_kind": "str",
-    "channel.fso_loss_db": "float",
-    "channel.excess_loss_db": "float",
-    "channel.depol_p": "float",
-    "channel.drift_rate": "float",
-    "channel.rx_insertion_db": "float",
-    "detector.efficiency": "float",
-    "detector.dark_rate": "float",
-    "detector.dead_time": "float",
-    "detector.gate_fraction": "float",
-    "detector.signal_gate_acceptance": "float",
-    "background.mode": "str",
-    "background.spectrum_path": "optstr",
-    "background.solar_rate": "float",
-    "protocol.intrinsic_error": "optfloat",
-    "classical.enabled": "bool",
-    "classical.wavelength_nm": "float",
-    "classical.bit_rate": "float",
-    "classical.launch_power_dbm": "float",
-    "classical.sensitivity_dbm_at_fec": "float",
-    "classical.fec_ber": "float",
-    "classical.crosstalk_rate_at_0dbm": "float",
-    "classical.rx_insertion_db": "float",
-    "sweep.el_db": "floatlist",
-    "sweep.symbols_per_point": "int",
-    "session.blocks": "int",
-    "session.block_duration_s": "float",
-    "session.symbols_per_block": "int",
-    "rng_seed": "int",
-    "output_path": "str",
+# key -> (kind, default). A None default marks a derived key, filled from
+# the fiber preset, the calibration or the packaged spectrum; only there may
+# a value be null ("derive it"). Anywhere else null fails _coerce.
+_KEYS: dict[str, tuple[str, object]] = {
+    "source.mu_q": ("float", 0.1),
+    "source.symbol_rate": ("float", 5e8),
+    "source.wavelength_nm": ("float", 1410.0),
+    "channel.fiber_kind": ("str", "MMF25"),
+    "channel.fso_loss_db": ("float", None),
+    "channel.excess_loss_db": ("float", 0.0),
+    "channel.depol_p": ("float", None),
+    "channel.drift_rate": ("float", None),
+    "channel.rx_insertion_db": ("float", None),
+    "detector.efficiency": ("float", 0.10),
+    "detector.dark_rate": ("float", 300.0),
+    "detector.dead_time": ("float", 25e-6),
+    "detector.gate_fraction": ("float", 0.5),
+    "detector.signal_gate_acceptance": ("float", 1.0),
+    "background.mode": ("str", "spectrum"),
+    "background.spectrum_path": ("str", None),
+    "background.solar_rate": ("float", 0.0),
+    "protocol.intrinsic_error": ("float", None),
+    "classical.enabled": ("bool", False),
+    "classical.wavelength_nm": ("float", 1547.72),
+    "classical.bit_rate": ("float", 1e9),
+    "classical.launch_power_dbm": ("float", 0.0),
+    "classical.sensitivity_dbm_at_fec": ("float", -37.4),
+    "classical.fec_ber": ("float", 2e-4),
+    "classical.crosstalk_rate_at_0dbm": ("float", None),
+    "classical.rx_insertion_db": ("float", 2.0),
+    "sweep.el_db": ("floatlist", _SWEEP_DEFAULT),
+    "sweep.symbols_per_point": ("int", 10_000_000),
+    "session.blocks": ("int", 10),
+    "session.block_duration_s": ("float", 45.0),
+    "session.symbols_per_block": ("int", 2_000_000_000),
+    "rng_seed": ("int", 1234),
+    "output_path": ("str", "results"),
 }
 
 
 def default_flat_config() -> dict:
     """Fresh copy of the default key/value map (None = derived at resolve time)."""
-    return {
-        "source.mu_q": 0.1,
-        "source.symbol_rate": 5e8,
-        "source.wavelength_nm": 1410.0,
-        "channel.fiber_kind": "MMF25",
-        "channel.fso_loss_db": None,
-        "channel.excess_loss_db": 0.0,
-        "channel.depol_p": None,
-        "channel.drift_rate": None,
-        "channel.rx_insertion_db": None,
-        "detector.efficiency": 0.10,
-        "detector.dark_rate": 300.0,
-        "detector.dead_time": 25e-6,
-        "detector.gate_fraction": 0.5,
-        "detector.signal_gate_acceptance": 1.0,
-        "background.mode": "spectrum",
-        "background.spectrum_path": None,
-        "background.solar_rate": 0.0,
-        "protocol.intrinsic_error": None,
-        "classical.enabled": False,
-        "classical.wavelength_nm": 1547.72,
-        "classical.bit_rate": 1e9,
-        "classical.launch_power_dbm": 0.0,
-        "classical.sensitivity_dbm_at_fec": -37.4,
-        "classical.fec_ber": 2e-4,
-        "classical.crosstalk_rate_at_0dbm": None,
-        "classical.rx_insertion_db": 2.0,
-        "sweep.el_db": list(_SWEEP_DEFAULT),
-        "sweep.symbols_per_point": 10_000_000,
-        "session.blocks": 10,
-        "session.block_duration_s": 45.0,
-        "session.symbols_per_block": 2_000_000_000,
-        "rng_seed": 1234,
-        "output_path": "results",
-    }
+    return {key: default for key, (_, default) in _KEYS.items()}
 
 
 def _coerce(key: str, value, kind: str):
@@ -117,8 +86,6 @@ def _coerce(key: str, value, kind: str):
             if not math.isfinite(out):
                 raise TypeError
             return out
-        if kind == "optfloat":
-            return None if value is None else _coerce(key, value, "float")
         if kind == "int":
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise TypeError
@@ -133,8 +100,6 @@ def _coerce(key: str, value, kind: str):
             if not isinstance(value, str):
                 raise TypeError
             return value
-        if kind == "optstr":
-            return None if value is None else _coerce(key, value, "str")
         if kind == "floatlist":
             if not isinstance(value, (list, tuple)):
                 raise TypeError
@@ -180,12 +145,12 @@ def resolve_config(overrides: dict | None = None) -> ScenarioConfig:
     """Merge overrides onto the defaults and build a validated ScenarioConfig."""
     flat = default_flat_config()
     for key, value in (overrides or {}).items():
-        if key not in _SCHEMA:
+        if key not in _KEYS:
             raise ValidationError(f"unknown config key {key!r}")
         flat[key] = value
-    for key, value in flat.items():
-        if value is not None:
-            flat[key] = _coerce(key, value, _SCHEMA[key])
+    for key, (kind, default) in _KEYS.items():
+        if not (default is None and flat[key] is None):
+            flat[key] = _coerce(key, flat[key], kind)
 
     def build(section, factory, **kwargs):
         try:

@@ -1,17 +1,20 @@
 """Config resolution, CLI subcommands, reproducibility, exit codes."""
 import json
 import os
+import re
 import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy.stats import linregress
 
 from fso_qkd.cli import cmd_coexist, cmd_plan_spectrum, cmd_stability, cmd_sweep_el, main
 from fso_qkd.errors import ValidationError
-from fso_qkd.scenario import default_flat_config, resolve_config
+from fso_qkd.scenario import _KEYS, default_flat_config, resolve_config
 
 UNREADABLE = ["missing", "directory", "not-utf8"]
 
@@ -92,6 +95,27 @@ class TestConfigResolution:
         assert unresolved == {"background.spectrum_path"}
 
 
+# the keys that README documents as "null (or absent) means derive it"
+DERIVED_KEYS = {
+    "background.spectrum_path", "channel.depol_p", "channel.drift_rate",
+    "channel.fso_loss_db", "channel.rx_insertion_db",
+    "classical.crosstalk_rate_at_0dbm", "protocol.intrinsic_error"}
+
+
+class TestNullValues:
+    @pytest.mark.parametrize("key", sorted(_KEYS))
+    def test_null_derives_or_is_refused(self, tmp_path, capsys, key):
+        if key in DERIVED_KEYS:
+            assert resolve_config({key: None}).config_hash == resolve_config().config_hash
+            return
+        with pytest.raises(ValidationError, match=rf"^{re.escape(key)}: expected \w+, got None$"):
+            resolve_config({key: None})
+        out = tmp_path / "out"
+        assert main(["sweep-el", "--out", str(out), "--set", f"{key}=null"]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+
 def small_sweep_overrides(**extra):
     base = {
         "sweep.el_db": [0.0, 4.0, 8.0],
@@ -129,6 +153,29 @@ class TestCliCommands:
         cmd_sweep_el(cfg, tmp_path / "w2", workers=2)
         assert (tmp_path / "w1/sweep_el.csv").read_bytes() == \
                (tmp_path / "w2/sweep_el.csv").read_bytes()
+
+    def test_sweep_workers_capped_at_point_count(self, tmp_path, monkeypatch):
+        """A pool never starts more workers than there are sweep points."""
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr("fso_qkd.cli.ProcessPoolExecutor", SerialPool)
+        assert main(["sweep-el", "--workers", "64", "--out", str(tmp_path),
+                     "--set", "sweep.el_db=[0.0, 4.0]",
+                     "--set", "sweep.symbols_per_point=100000"]) == 0
+        assert started == [2]
 
     def test_stability_blocks(self, tmp_path):
         cfg = resolve_config(small_sweep_overrides(**{
@@ -256,6 +303,21 @@ class TestMainEntry:
         assert "source.mu_q" in err and key in err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("command, key, dbm", [
+        (["coexist"], "launch_power_dbm", 3100),
+        (["stability", "--set", "classical.enabled=true"], "launch_power_dbm", 3100),
+        (["coexist"], "sensitivity_dbm_at_fec", -3200),
+    ], ids=["coexist-launch", "stability-launch", "coexist-sensitivity"])
+    def test_dbm_beyond_float_range_exit_two(self, tmp_path, capsys, command, key, dbm):
+        # 10 ** (dBm / 10) overflows a float past ~3083 dB; refused before any block runs
+        assert main(command + ["--set", f"classical.{key}={dbm}",
+                               "--set", "session.blocks=2",
+                               "--set", "session.symbols_per_block=100000",
+                               "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error") and key in err
+        assert not (tmp_path / "o").exists()
+
     def test_config_file_plus_flag_override(self, tmp_path):
         cfg_file = tmp_path / "c.json"
         cfg_file.write_text(json.dumps({
@@ -322,3 +384,41 @@ def test_runtime_imports_without_scipy(tmp_path):
                           text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "coexist" / "coexist_summary.json").is_file()
+
+
+# JSON type of each config kind, and one sample value of every JSON type
+_JSON_TYPE = {"float": "number", "int": "number", "bool": "bool", "str": "string",
+              "floatlist": "array"}
+_JSON_SAMPLE = {"number": 2.5, "bool": True, "string": "x", "array": [1.0],
+                "object": {"a": 1}}
+
+
+@st.composite
+def _edge_value(draw, key):
+    kind, default = _KEYS[key]
+    other_types = [v for t, v in _JSON_SAMPLE.items() if t != _JSON_TYPE[kind]]
+    choices = [None, draw(st.sampled_from(other_types)), 0, -1, default]
+    if kind == "float":
+        choices.append(1e300)
+    return draw(st.sampled_from(choices))
+
+
+@st.composite
+def _edge_overrides(draw):
+    keys = draw(st.lists(st.sampled_from(sorted(_KEYS)), min_size=1, max_size=3,
+                         unique=True))
+    return {key: draw(_edge_value(key)) for key in keys}
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(["sweep-el", "stability", "coexist"]),
+       overrides=_edge_overrides())
+def test_any_edge_config_exits_cleanly(tmp_path, command, overrides):
+    """Null, wrong-type, zero, negative, default and huge values for 1-3 keys:
+    the CLI succeeds, refuses with exit 2, or fails with exit 3; it never raises."""
+    small = {"sweep.el_db": [0.0, 4.0], "sweep.symbols_per_point": 100_000,
+             "session.blocks": 2, "session.symbols_per_block": 100_000}
+    config = tmp_path / "edge.json"
+    config.write_text(json.dumps({**small, **overrides}))
+    assert main([command, "--config", str(config), "--out", str(tmp_path / "o")]) in (0, 2, 3)
