@@ -2,9 +2,10 @@
 
 Subcommands emit machine-readable CSV/JSON only (plotting is left to
 external tools). Outputs are byte-identical for identical config + seed:
-no timestamps, sorted JSON keys, repr-formatted floats, and per-point
-seeds derived from (seed, point index) so worker count cannot reorder
-randomness. Every CSV row carries the resolved-config hash for audit.
+no timestamps, sorted JSON keys, repr-formatted floats, and per-point and
+per-block seeds derived from (seed, point or block index), so the worker
+count cannot reorder randomness. Every CSV row carries the resolved-config
+hash for audit.
 
 Exit codes: 0 success, 2 validation error, 3 runtime error.
 """
@@ -13,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -23,7 +23,7 @@ from .coexistence import link_margin, ook_ber
 from .errors import ValidationError
 from .linkmodel import expected_rates
 from .linkparams import RatePrediction
-from .protocol import BlockStats, run_block, run_session, secure_fraction
+from .protocol import BlockStats, Run, run_block, run_map, run_session, secure_fraction
 from .scenario import ScenarioConfig, load_config_file, resolve_config
 from . import spectrum as spectrum_mod
 
@@ -51,17 +51,15 @@ def _write_json(path: Path, payload: dict) -> None:
                     encoding="utf-8")
 
 
-def _sweep_point(config: ScenarioConfig, index: int, el_db: float) -> dict:
+def _sweep_point(config: ScenarioConfig, run: Run) -> dict:
     """Model plus Monte Carlo for one excess-loss value (worker-safe)."""
-    channel = config.channel.with_excess_loss(el_db)
-    model = expected_rates(config.source, channel, config.detector,
-                           config.background, config.intrinsic_error)
-    n = config.sweep_symbols_per_point
-    sifted, _ = run_block(config, index, _SWEEP_TAGS, n, channel, config.background)
-    duration = n / config.source.symbol_rate
+    model = expected_rates(config.source, run.channel, config.detector,
+                           run.bg, config.intrinsic_error)
+    sifted, _ = run_block(config, run.index, _SWEEP_TAGS, run.symbols, run.channel, run.bg)
+    duration = run.symbols / config.source.symbol_rate
     qber_mc = sifted.mismatches / sifted.kept if sifted.kept else float("nan")
     return {
-        "el_db": el_db,
+        "el_db": config.sweep_el_db[run.index],
         "model": model,
         "qber_mc": qber_mc,
         "rawkey_mc": sifted.kept / duration,
@@ -93,17 +91,13 @@ def threshold_crossing(el_values, qber_values, threshold: float = QBER_THRESHOLD
     return None
 
 
-def cmd_sweep_el(config: ScenarioConfig, out_dir: Path, workers: int = 1) -> dict:
+def cmd_sweep_el(config: ScenarioConfig, out_dir: Path, workers: int | None = None) -> dict:
     """Model + Monte Carlo QKD performance over the excess-loss sweep."""
     if not config.sweep_el_db:
         raise ValidationError("sweep.el_db: sweep list must be non-empty")
-    points = list(enumerate(config.sweep_el_db))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(points))) as pool:
-            results = list(pool.map(_sweep_point, [config] * len(points),
-                                    [i for i, _ in points], [el for _, el in points]))
-    else:
-        results = [_sweep_point(config, i, el) for i, el in points]
+    runs = [Run(i, config.sweep_symbols_per_point, config.channel.with_excess_loss(el),
+                config.background) for i, el in enumerate(config.sweep_el_db)]
+    results = run_map(_sweep_point, config, runs, workers)
 
     chash = config.config_hash
     rows, zs = [], []
@@ -154,11 +148,11 @@ def _block_rows(stats: list[BlockStats], chash: str, with_kappa: bool) -> list[l
     return rows
 
 
-def cmd_stability(config: ScenarioConfig, out_dir: Path) -> dict:
+def cmd_stability(config: ScenarioConfig, out_dir: Path, workers: int | None = None) -> dict:
     """Block-wise session with polarization drift enabled."""
     if config.blocks < 1:
         raise ValidationError("session.blocks: must be >= 1 for stability runs")
-    stats = run_session(config)
+    stats = run_session(config, workers)
     chash = config.config_hash
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "stability_blocks.csv"
@@ -183,7 +177,7 @@ def cmd_stability(config: ScenarioConfig, out_dir: Path) -> dict:
     return summary
 
 
-def cmd_coexist(config: ScenarioConfig, out_dir: Path) -> dict:
+def cmd_coexist(config: ScenarioConfig, out_dir: Path, workers: int | None = None) -> dict:
     """Alternating-kappa session plus classical BER and power margin."""
     if not config.coexist.active:
         config = replace(
@@ -193,7 +187,7 @@ def cmd_coexist(config: ScenarioConfig, out_dir: Path) -> dict:
         )
     if config.blocks < 2:
         raise ValidationError("session.blocks: need >= 2 blocks to compare kappa on/off")
-    stats = run_session(config)
+    stats = run_session(config, workers)
     chash = config.config_hash
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "coexist_blocks.csv"
@@ -277,8 +271,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override one config key (JSON-parsed value)")
         if name == "sweep-el":
-            p.add_argument("--workers", type=int, default=1,
-                           help="parallel workers over sweep points")
+            p.add_argument("--workers", type=int,
+                           help="worker processes over sweep points (default: one per "
+                                "usable core for a large sweep, else 1)")
         if name == "plan-spectrum":
             p.add_argument("--spectrum", help="spectrum CSV (default: packaged)")
     return parser
@@ -297,7 +292,7 @@ def main(argv=None) -> int:
         out_dir = Path(args.out) if args.out else Path(config.output_path)
 
         if args.command == "sweep-el":
-            if args.workers < 1:
+            if args.workers is not None and args.workers < 1:
                 raise ValidationError("--workers must be >= 1")
             summary = cmd_sweep_el(config, out_dir, workers=args.workers)
         elif args.command == "stability":

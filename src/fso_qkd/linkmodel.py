@@ -303,6 +303,35 @@ def _pass_probability(bases, bits, abasis, abit, kappa: float, axis,
     return x
 
 
+def expected_events(n: int, src: SourceParams, ch: ChannelParams, det: DetectorParams,
+                    bg: BackgroundBudget, start_time: float = 0.0) -> float:
+    """Expected detector events (signal photons plus background arrivals) of
+    an n-slot run that starts ``start_time`` after the session origin.
+
+    Raises ``ValidationError`` for a run that ``simulate_clicks`` cannot
+    hold: one over ``MAX_EXPECTED_EVENTS``, or one whose drift angle at its
+    last slot overflows a float (the rotation would turn into nan).
+    """
+    slot = 1.0 / src.symbol_rate
+    q = click_probability(src, ch, det)
+    events = n * min(q, 1.0) + bg.total_rate * n * slot
+    if events > MAX_EXPECTED_EVENTS:
+        raise ValidationError(
+            f"source.mu_q: {n} symbols at detection probability {q:.3g} plus "
+            f"background expect {events:.3g} detector events in one run, "
+            f"over the memory budget of {MAX_EXPECTED_EVENTS:.0e}; lower source.mu_q "
+            "or the symbols per run (session.symbols_per_block or "
+            "sweep.symbols_per_point)")
+    # simulate_clicks times slot i at start_time + (i + 0.5) * slot
+    last = (n - 0.5) * slot + start_time
+    if ch.drift_rate > 0.0 and not math.isfinite(ch.drift_rate * last):
+        raise ValidationError(
+            f"channel.drift_rate: {ch.drift_rate:.3g} rad/s over {last:.3g} s from the "
+            "session origin overflows the drift angle; lower channel.drift_rate or "
+            "session.block_duration_s")
+    return events
+
+
 def simulate_clicks(
     symbols,
     src: SourceParams,
@@ -325,25 +354,18 @@ def simulate_clicks(
     (drawn from the seed when not given) by ``ch.drift_rate * t_elapsed``
     with ``t_elapsed`` counted from the session origin, ``start_time`` into
     the past of this call. Background and dark counts arrive uniformly;
-    dead time is enforced on the merged event stream. A call that expects
-    more than ``MAX_EXPECTED_EVENTS`` detector events is refused with
-    ``ValidationError`` before anything is allocated.
+    dead time is enforced on the merged event stream. A call that
+    ``expected_events`` refuses raises its ``ValidationError`` before
+    anything is allocated.
     """
     if not 0.0 <= intrinsic_error <= 0.5:
         raise ValidationError(f"intrinsic_error must be in [0, 0.5], got {intrinsic_error}")
     n = len(symbols)
     if n == 0:
         return ClickStream.empty()
+    expected_events(n, src, ch, det, bg, start_time)
     slot = 1.0 / src.symbol_rate
     q = click_probability(src, ch, det)
-    expected_events = n * min(q, 1.0) + bg.total_rate * n * slot
-    if expected_events > MAX_EXPECTED_EVENTS:
-        raise ValidationError(
-            f"source.mu_q: {n} symbols at detection probability {q:.3g} plus "
-            f"background expect {expected_events:.3g} detector events in one run, "
-            f"over the memory budget of {MAX_EXPECTED_EVENTS:.0e}; lower source.mu_q "
-            "or the symbols per run (session.symbols_per_block or "
-            "sweep.symbols_per_point)")
     rng = rng_from(rng_seed)
     axis = np.asarray(drift_axis, dtype=float) if drift_axis is not None \
         else random_unit_vector(rng)

@@ -13,6 +13,7 @@ same values at the same indices.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -22,7 +23,9 @@ from .errors import ValidationError
 from .linkmodel import (
     ClickStream,
     RandomAnalyzerSchedule,
+    MAX_EXPECTED_EVENTS,
     detector_load,
+    expected_events,
     random_unit_vector,
     simulate_clicks,
 )
@@ -32,6 +35,16 @@ from .seeding import hash_stream, mix64, rng_from
 
 # Sub-stream tags of a block's Alice, schedule and click seeds, and of the drift axis.
 _SESSION_TAGS, _TAG_AXIS = (11, 13, 17), 19
+
+# Expected detector events, over all runs of a command, from which run_map
+# starts a process pool by default. Serial work is about 140 ns per event, so
+# 2e6 events are about 0.3 s; well below that, forking the workers and
+# pickling each run cost more than the second core saves. On a 2-vCPU Linux
+# host (Python 3.11, fork) a two-worker OM4 session broke even between 5e5
+# and 1e6 events. A spawned or forkserver worker imports numpy and fso_qkd
+# again (about 0.25 s each), a cost this number was not measured with, so the
+# default pool is used only where workers fork.
+PARALLEL_MIN_EVENTS = 2e6
 
 
 class SymbolSequence:
@@ -208,7 +221,86 @@ def run_block(config: ScenarioConfig, index: int, tags: tuple[int, int, int], n:
     return sift(alice, clicks), clicks.gated_count()
 
 
-def run_session(config: ScenarioConfig) -> list[BlockStats]:
+@dataclass(frozen=True)
+class Run:
+    """One session block or sweep point, set up in the parent process.
+
+    ``index`` keys the run's seeds (see ``run_block``). A ``saturated`` run
+    is not simulated.
+    """
+
+    index: int
+    symbols: int
+    channel: ChannelParams
+    bg: BackgroundBudget
+    start_time: float = 0.0
+    drift_axis: np.ndarray | None = None
+    kappa: bool = False
+    saturated: bool = False
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _auto_workers(events: list[float]) -> int:
+    """Default worker count for runs that expect ``events`` detector events
+    each: one process below ``PARALLEL_MIN_EVENTS`` in total or where
+    workers would not fork, else every usable core, but never more runs at
+    a time than fit together in one run's budget of ``MAX_EXPECTED_EVENTS``.
+    """
+    if sum(events) < PARALLEL_MIN_EVENTS:
+        return 1
+    import multiprocessing
+
+    if multiprocessing.get_start_method() != "fork":
+        return 1
+    # every run was checked to be within the budget, so this is at least 1
+    return min(_usable_cores(), int(MAX_EXPECTED_EVENTS // max(events)))
+
+
+def run_map(fn, config: ScenarioConfig, runs: list[Run], workers: int | None = None) -> list:
+    """``fn(config, run)`` for each run that is not saturated, in run order,
+    and None in place of each saturated run.
+
+    Every run is checked here before any is simulated, with the
+    ``ValidationError`` that ``simulate_clicks`` would raise, so a refused
+    command starts no worker. The runs then go to ``workers`` processes,
+    at most one per run; ``fn`` must be a module-level function. With
+    ``workers`` None, ``_auto_workers`` chooses the count. Each run's seeds
+    depend on its index alone, so the results do not depend on the worker
+    count.
+    """
+    live = [run for run in runs if not run.saturated]
+    events = [expected_events(run.symbols, config.source, run.channel, config.detector,
+                              run.bg, run.start_time) for run in live]
+    if workers is None:
+        workers = _auto_workers(events)
+    workers = min(workers, len(live))
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(fn, [config] * len(live), live))
+    else:
+        results = [fn(config, run) for run in live]
+    done = iter(results)
+    return [None if run.saturated else next(done) for run in runs]
+
+
+def _block_stats(config: ScenarioConfig, run: Run) -> BlockStats:
+    """Simulate, sift and summarize one session block (worker-safe)."""
+    sifted, gated = run_block(config, run.index, _SESSION_TAGS, run.symbols, run.channel,
+                              run.bg, start_time=run.start_time, drift_axis=run.drift_axis)
+    return estimate_block_stats(sifted, run.symbols / config.source.symbol_rate,
+                                gated_clicks=gated, block_start=run.start_time,
+                                kappa=run.kappa)
+
+
+def run_session(config: ScenarioConfig, workers: int | None = None) -> list[BlockStats]:
     """Execute a block-wise BB84 session described by ``config``.
 
     Blocks are spaced ``block_duration_s`` apart on the drift clock; within
@@ -217,30 +309,26 @@ def run_session(config: ScenarioConfig) -> list[BlockStats]:
     quantum time. With ``classical.enabled`` the data channel toggles per
     block (first block off), adding its crosstalk to the background.
     A block whose expected detector load exceeds 10 counts per dead time is
-    flagged ``saturated`` and not simulated.
+    flagged ``saturated`` and not simulated. The blocks run through
+    ``run_map`` on ``workers`` processes.
     """
-    stats: list[BlockStats] = []
     axis = random_unit_vector(rng_from(mix64(config.rng_seed, _TAG_AXIS)))
     n = config.symbols_per_block
-    sim_duration = n / config.source.symbol_rate
-
+    runs = []
     for block in range(config.blocks):
-        start = block * config.block_duration_s
         kappa = config.coexist.active and block % 2 == 1
         xtalk = crosstalk_background(
             replace(config.coexist, active=kappa), config.classical.launch_power_dbm)
         bg = config.background.with_crosstalk(xtalk)
+        saturated = detector_load(config.source, config.channel, config.detector, bg) \
+            * config.detector.dead_time > 10.0
+        runs.append(Run(block, n, config.channel, bg, block * config.block_duration_s,
+                        axis, kappa, saturated))
 
-        if detector_load(config.source, config.channel, config.detector, bg) \
-                * config.detector.dead_time > 10.0:
-            stats.append(BlockStats(
-                block_start=start, block_duration=sim_duration,
-                raw_key_rate=0.0, qber=0.0, gated_clicks=0,
-                kappa=kappa, flag="saturated"))
-            continue
-
-        sifted, gated = run_block(config, block, _SESSION_TAGS, n, config.channel, bg,
-                                  start_time=start, drift_axis=axis)
-        stats.append(estimate_block_stats(
-            sifted, sim_duration, gated_clicks=gated, block_start=start, kappa=kappa))
-    return stats
+    sim_duration = n / config.source.symbol_rate
+    return [
+        BlockStats(block_start=run.start_time, block_duration=sim_duration,
+                   raw_key_rate=0.0, qber=0.0, gated_clicks=0,
+                   kappa=run.kappa, flag="saturated") if stats is None else stats
+        for run, stats in zip(runs, run_map(_block_stats, config, runs, workers))
+    ]

@@ -1,5 +1,7 @@
 """Config resolution, CLI subcommands, reproducibility, exit codes."""
+import concurrent.futures
 import json
+import multiprocessing
 import os
 import re
 import subprocess
@@ -14,9 +16,68 @@ from scipy.stats import linregress
 
 from fso_qkd.cli import cmd_coexist, cmd_plan_spectrum, cmd_stability, cmd_sweep_el, main
 from fso_qkd.errors import ValidationError
+from fso_qkd.protocol import Run, run_map
 from fso_qkd.scenario import _KEYS, default_flat_config, resolve_config
 
 UNREADABLE = ["missing", "directory", "not-utf8"]
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replace the process pool by an in-process map; returns the list of
+    ``max_workers`` of every pool started."""
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return started
+
+
+@pytest.fixture
+def no_pool(monkeypatch):
+    """Fail the test if a process pool is constructed."""
+    def refuse(*args, **kwargs):
+        pytest.fail("a process pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+
+
+@pytest.fixture
+def start_method(monkeypatch):
+    """Set the start method that run_map sees, by calling the fixture."""
+    def use(method):
+        monkeypatch.setattr(multiprocessing, "get_start_method", lambda *a, **k: method)
+
+    use("fork")
+    return use
+
+
+def read_tree(directory: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def run_index(config, run):
+    return run.index
+
+
+def big_runs(symbols, count=8):
+    """``count`` sweep-like runs at mu_q 100 (about 3.5e6 detector events per
+    1e8 symbols); run_map only checks them when mapped with ``run_index``."""
+    config = resolve_config({"source.mu_q": 100})
+    return config, [Run(i, symbols, config.channel, config.background)
+                    for i in range(count)]
 
 
 def unreadable_path(tmp_path, kind) -> Path:
@@ -154,28 +215,78 @@ class TestCliCommands:
         assert (tmp_path / "w1/sweep_el.csv").read_bytes() == \
                (tmp_path / "w2/sweep_el.csv").read_bytes()
 
-    def test_sweep_workers_capped_at_point_count(self, tmp_path, monkeypatch):
+    def test_sweep_workers_capped_at_point_count(self, tmp_path, pool_sizes):
         """A pool never starts more workers than there are sweep points."""
-        started = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr("fso_qkd.cli.ProcessPoolExecutor", SerialPool)
         assert main(["sweep-el", "--workers", "64", "--out", str(tmp_path),
                      "--set", "sweep.el_db=[0.0, 4.0]",
                      "--set", "sweep.symbols_per_point=100000"]) == 0
-        assert started == [2]
+        assert pool_sizes == [2]
+
+    @pytest.mark.parametrize("cmd, overrides, flags", [
+        (cmd_stability, {"channel.fiber_kind": "OM4", "channel.drift_rate": 0.02,
+                         "session.symbols_per_block": 50_000_000}, ["ok"] * 4),
+        (cmd_coexist, {"session.symbols_per_block": 200_000_000}, ["ok"] * 4),
+        # kappa-on blocks saturate: the parent fills them in between the workers' blocks
+        (cmd_coexist, {"classical.launch_power_dbm": 40,
+                       "session.symbols_per_block": 100_000_000}, ["ok", "saturated"] * 2),
+    ], ids=["stability", "coexist", "coexist-saturated"])
+    def test_session_workers_do_not_change_output(self, tmp_path, cmd, overrides, flags):
+        """One worker, two workers and the automatic choice write the same bytes."""
+        config = resolve_config({**overrides, "session.blocks": 4, "rng_seed": 5})
+        trees = []
+        for workers in (1, 2, None):
+            out = tmp_path / str(workers)
+            cmd(config, out, workers)
+            trees.append(read_tree(out))
+        assert trees[0] == trees[1] == trees[2]
+        csv = next(v for k, v in trees[0].items() if k.endswith(".csv")).decode()
+        assert [row.split(",")[-2] for row in csv.splitlines()[1:]] == flags
+
+    @pytest.mark.parametrize("command", ["coexist", "sweep-el"])
+    def test_auto_workers_start_no_pool_below_threshold(self, tmp_path, no_pool, command):
+        """The default coexist session (about 7e5 expected detector events) and
+        the default sweep (about 3e3) cost less than a pool saves: no pool."""
+        assert main([command, "--out", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("cores, expected", [(2, [2]), (8, [3])])
+    def test_auto_workers_use_every_core_over_threshold(self, tmp_path, monkeypatch,
+                                                        pool_sizes, start_method,
+                                                        cores, expected):
+        """Three OM4 blocks expect about 2.6e6 detector events, over
+        PARALLEL_MIN_EVENTS: the automatic choice is min(usable cores, blocks)."""
+        monkeypatch.setattr("fso_qkd.protocol._usable_cores", lambda: cores)
+        assert main(["stability", "--set", "channel.fiber_kind=OM4",
+                     "--set", "session.blocks=3", "--out", str(tmp_path)]) == 0
+        assert pool_sizes == expected
+
+    @pytest.mark.parametrize("symbols, expected", [
+        (100_000_000, [5]), (150_000_000, [3]), (200_000_000, [2]), (500_000_000, []),
+    ])
+    def test_auto_workers_hold_one_run_budget_at_a_time(self, monkeypatch, pool_sizes,
+                                                       start_method, symbols, expected):
+        """On 8 cores, the runs held at once expect at most MAX_EXPECTED_EVENTS
+        (2e7) detector events together: 3.5e6 per run allows 5 workers, 7e6
+        allows 2, and 1.8e7 runs one at a time in this process."""
+        monkeypatch.setattr("fso_qkd.protocol._usable_cores", lambda: 8)
+        config, runs = big_runs(symbols)
+        assert run_map(run_index, config, runs) == list(range(8))
+        assert pool_sizes == expected
+
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_auto_workers_only_where_workers_fork(self, monkeypatch, no_pool, start_method,
+                                                  method):
+        """A worker that is not forked imports numpy again, so the automatic
+        choice stays in this process however many events the runs expect."""
+        start_method(method)
+        monkeypatch.setattr("fso_qkd.protocol._usable_cores", lambda: 8)
+        config, runs = big_runs(100_000_000)
+        assert run_map(run_index, config, runs) == list(range(8))
+
+    def test_explicit_workers_honoured_at_any_start_method(self, pool_sizes, start_method):
+        start_method("spawn")
+        config, runs = big_runs(1_000_000, count=3)
+        assert run_map(run_index, config, runs, workers=2) == [0, 1, 2]
+        assert pool_sizes == [2]
 
     def test_stability_blocks(self, tmp_path):
         cfg = resolve_config(small_sweep_overrides(**{
@@ -294,14 +405,34 @@ class TestMainEntry:
         (["sweep-el", "--workers", "2", "--set", "sweep.symbols_per_point=2000000000"],
          "sweep.symbols_per_point"),
     ], ids=["stability", "sweep-el-workers-2"])
-    def test_over_memory_budget_exit_two(self, tmp_path, capsys, args, key):
-        # mu_q = 100 at 2e9 symbols expects ~7e7 detector events per run
+    def test_over_memory_budget_exit_two(self, tmp_path, capsys, no_pool, args, key):
+        # mu_q = 100 at 2e9 symbols expects ~7e7 detector events per run, which
+        # the automatic worker count would give a pool; the parent refuses first
         start = time.perf_counter()
         assert main(args + ["--set", "source.mu_q=100", "--out", str(tmp_path)]) == 2
         assert time.perf_counter() - start < 1.0  # refused before any allocation
         err = capsys.readouterr().err
         assert "source.mu_q" in err and key in err
         assert not any(tmp_path.iterdir())
+
+    def test_over_memory_budget_refused_before_two_workers(self, tmp_path, no_pool):
+        """Session blocks run on two workers are checked in the parent first."""
+        config = resolve_config({"detector.dead_time": 0, "source.mu_q": 100})
+        start = time.perf_counter()
+        with pytest.raises(ValidationError, match="session.symbols_per_block"):
+            cmd_stability(config, tmp_path / "o", workers=2)
+        assert time.perf_counter() - start < 1.0  # refused before any allocation
+        assert not (tmp_path / "o").exists()
+
+    def test_drift_angle_overflow_exit_two(self, tmp_path, capsys, no_pool):
+        # block 2 starts 1e10 s after the origin: 1e300 rad/s * 1e10 s is inf
+        assert main(["stability", "--set", "channel.drift_rate=1e300",
+                     "--set", "session.block_duration_s=1e10", "--set", "session.blocks=2",
+                     "--set", "session.symbols_per_block=100000000",
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error") and "channel.drift_rate" in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command, key, dbm", [
         (["coexist"], "launch_power_dbm", 3100),
