@@ -2,9 +2,10 @@
 
 Subcommands emit machine-readable CSV/JSON only (plotting is left to
 external tools). Outputs are byte-identical for identical config + seed:
-no timestamps, sorted JSON keys, repr-formatted floats, and per-point and
-per-block seeds derived from (seed, point or block index), so the worker
-count cannot reorder randomness. Every CSV row carries the resolved-config
+no timestamps, sorted JSON keys and repr-formatted floats. The Monte Carlo
+runs come from ``protocol``, which owns each run's seeds, the saturated-block
+rule and the worker count; this module adds the closed-form model, formats
+the rows and writes the files. Every CSV row carries the resolved-config
 hash for audit.
 
 Exit codes: 0 success, 2 validation error, 3 runtime error.
@@ -23,13 +24,11 @@ from .coexistence import link_margin, ook_ber
 from .errors import ValidationError
 from .linkmodel import expected_rates
 from .linkparams import RatePrediction
-from .protocol import BlockStats, Run, run_block, run_map, run_session, secure_fraction
+from .protocol import BlockStats, run_session, run_sweep, secure_fraction
 from .scenario import ScenarioConfig, load_config_file, resolve_config
 from . import spectrum as spectrum_mod
 
 QBER_THRESHOLD = 0.11
-
-_SWEEP_TAGS = (101, 103, 107)
 
 
 def _fmt(value) -> str:
@@ -51,32 +50,14 @@ def _write_json(path: Path, payload: dict) -> None:
                     encoding="utf-8")
 
 
-def _sweep_point(config: ScenarioConfig, run: Run) -> dict:
-    """Model plus Monte Carlo for one excess-loss value (worker-safe)."""
-    model = expected_rates(config.source, run.channel, config.detector,
-                           run.bg, config.intrinsic_error)
-    sifted, _ = run_block(config, run.index, _SWEEP_TAGS, run.symbols, run.channel, run.bg)
-    duration = run.symbols / config.source.symbol_rate
-    qber_mc = sifted.mismatches / sifted.kept if sifted.kept else float("nan")
-    return {
-        "el_db": config.sweep_el_db[run.index],
-        "model": model,
-        "qber_mc": qber_mc,
-        "rawkey_mc": sifted.kept / duration,
-        "kept": sifted.kept,
-        "duration": duration,
-    }
-
-
-def _agreement_z(point: dict) -> tuple[float, float]:
+def _agreement_z(model: RatePrediction, point: BlockStats) -> tuple[float, float]:
     """(z_qber, z_rawkey) of the MC against the model for one sweep point."""
-    model: RatePrediction = point["model"]
-    kept_expected = model.sifted_key_rate * point["duration"]
-    z_raw = ((point["kept"] - kept_expected) / np.sqrt(kept_expected)
+    kept_expected = model.sifted_key_rate * point.block_duration
+    z_raw = ((point.kept_bits - kept_expected) / np.sqrt(kept_expected)
              if kept_expected > 0 else 0.0)
-    if point["kept"] > 0:
-        sigma = np.sqrt(model.qber * (1.0 - model.qber) / point["kept"])
-        z_q = (point["qber_mc"] - model.qber) / sigma if sigma > 0 else 0.0
+    if point.kept_bits > 0:
+        sigma = np.sqrt(model.qber * (1.0 - model.qber) / point.kept_bits)
+        z_q = (point.qber - model.qber) / sigma if sigma > 0 else 0.0
     else:
         z_q = 0.0
     return float(z_q), float(z_raw)
@@ -95,18 +76,15 @@ def cmd_sweep_el(config: ScenarioConfig, out_dir: Path, workers: int | None = No
     """Model + Monte Carlo QKD performance over the excess-loss sweep."""
     if not config.sweep_el_db:
         raise ValidationError("sweep.el_db: sweep list must be non-empty")
-    runs = [Run(i, config.sweep_symbols_per_point, config.channel.with_excess_loss(el),
-                config.background) for i, el in enumerate(config.sweep_el_db)]
-    results = run_map(_sweep_point, config, runs, workers)
-
     chash = config.config_hash
     rows, zs = [], []
-    for pt in results:
-        model: RatePrediction = pt["model"]
-        rows.append([pt["el_db"], model.qber, pt["qber_mc"],
-                     model.sifted_key_rate, pt["rawkey_mc"],
+    for el, pt in zip(config.sweep_el_db, run_sweep(config, workers)):
+        model = expected_rates(config.source, config.channel.with_excess_loss(el),
+                               config.detector, config.background, config.intrinsic_error)
+        qber_mc = pt.qber if pt.kept_bits else float("nan")
+        rows.append([el, model.qber, qber_mc, model.sifted_key_rate, pt.raw_key_rate,
                      secure_fraction(model.qber), chash])
-        zs.append(_agreement_z(pt))
+        zs.append(_agreement_z(model, pt))
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "sweep_el.csv"
     _write_csv(csv_path,
@@ -148,11 +126,11 @@ def _block_rows(stats: list[BlockStats], chash: str, with_kappa: bool) -> list[l
     return rows
 
 
-def cmd_stability(config: ScenarioConfig, out_dir: Path, workers: int | None = None) -> dict:
+def cmd_stability(config: ScenarioConfig, out_dir: Path) -> dict:
     """Block-wise session with polarization drift enabled."""
     if config.blocks < 1:
         raise ValidationError("session.blocks: must be >= 1 for stability runs")
-    stats = run_session(config, workers)
+    stats = run_session(config)
     chash = config.config_hash
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "stability_blocks.csv"
@@ -177,7 +155,7 @@ def cmd_stability(config: ScenarioConfig, out_dir: Path, workers: int | None = N
     return summary
 
 
-def cmd_coexist(config: ScenarioConfig, out_dir: Path, workers: int | None = None) -> dict:
+def cmd_coexist(config: ScenarioConfig, out_dir: Path) -> dict:
     """Alternating-kappa session plus classical BER and power margin."""
     if not config.coexist.active:
         config = replace(
@@ -187,7 +165,7 @@ def cmd_coexist(config: ScenarioConfig, out_dir: Path, workers: int | None = Non
         )
     if config.blocks < 2:
         raise ValidationError("session.blocks: need >= 2 blocks to compare kappa on/off")
-    stats = run_session(config, workers)
+    stats = run_session(config)
     chash = config.config_hash
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "coexist_blocks.csv"

@@ -1,4 +1,5 @@
-"""Two-party BB84 session logic: symbol generation, sifting, block statistics.
+"""Two-party BB84 session logic: symbol generation, sifting, block statistics,
+and the runs that the CLI maps over workers.
 
 Alice and Bob exchange exactly two messages per block: Bob announces the
 (symbol index, analyzer basis) of his gated clicks, Alice answers with the
@@ -9,6 +10,10 @@ Alice's random symbols are a counter-based stream: symbol i is a pure
 function of (seed, i), so gigasymbol sequences are addressable without
 being materialized, and the Monte Carlo and the sifting dialogue read the
 same values at the same indices.
+
+Each sweep point and session block is a ``Run`` that ``run_block`` turns
+into one ``BlockStats``; this module owns the runs' seeds, saturation and
+worker count.
 """
 from __future__ import annotations
 
@@ -33,8 +38,9 @@ from .linkparams import BackgroundBudget, ChannelParams
 from .scenario import ScenarioConfig
 from .seeding import hash_stream, mix64, rng_from
 
-# Sub-stream tags of a block's Alice, schedule and click seeds, and of the drift axis.
-_SESSION_TAGS, _TAG_AXIS = (11, 13, 17), 19
+# Seed tags (Alice, schedule, clicks) of a session block and of a sweep
+# point, and the tag of a session's drift axis.
+_SESSION_TAGS, _SWEEP_TAGS, _TAG_AXIS = (11, 13, 17), (101, 103, 107), 19
 
 # Expected detector events, over all runs of a command, from which run_map
 # starts a process pool by default. Serial work is about 140 ns per event, so
@@ -198,45 +204,42 @@ def secure_fraction(qber: float) -> float:
     return max(0.0, 1.0 - 2.0 * binary_entropy(qber))
 
 
-def run_block(config: ScenarioConfig, index: int, tags: tuple[int, int, int], n: int,
-              channel: ChannelParams, bg: BackgroundBudget, start_time: float = 0.0,
-              drift_axis=None) -> tuple[SiftResult, int]:
-    """Simulate and sift n symbols: one sweep point or one session block.
-
-    Alice's symbols, the analyzer schedule and the click stream draw from
-    ``mix64(config.rng_seed, index, tag)`` for the three ``tags``, so the
-    result is a pure function of the arguments. Returns the sifted block and
-    its gated click count.
-    """
-    tag_alice, tag_schedule, tag_clicks = tags
-    alice = alice_generate(n, mix64(config.rng_seed, index, tag_alice))
-    clicks = simulate_clicks(
-        alice, config.source, channel, config.detector, bg,
-        analyzer_schedule=RandomAnalyzerSchedule(mix64(config.rng_seed, index, tag_schedule)),
-        rng_seed=mix64(config.rng_seed, index, tag_clicks),
-        intrinsic_error=config.intrinsic_error,
-        start_time=start_time,
-        drift_axis=drift_axis,
-    )
-    return sift(alice, clicks), clicks.gated_count()
-
-
 @dataclass(frozen=True)
 class Run:
     """One session block or sweep point, set up in the parent process.
 
-    ``index`` keys the run's seeds (see ``run_block``). A ``saturated`` run
-    is not simulated.
+    Alice's symbols, the analyzer schedule and the click stream draw from
+    ``mix64(config.rng_seed, index, tag)`` for the three seed ``tags``, so
+    ``run_block`` is a pure function of the config and the run.
     """
 
     index: int
+    tags: tuple[int, int, int]
     symbols: int
     channel: ChannelParams
     bg: BackgroundBudget
     start_time: float = 0.0
     drift_axis: np.ndarray | None = None
     kappa: bool = False
-    saturated: bool = False
+
+
+def run_block(config: ScenarioConfig, run: Run) -> BlockStats:
+    """Simulate, sift and summarize one sweep point or session block; the
+    one function every worker runs."""
+    tag_alice, tag_schedule, tag_clicks = run.tags
+    alice = alice_generate(run.symbols, mix64(config.rng_seed, run.index, tag_alice))
+    clicks = simulate_clicks(
+        alice, config.source, run.channel, config.detector, run.bg,
+        analyzer_schedule=RandomAnalyzerSchedule(
+            mix64(config.rng_seed, run.index, tag_schedule)),
+        rng_seed=mix64(config.rng_seed, run.index, tag_clicks),
+        intrinsic_error=config.intrinsic_error,
+        start_time=run.start_time,
+        drift_axis=run.drift_axis,
+    )
+    return estimate_block_stats(sift(alice, clicks), run.symbols / config.source.symbol_rate,
+                                gated_clicks=clicks.gated_count(),
+                                block_start=run.start_time, kappa=run.kappa)
 
 
 def _usable_cores() -> int:
@@ -262,45 +265,40 @@ def _auto_workers(events: list[float]) -> int:
     return min(_usable_cores(), int(MAX_EXPECTED_EVENTS // max(events)))
 
 
-def run_map(fn, config: ScenarioConfig, runs: list[Run], workers: int | None = None) -> list:
-    """``fn(config, run)`` for each run that is not saturated, in run order,
-    and None in place of each saturated run.
+def run_map(config: ScenarioConfig, runs: list[Run],
+            workers: int | None = None) -> list[BlockStats]:
+    """``run_block(config, run)`` for each run, in run order.
 
     Every run is checked here before any is simulated, with the
     ``ValidationError`` that ``simulate_clicks`` would raise, so a refused
     command starts no worker. The runs then go to ``workers`` processes,
-    at most one per run; ``fn`` must be a module-level function. With
-    ``workers`` None, ``_auto_workers`` chooses the count. Each run's seeds
-    depend on its index alone, so the results do not depend on the worker
-    count.
+    at most one per run. With ``workers`` None, ``_auto_workers`` chooses
+    the count. Each run's seeds depend on its index and tags alone, so the
+    results do not depend on the worker count.
     """
-    live = [run for run in runs if not run.saturated]
     events = [expected_events(run.symbols, config.source, run.channel, config.detector,
-                              run.bg, run.start_time) for run in live]
+                              run.bg, run.start_time) for run in runs]
     if workers is None:
         workers = _auto_workers(events)
-    workers = min(workers, len(live))
+    workers = min(workers, len(runs))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(fn, [config] * len(live), live))
-    else:
-        results = [fn(config, run) for run in live]
-    done = iter(results)
-    return [None if run.saturated else next(done) for run in runs]
+            return list(pool.map(run_block, [config] * len(runs), runs))
+    return [run_block(config, run) for run in runs]
 
 
-def _block_stats(config: ScenarioConfig, run: Run) -> BlockStats:
-    """Simulate, sift and summarize one session block (worker-safe)."""
-    sifted, gated = run_block(config, run.index, _SESSION_TAGS, run.symbols, run.channel,
-                              run.bg, start_time=run.start_time, drift_axis=run.drift_axis)
-    return estimate_block_stats(sifted, run.symbols / config.source.symbol_rate,
-                                gated_clicks=gated, block_start=run.start_time,
-                                kappa=run.kappa)
+def run_sweep(config: ScenarioConfig, workers: int | None = None) -> list[BlockStats]:
+    """One run per excess loss in ``config.sweep_el_db``, on ``workers``
+    processes (see ``run_map``)."""
+    return run_map(config, [
+        Run(i, _SWEEP_TAGS, config.sweep_symbols_per_point,
+            config.channel.with_excess_loss(el), config.background)
+        for i, el in enumerate(config.sweep_el_db)], workers)
 
 
-def run_session(config: ScenarioConfig, workers: int | None = None) -> list[BlockStats]:
+def run_session(config: ScenarioConfig) -> list[BlockStats]:
     """Execute a block-wise BB84 session described by ``config``.
 
     Blocks are spaced ``block_duration_s`` apart on the drift clock; within
@@ -309,26 +307,24 @@ def run_session(config: ScenarioConfig, workers: int | None = None) -> list[Bloc
     quantum time. With ``classical.enabled`` the data channel toggles per
     block (first block off), adding its crosstalk to the background.
     A block whose expected detector load exceeds 10 counts per dead time is
-    flagged ``saturated`` and not simulated. The blocks run through
-    ``run_map`` on ``workers`` processes.
+    flagged ``saturated`` and not simulated; the rest go through ``run_map``.
     """
     axis = random_unit_vector(rng_from(mix64(config.rng_seed, _TAG_AXIS)))
     n = config.symbols_per_block
-    runs = []
+    blocks: list[Run | BlockStats] = []
     for block in range(config.blocks):
         kappa = config.coexist.active and block % 2 == 1
         xtalk = crosstalk_background(
             replace(config.coexist, active=kappa), config.classical.launch_power_dbm)
         bg = config.background.with_crosstalk(xtalk)
-        saturated = detector_load(config.source, config.channel, config.detector, bg) \
-            * config.detector.dead_time > 10.0
-        runs.append(Run(block, n, config.channel, bg, block * config.block_duration_s,
-                        axis, kappa, saturated))
-
-    sim_duration = n / config.source.symbol_rate
-    return [
-        BlockStats(block_start=run.start_time, block_duration=sim_duration,
-                   raw_key_rate=0.0, qber=0.0, gated_clicks=0,
-                   kappa=run.kappa, flag="saturated") if stats is None else stats
-        for run, stats in zip(runs, run_map(_block_stats, config, runs, workers))
-    ]
+        start = block * config.block_duration_s
+        if detector_load(config.source, config.channel, config.detector, bg) \
+                * config.detector.dead_time > 10.0:
+            blocks.append(BlockStats(block_start=start,
+                                     block_duration=n / config.source.symbol_rate,
+                                     raw_key_rate=0.0, qber=0.0, gated_clicks=0,
+                                     kappa=kappa, flag="saturated"))
+        else:
+            blocks.append(Run(block, _SESSION_TAGS, n, config.channel, bg, start, axis, kappa))
+    done = iter(run_map(config, [b for b in blocks if isinstance(b, Run)]))
+    return [next(done) if isinstance(b, Run) else b for b in blocks]

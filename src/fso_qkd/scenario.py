@@ -34,34 +34,35 @@ _SWEEP_DEFAULT = tuple(round(0.5 * i, 1) for i in range(21))  # 0..10 dB
 
 # key -> (kind, default). A None default marks a derived key, filled from
 # the fiber preset, the calibration or the packaged spectrum; only there may
-# a value be null ("derive it"). Anywhere else null fails _coerce.
+# a value be null ("derive it"). Anywhere else null fails _coerce. A default
+# that a parameter class declares (most from the calibration) is read from it.
 _KEYS: dict[str, tuple[str, object]] = {
-    "source.mu_q": ("float", 0.1),
-    "source.symbol_rate": ("float", 5e8),
-    "source.wavelength_nm": ("float", 1410.0),
+    "source.mu_q": ("float", SourceParams.mu_q),
+    "source.symbol_rate": ("float", SourceParams.symbol_rate),
+    "source.wavelength_nm": ("float", SourceParams.wavelength_nm),
     "channel.fiber_kind": ("str", "MMF25"),
     "channel.fso_loss_db": ("float", None),
     "channel.excess_loss_db": ("float", 0.0),
     "channel.depol_p": ("float", None),
     "channel.drift_rate": ("float", None),
     "channel.rx_insertion_db": ("float", None),
-    "detector.efficiency": ("float", 0.10),
-    "detector.dark_rate": ("float", 300.0),
-    "detector.dead_time": ("float", 25e-6),
-    "detector.gate_fraction": ("float", 0.5),
-    "detector.signal_gate_acceptance": ("float", 1.0),
+    "detector.efficiency": ("float", DetectorParams.efficiency),
+    "detector.dark_rate": ("float", DetectorParams.dark_rate),
+    "detector.dead_time": ("float", DetectorParams.dead_time),
+    "detector.gate_fraction": ("float", DetectorParams.gate_fraction),
+    "detector.signal_gate_acceptance": ("float", DetectorParams.signal_gate_acceptance),
     "background.mode": ("str", "spectrum"),
     "background.spectrum_path": ("str", None),
     "background.solar_rate": ("float", 0.0),
     "protocol.intrinsic_error": ("float", None),
     "classical.enabled": ("bool", False),
-    "classical.wavelength_nm": ("float", 1547.72),
-    "classical.bit_rate": ("float", 1e9),
-    "classical.launch_power_dbm": ("float", 0.0),
-    "classical.sensitivity_dbm_at_fec": ("float", -37.4),
-    "classical.fec_ber": ("float", 2e-4),
+    "classical.wavelength_nm": ("float", ClassicalParams.wavelength_nm),
+    "classical.bit_rate": ("float", ClassicalParams.bit_rate),
+    "classical.launch_power_dbm": ("float", ClassicalParams.launch_power_dbm),
+    "classical.sensitivity_dbm_at_fec": ("float", ClassicalParams.sensitivity_dbm_at_fec),
+    "classical.fec_ber": ("float", ClassicalParams.fec_ber),
     "classical.crosstalk_rate_at_0dbm": ("float", None),
-    "classical.rx_insertion_db": ("float", 2.0),
+    "classical.rx_insertion_db": ("float", ClassicalParams.rx_insertion_db),
     "sweep.el_db": ("floatlist", _SWEEP_DEFAULT),
     "sweep.symbols_per_point": ("int", 10_000_000),
     "session.blocks": ("int", 10),
@@ -144,7 +145,8 @@ class ScenarioConfig:
 def resolve_config(overrides: dict | None = None) -> ScenarioConfig:
     """Merge overrides onto the defaults and build a validated ScenarioConfig."""
     flat = default_flat_config()
-    for key, value in (overrides or {}).items():
+    given = overrides or {}
+    for key, value in given.items():
         if key not in _KEYS:
             raise ValidationError(f"unknown config key {key!r}")
         flat[key] = value
@@ -192,12 +194,23 @@ def resolve_config(overrides: dict | None = None) -> ScenarioConfig:
                      gate_fraction=flat["detector.gate_fraction"],
                      signal_gate_acceptance=flat["detector.signal_gate_acceptance"])
 
+    # Each mode reads one background key; setting the other would be hashed
+    # and echoed without acting. A solar_rate equal to the spectrum's is what
+    # a summary's echoed config holds, so it is accepted.
     mode = flat["background.mode"]
     if mode == "spectrum":
         solar = _solar_from_spectrum(flat["background.spectrum_path"],
                                      source.wavelength_nm)
+        if "background.solar_rate" in given and flat["background.solar_rate"] != solar:
+            raise ValidationError(
+                f"background.solar_rate: not read under background.mode='spectrum', "
+                f"which derives {solar!r} cts/s; set background.mode='explicit' to use it")
         flat["background.solar_rate"] = solar
     elif mode == "explicit":
+        if flat["background.spectrum_path"] is not None:
+            raise ValidationError(
+                "background.spectrum_path: not read under background.mode='explicit'; "
+                "drop it or set background.mode='spectrum'")
         solar = flat["background.solar_rate"]
     else:
         raise ValidationError(

@@ -9,6 +9,9 @@ why in CHANGES.md.
 The runs are small (about a second each) but reach every stage: a
 Monte Carlo sweep, an OM4 session with polarization drift and dead time at
 load*tau ~ 3, an alternating co-existence session, and the spectral plan.
+Two more pin the edge branches: a sweep whose last point keeps no bits
+(its ``qber_mc`` is ``nan``), and a co-existence session whose kappa-on
+blocks saturate and are filled in without being simulated.
 The drift rotation uses numpy's float64 sin/cos, so a platform whose
 vectorized kernels round differently will need its own pins.
 """
@@ -26,6 +29,16 @@ GOLDEN = {
                 "362b5fc7f65a789c5b0ee6075ef21b4be48be05ae8841df9b18c32a7b443de85",
             "sweep_el_summary.json":
                 "eb1da36cbaf7c949829c12d702faeaf7e4945e853219507f5b6a1947fe88d8f3",
+        },
+    ),
+    "sweep-el-no-bits": (
+        ["sweep-el", "--seed", "7", "--set", "sweep.el_db=[0.0, 5.0, 30.0]",
+         "--set", "sweep.symbols_per_point=2000000"],
+        {
+            "sweep_el.csv":
+                "174057ccf0f9023c6bc071468d096c67ca92737d06a4ea5b251d24e13e0c3f0c",
+            "sweep_el_summary.json":
+                "262f7de75e20a7c1b1bb814a06fbbb2f692be34da753f558cd90b2fe4a4f572d",
         },
     ),
     "stability-om4": (
@@ -47,6 +60,16 @@ GOLDEN = {
                 "8a5f78d0272be83b1d7b2eb8c48ec1382778a8d2898df5dd300b87307c4f0918",
         },
     ),
+    "coexist-saturated": (
+        ["coexist", "--seed", "7", "--set", "classical.launch_power_dbm=40",
+         "--set", "session.blocks=4", "--set", "session.symbols_per_block=100000000"],
+        {
+            "coexist_blocks.csv":
+                "e6162d0fba0ce658345c0784a1056e7a2d52b5fe6c8212c87fe1a5fa9d1fecbd",
+            "coexist_summary.json":
+                "91d69eec575f8e1cb3cdc77aca8f69b8d2747bcfe370b465ee6321e6b16011e8",
+        },
+    ),
     "plan-spectrum": (
         ["plan-spectrum", "--seed", "7"],
         {
@@ -64,3 +87,19 @@ def test_outputs_match_golden_hashes(run, tmp_path):
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in tmp_path.iterdir()}
     assert written == expected
+
+
+def test_sweep_point_without_kept_bits_reports_nan(tmp_path):
+    """The 30-dB point of the pinned no-bits sweep keeps no bits, so its
+    Monte Carlo QBER is undefined and written as ``nan``."""
+    argv, _ = GOLDEN["sweep-el-no-bits"]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    last = (tmp_path / "sweep_el.csv").read_text().splitlines()[-1].split(",")
+    assert last[0] == "30.0" and last[2] == "nan" and last[4] == "0.0"
+
+
+def test_saturated_kappa_on_blocks_are_flagged(tmp_path):
+    argv, _ = GOLDEN["coexist-saturated"]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "coexist_blocks.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[5] for row in rows] == ["ok", "saturated"] * 2

@@ -22,6 +22,7 @@ from fso_qkd.linkparams import (
 )
 from fso_qkd.polarization import BB84Symbol
 from fso_qkd.protocol import (
+    Run,
     SiftResult,
     alice_generate,
     estimate_block_stats,
@@ -285,12 +286,11 @@ class TestEndToEnd:
         n = cfg.symbols_per_block
         for block in reversed(range(cfg.blocks)):
             start = block * cfg.block_duration_s
-            sifted, gated = run_block(cfg, block, (11, 13, 17), n, cfg.channel,
-                                      cfg.background, start_time=start, drift_axis=axis)
-            assert sifted.kept > 0
-            assert stats[block] == estimate_block_stats(
-                sifted, n / cfg.source.symbol_rate, gated_clicks=gated,
-                block_start=start)
+            standalone = run_block(cfg, Run(block, (11, 13, 17), n, cfg.channel,
+                                            cfg.background, start, axis))
+            assert standalone.kept_bits > 0
+            assert standalone.block_start == start
+            assert stats[block] == standalone
 
     def test_session_blocks_deterministic(self):
         cfg = resolve_config({"session.blocks": 3,

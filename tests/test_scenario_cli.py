@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 from scipy.stats import linregress
 
 from fso_qkd.cli import cmd_coexist, cmd_plan_spectrum, cmd_stability, cmd_sweep_el, main
+from fso_qkd.coexistence import ClassicalParams
 from fso_qkd.errors import ValidationError
+from fso_qkd.linkparams import DetectorParams, SourceParams
 from fso_qkd.protocol import Run, run_map
 from fso_qkd.scenario import _KEYS, default_flat_config, resolve_config
 
@@ -72,11 +74,26 @@ def run_index(config, run):
     return run.index
 
 
+@pytest.fixture
+def index_runs(monkeypatch):
+    """Make ``run_block`` return the run's index, so run_map only checks and
+    maps the runs."""
+    monkeypatch.setattr("fso_qkd.protocol.run_block", run_index)
+
+
+def force_workers(monkeypatch, workers):
+    """Make the automatic worker count come out at ``workers`` for any runs:
+    one process, or a pool of that many."""
+    monkeypatch.setattr("fso_qkd.protocol._usable_cores", lambda: workers)
+    monkeypatch.setattr("fso_qkd.protocol.PARALLEL_MIN_EVENTS", 1.0)
+    monkeypatch.setattr(multiprocessing, "get_start_method", lambda *a, **k: "fork")
+
+
 def big_runs(symbols, count=8):
     """``count`` sweep-like runs at mu_q 100 (about 3.5e6 detector events per
-    1e8 symbols); run_map only checks them when mapped with ``run_index``."""
+    1e8 symbols); run_map only checks them under ``index_runs``."""
     config = resolve_config({"source.mu_q": 100})
-    return config, [Run(i, symbols, config.channel, config.background)
+    return config, [Run(i, (101, 103, 107), symbols, config.channel, config.background)
                     for i in range(count)]
 
 
@@ -125,6 +142,40 @@ class TestConfigResolution:
         cfg = resolve_config({"background.mode": "explicit",
                               "background.solar_rate": 123.0})
         assert cfg.background.solar_rate == 123.0
+
+    @pytest.mark.parametrize("overrides, key", [
+        ({"background.solar_rate": 500.0}, "background.solar_rate"),
+        ({"background.mode": "spectrum", "background.solar_rate": 0.0},
+         "background.solar_rate"),
+        ({"background.mode": "explicit", "background.spectrum_path": "missing.csv"},
+         "background.spectrum_path"),
+    ], ids=["spectrum-solar-rate", "spectrum-solar-rate-zero", "explicit-spectrum-path"])
+    def test_background_key_the_mode_ignores_exit_two(self, tmp_path, capsys,
+                                                       overrides, key):
+        """A key the chosen background mode does not read would be hashed and
+        echoed as if it had acted: refused, naming the key."""
+        with pytest.raises(ValidationError, match=rf"^{re.escape(key)}: "):
+            resolve_config(overrides)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(overrides))
+        out = tmp_path / "out"
+        assert main(["sweep-el", "--config", str(config), "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_echoed_config_reruns(self):
+        """A summary's echoed config names the spectrum's own solar_rate, which
+        is accepted and resolves to the same config."""
+        default = resolve_config()
+        again = resolve_config(default.resolved)
+        assert again.config_hash == default.config_hash
+        assert again.background == default.background
+
+    def test_parameter_defaults_have_one_home(self):
+        cfg = resolve_config()
+        assert cfg.source == SourceParams()
+        assert cfg.detector == DetectorParams()
+        assert cfg.classical == ClassicalParams()
 
     def test_off_grid_wavelength_needs_explicit_background(self):
         with pytest.raises(ValidationError, match="not a CWDM channel"):
@@ -230,13 +281,17 @@ class TestCliCommands:
         (cmd_coexist, {"classical.launch_power_dbm": 40,
                        "session.symbols_per_block": 100_000_000}, ["ok", "saturated"] * 2),
     ], ids=["stability", "coexist", "coexist-saturated"])
-    def test_session_workers_do_not_change_output(self, tmp_path, cmd, overrides, flags):
+    def test_session_workers_do_not_change_output(self, tmp_path, monkeypatch,
+                                                  cmd, overrides, flags):
         """One worker, two workers and the automatic choice write the same bytes."""
         config = resolve_config({**overrides, "session.blocks": 4, "rng_seed": 5})
         trees = []
         for workers in (1, 2, None):
             out = tmp_path / str(workers)
-            cmd(config, out, workers)
+            with monkeypatch.context() as patch:
+                if workers is not None:
+                    force_workers(patch, workers)
+                cmd(config, out)
             trees.append(read_tree(out))
         assert trees[0] == trees[1] == trees[2]
         csv = next(v for k, v in trees[0].items() if k.endswith(".csv")).decode()
@@ -263,29 +318,31 @@ class TestCliCommands:
         (100_000_000, [5]), (150_000_000, [3]), (200_000_000, [2]), (500_000_000, []),
     ])
     def test_auto_workers_hold_one_run_budget_at_a_time(self, monkeypatch, pool_sizes,
-                                                       start_method, symbols, expected):
+                                                       start_method, index_runs,
+                                                       symbols, expected):
         """On 8 cores, the runs held at once expect at most MAX_EXPECTED_EVENTS
         (2e7) detector events together: 3.5e6 per run allows 5 workers, 7e6
         allows 2, and 1.8e7 runs one at a time in this process."""
         monkeypatch.setattr("fso_qkd.protocol._usable_cores", lambda: 8)
         config, runs = big_runs(symbols)
-        assert run_map(run_index, config, runs) == list(range(8))
+        assert run_map(config, runs) == list(range(8))
         assert pool_sizes == expected
 
     @pytest.mark.parametrize("method", ["spawn", "forkserver"])
     def test_auto_workers_only_where_workers_fork(self, monkeypatch, no_pool, start_method,
-                                                  method):
+                                                  index_runs, method):
         """A worker that is not forked imports numpy again, so the automatic
         choice stays in this process however many events the runs expect."""
         start_method(method)
         monkeypatch.setattr("fso_qkd.protocol._usable_cores", lambda: 8)
         config, runs = big_runs(100_000_000)
-        assert run_map(run_index, config, runs) == list(range(8))
+        assert run_map(config, runs) == list(range(8))
 
-    def test_explicit_workers_honoured_at_any_start_method(self, pool_sizes, start_method):
+    def test_explicit_workers_honoured_at_any_start_method(self, pool_sizes, start_method,
+                                                           index_runs):
         start_method("spawn")
         config, runs = big_runs(1_000_000, count=3)
-        assert run_map(run_index, config, runs, workers=2) == [0, 1, 2]
+        assert run_map(config, runs, workers=2) == [0, 1, 2]
         assert pool_sizes == [2]
 
     def test_stability_blocks(self, tmp_path):
@@ -415,12 +472,14 @@ class TestMainEntry:
         assert "source.mu_q" in err and key in err
         assert not any(tmp_path.iterdir())
 
-    def test_over_memory_budget_refused_before_two_workers(self, tmp_path, no_pool):
+    def test_over_memory_budget_refused_before_two_workers(self, tmp_path, monkeypatch,
+                                                           no_pool):
         """Session blocks run on two workers are checked in the parent first."""
+        force_workers(monkeypatch, 2)
         config = resolve_config({"detector.dead_time": 0, "source.mu_q": 100})
         start = time.perf_counter()
         with pytest.raises(ValidationError, match="session.symbols_per_block"):
-            cmd_stability(config, tmp_path / "o", workers=2)
+            cmd_stability(config, tmp_path / "o")
         assert time.perf_counter() - start < 1.0  # refused before any allocation
         assert not (tmp_path / "o").exists()
 
