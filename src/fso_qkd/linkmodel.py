@@ -16,8 +16,8 @@ not symbol counts, and multi-gigasymbol blocks stay cheap. No stage steps
 through events in Python: each symbol's basis and bit come from one hash
 word, and the dead-time filter starts a survivor chain at every cluster
 head (an event at least one dead time after its predecessor) and advances
-all chains with one ``searchsorted`` per round, handing clusters too long
-for a bounded number of rounds to pointer doubling. Drift and the analyzer
+all chains with one ``searchsorted`` per round: one round per survivor of
+the longest cluster, and no table beyond the stream. Drift and the analyzer
 meet in the one Stokes component that each photon's port reads,
 A cos a + B sin a + C (1 - cos a), with (A, B, C) from a per-call table of
 Rodrigues terms over the four states. Clicks, survivors and their columns
@@ -59,11 +59,6 @@ STATE_TABLE = np.array(
 # one simulate_clicks call may hold. Each adds about 80 bytes to the peak
 # resident set (measured on OM4 blocks), so the budget is about 1.6 GB.
 MAX_EXPECTED_EVENTS = 2e7
-
-# Rounds of the dead-time head walk before the chains still open go to
-# pointer doubling: enough for every cluster at load*tau ~ 3, and a bound on
-# the Python rounds when the clusters merge at heavy load.
-_HEAD_WALK_ROUNDS = 64
 
 
 def dead_time_corrected(true_rate: float, dead_time: float) -> float:
@@ -177,10 +172,9 @@ def dead_time_filter(times: np.ndarray, dead_time: float) -> np.ndarray:
     survives whatever came before it, and no survivor's successor lies past
     the next head. So the walk starts one survivor chain at every head and
     advances all open chains together, one ``searchsorted`` of the frontier
-    per round; a chain closes when it reaches a head. Under heavy load the
-    clusters grow long, and chains still open after ``_HEAD_WALK_ROUNDS``
-    rounds go to pointer doubling (Wyllie 1979) over the suffix from the
-    first of them, which bounds the cost at any load.
+    per round, until every chain has reached a head. That costs one round
+    per survivor of the longest cluster and no table beyond the stream: its
+    due times, the head and survivor masks, and the open frontier.
     """
     n = len(times)
     if dead_time <= 0.0 or n == 0:
@@ -192,43 +186,15 @@ def dead_time_filter(times: np.ndarray, dead_time: float) -> np.ndarray:
     np.greater_equal(times[1:], due[:-1], out=head[1:n])
     alive = head[:n].copy()
     chain = np.flatnonzero(alive)
-    for _ in range(_HEAD_WALK_ROUNDS):
-        # If dead_time vanishes against times[i] in floating point, the step
-        # may fall back to an earlier equal timestamp; that event is a head,
-        # so the chain closes there.
+    while chain.size:
+        # Each step moves strictly forward or lands on a head, so the walk
+        # ends. If dead_time vanishes against times[i] in floating point, the
+        # step may fall back to an earlier equal timestamp; that event is a
+        # head, so the chain closes there.
         step = np.searchsorted(times, due.take(chain), side="left")
         chain = step.compress(~head.take(step))
-        if chain.size == 0:
-            return np.flatnonzero(alive)
         alive[chain] = True
-    start = int(chain[0])
-    return np.concatenate([np.flatnonzero(alive[:start]),
-                           start + _doubling_survivors(times[start:], due[start:])])
-
-
-def _doubling_survivors(times: np.ndarray, due: np.ndarray) -> np.ndarray:
-    """Survivor chain from event 0 by pointer doubling, ``due = times + tau``.
-
-    ``jump[i]`` is the survivor after a surviving event i, and n is a
-    sentinel past the end that maps to itself; the floor of i + 1 keeps the
-    chain moving when dead_time vanishes against times[i] in floating point.
-    Each round appends the next stretch of the chain and squares the jump
-    table, so ``log2(survivors)`` rounds of array work follow the whole chain.
-    """
-    n = len(times)
-    jump = np.empty(n + 1, dtype=np.int64)
-    jump[:n] = np.searchsorted(times, due, side="left")
-    np.maximum(jump[:n], np.arange(1, n + 1), out=jump[:n])
-    jump[n] = n
-    chain = np.zeros(1, dtype=np.int64)
-    squared = np.empty_like(jump)
-    while chain[-1] != n:
-        chain = np.concatenate([chain, jump[chain]])
-        # jump[jump] into the spare table; every entry is in range, and
-        # mode="clip" lets take write it without a buffer
-        jump.take(jump, out=squared, mode="clip")
-        jump, squared = squared, jump
-    return chain[: np.searchsorted(chain, n)]
+    return np.flatnonzero(alive)
 
 
 def _sample_detection_indices(rng: np.random.Generator, n: int, q: float) -> np.ndarray:

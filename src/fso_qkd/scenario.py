@@ -90,7 +90,8 @@ def _coerce(key: str, value, kind: str):
         if kind == "int":
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise TypeError
-            if isinstance(value, float) and value != int(value):
+            # is_integer is False for nan and +-inf, which int() cannot take
+            if isinstance(value, float) and not value.is_integer():
                 raise TypeError
             return int(value)
         if kind == "bool":

@@ -1,19 +1,18 @@
 """Rate equations, presets, and Monte Carlo vs closed-form agreement."""
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from fso_qkd import linkmodel
 from fso_qkd.errors import ValidationError
 from fso_qkd.linkmodel import (
     MAX_EXPECTED_EVENTS,
     STATE_TABLE,
     ClickStream,
     RandomAnalyzerSchedule,
-    _doubling_survivors,
     _pass_probability,
     dead_time_corrected,
     dead_time_filter,
@@ -132,24 +131,30 @@ class TestDeadTimeFilterExact:
         assert_matches_greedy(times, 1.0)
 
     @pytest.mark.parametrize("load_tau", [0.1, 1.0, 3.0, 10.0, 30.0])
-    def test_poisson_stream_matches_greedy(self, load_tau, monkeypatch):
+    def test_poisson_stream_matches_greedy(self, load_tau):
         dead_time = 25e-6
         rng = np.random.default_rng(int(load_tau * 10))
         n = 20_000
         times = np.cumsum(rng.exponential(dead_time / load_tau, size=n))
-        doubling = []
-
-        def spy(*args):
-            doubling.append(len(args[0]))
-            return _doubling_survivors(*args)
-
-        monkeypatch.setattr(linkmodel, "_doubling_survivors", spy)
         kept = dead_time_filter(times, dead_time)
         assert kept.tolist() == greedy_survivors(times.tolist(), dead_time)
         # survival fraction of a non-paralyzable detector: 1 / (1 + load tau)
         assert len(kept) / n == pytest.approx(1.0 / (1.0 + load_tau), rel=0.05)
-        # from load*tau 10 on, clusters outrun the head walk and doubling ends it
-        assert bool(doubling) == (load_tau >= 10.0)
+
+    @pytest.mark.parametrize("load_tau", [3.0, 10.0, 30.0])
+    def test_memory_stays_within_sixteen_bytes_per_event(self, load_tau):
+        """The walk holds nothing beyond stream-length arrays at any load."""
+        dead_time = 25e-6
+        n = 200_000
+        rng = np.random.default_rng(int(load_tau))
+        times = np.cumsum(rng.exponential(dead_time / load_tau, size=n))
+        tracemalloc.start()
+        try:
+            dead_time_filter(times, dead_time)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / n <= 16.0
 
     @pytest.mark.parametrize("dead_time", [2.0 ** -10, 25e-6])
     def test_gaps_of_exactly_one_dead_time_are_all_heads(self, dead_time):
@@ -163,15 +168,6 @@ class TestDeadTimeFilterExact:
            st.floats(min_value=0.0, max_value=20.0))
     def test_random_streams_match_greedy(self, raw_times, dead_time):
         assert_matches_greedy(sorted(raw_times), dead_time)
-
-    @given(st.lists(st.floats(min_value=0.0, max_value=100.0), max_size=200),
-           st.floats(min_value=0.0, max_value=20.0),
-           st.integers(min_value=0, max_value=3))
-    def test_doubling_fallback_matches_greedy(self, raw_times, dead_time, rounds):
-        """A round limit of 0-3 sends most streams through pointer doubling."""
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(linkmodel, "_HEAD_WALK_ROUNDS", rounds)
-            assert_matches_greedy(sorted(raw_times), dead_time)
 
 
 class TestFiberPresets:

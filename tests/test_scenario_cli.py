@@ -446,6 +446,25 @@ class TestMainEntry:
         assert main(command + ["--out", str(blocker / "sub")]) == 3
         assert capsys.readouterr().err.startswith("runtime error:")
 
+    @pytest.mark.parametrize("command, key, value, via", [
+        ("stability", "session.blocks", "Infinity", "--set"),
+        ("sweep-el", "sweep.symbols_per_point", "NaN", "--set"),
+        ("sweep-el", "rng_seed", "-Infinity", "--config"),
+    ], ids=["blocks-inf", "symbols-nan", "seed-config-minus-inf"])
+    def test_non_finite_integer_key_exit_two(self, tmp_path, capsys, command, key,
+                                             value, via):
+        if via == "--set":
+            args = ["--set", f"{key}={value}"]
+        else:
+            config = tmp_path / "cfg.json"
+            config.write_text(f'{{"{key}": {value}}}')
+            args = ["--config", str(config)]
+        out = tmp_path / "out"
+        assert main([command, "--out", str(out)] + args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error") and key in err
+        assert not out.exists()
+
     def test_empty_sweep_exit_two(self, tmp_path):
         assert main(["sweep-el", "--out", str(tmp_path),
                      "--set", "sweep.el_db=[]"]) == 2
@@ -587,7 +606,8 @@ _JSON_SAMPLE = {"number": 2.5, "bool": True, "string": "x", "array": [1.0],
 def _edge_value(draw, key):
     kind, default = _KEYS[key]
     other_types = [v for t, v in _JSON_SAMPLE.items() if t != _JSON_TYPE[kind]]
-    choices = [None, draw(st.sampled_from(other_types)), 0, -1, default]
+    choices = [None, draw(st.sampled_from(other_types)), 0, -1, default,
+               float("inf"), float("nan")]
     if kind == "float":
         choices.append(1e300)
     return draw(st.sampled_from(choices))
@@ -605,8 +625,9 @@ def _edge_overrides(draw):
 @given(command=st.sampled_from(["sweep-el", "stability", "coexist"]),
        overrides=_edge_overrides())
 def test_any_edge_config_exits_cleanly(tmp_path, command, overrides):
-    """Null, wrong-type, zero, negative, default and huge values for 1-3 keys:
-    the CLI succeeds, refuses with exit 2, or fails with exit 3; it never raises."""
+    """Null, wrong-type, zero, negative, default, non-finite and huge values for
+    1-3 keys: the CLI succeeds, refuses with exit 2, or fails with exit 3; it
+    never raises."""
     small = {"sweep.el_db": [0.0, 4.0], "sweep.symbols_per_point": 100_000,
              "session.blocks": 2, "session.symbols_per_block": 100_000}
     config = tmp_path / "edge.json"
