@@ -31,7 +31,6 @@ from .polarization import (
     BB84Symbol,
     PolarizationState,
     apply_rotation,
-    depolarize,
     encode_symbol,
     projection_probability,
 )

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -115,85 +114,65 @@ def cmd_sweep_el(config: ScenarioConfig, out_dir: Path, workers: int | None = No
     return summary
 
 
-def _block_rows(stats: list[BlockStats], chash: str, with_kappa: bool) -> list[list]:
-    rows = []
-    for s in stats:
-        row = [s.block_start]
-        if with_kappa:
-            row.append(s.kappa)
-        row.extend([s.qber, s.raw_key_rate, s.gated_clicks, s.flag, chash])
-        rows.append(row)
-    return rows
+def _run_session(config: ScenarioConfig, out_dir: Path,
+                 command: str) -> tuple[list[BlockStats], dict]:
+    """Run the session, write ``<command>_blocks.csv`` (with a ``kappa`` column
+    for coexist only) and return the block stats with the summary fields both
+    session commands share."""
+    stats = run_session(config)
+    chash = config.config_hash
+    kappa = command == "coexist"
+    out_dir.mkdir(parents=True, exist_ok=True)
+    csv_path = out_dir / f"{command}_blocks.csv"
+    _write_csv(csv_path,
+               ["block_start"] + ["kappa"] * kappa
+               + ["qber", "raw_key_rate", "gated_clicks", "flag", "config_hash"],
+               [[s.block_start] + [s.kappa] * kappa
+                + [s.qber, s.raw_key_rate, s.gated_clicks, s.flag, chash] for s in stats])
+    return stats, {"command": command, "config": config.resolved, "config_hash": chash,
+                   "artifacts": {"csv": csv_path.name}}
 
 
 def cmd_stability(config: ScenarioConfig, out_dir: Path) -> dict:
     """Block-wise session with polarization drift enabled."""
     if config.blocks < 1:
         raise ValidationError("session.blocks: must be >= 1 for stability runs")
-    stats = run_session(config)
-    chash = config.config_hash
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "stability_blocks.csv"
-    _write_csv(csv_path,
-               ["block_start", "qber", "raw_key_rate", "gated_clicks", "flag",
-                "config_hash"],
-               _block_rows(stats, chash, with_kappa=False))
+    stats, summary = _run_session(config, out_dir, "stability")
     qbers = [s.qber for s in stats if s.flag == "ok"]
     rates = [s.raw_key_rate for s in stats if s.flag == "ok"]
-    summary = {
-        "command": "stability",
-        "config": config.resolved,
-        "config_hash": chash,
+    summary.update({
         "blocks": len(stats),
         "qber_mean": float(np.mean(qbers)) if qbers else None,
         "qber_max": max(qbers) if qbers else None,
         "rawkey_mean": float(np.mean(rates)) if rates else None,
         "all_blocks_below_threshold": bool(qbers) and max(qbers) < QBER_THRESHOLD,
-        "artifacts": {"csv": csv_path.name},
-    }
+    })
     _write_json(out_dir / "stability_summary.json", summary)
     return summary
 
 
 def cmd_coexist(config: ScenarioConfig, out_dir: Path) -> dict:
     """Alternating-kappa session plus classical BER and power margin."""
-    if not config.coexist.active:
-        config = replace(
-            config,
-            coexist=replace(config.coexist, active=True),
-            resolved={**config.resolved, "classical.enabled": True},
-        )
+    if not config.coexist.active:  # resolved again, so the hashed map says what runs
+        config = resolve_config({**config.resolved, "classical.enabled": True})
     if config.blocks < 2:
         raise ValidationError("session.blocks: need >= 2 blocks to compare kappa on/off")
-    stats = run_session(config)
-    chash = config.config_hash
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "coexist_blocks.csv"
-    _write_csv(csv_path,
-               ["block_start", "kappa", "qber", "raw_key_rate", "gated_clicks",
-                "flag", "config_hash"],
-               _block_rows(stats, chash, with_kappa=True))
-
+    stats, summary = _run_session(config, out_dir, "coexist")
     on = [s.qber for s in stats if s.kappa and s.flag == "ok"]
     off = [s.qber for s in stats if not s.kappa and s.flag == "ok"]
-    penalty = (float(np.mean(on) - np.mean(off)) if on and off else None)
     loss = config.classical_total_loss_db
     received_dbm = config.classical.launch_power_dbm - loss
-    summary = {
-        "command": "coexist",
-        "config": config.resolved,
-        "config_hash": chash,
+    summary.update({
         "qber_mean_kappa_on": float(np.mean(on)) if on else None,
         "qber_mean_kappa_off": float(np.mean(off)) if off else None,
-        "qber_penalty": penalty,
+        "qber_penalty": float(np.mean(on) - np.mean(off)) if on and off else None,
         "classical": {
             "total_loss_db": loss,
             "received_power_dbm": received_dbm,
             "ber": ook_ber(received_dbm, config.classical),
             "margin_db": link_margin(config.classical, loss),
         },
-        "artifacts": {"csv": csv_path.name},
-    }
+    })
     _write_json(out_dir / "coexist_summary.json", summary)
     return summary
 

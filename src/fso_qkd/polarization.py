@@ -137,14 +137,6 @@ def apply_rotation(state: PolarizationState, axis, angle: float) -> Polarization
     return PolarizationState(*(v * c + w * s + p * (1.0 - c))[0])
 
 
-def depolarize(state: PolarizationState, p: float) -> PolarizationState:
-    """Isotropic depolarizing channel: shrink the Stokes vector by (1 - p)."""
-    if not 0.0 <= p <= 1.0:
-        raise ValidationError(f"depolarization probability must be in [0, 1], got {p}")
-    k = 1.0 - p
-    return PolarizationState(state.s1 * k, state.s2 * k, state.s3 * k)
-
-
 def rodrigues_terms(vectors: np.ndarray, axis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The three angle-free Rodrigues terms of (n,3) states about one axis.
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .calibration import CALIBRATION
@@ -155,16 +155,17 @@ def resolve_config(overrides: dict | None = None) -> ScenarioConfig:
         if not (default is None and flat[key] is None):
             flat[key] = _coerce(key, flat[key], kind)
 
-    def build(section, factory, **kwargs):
+    def build(section, factory, **named):
+        """``factory`` with each field read from its ``section.field`` key,
+        unless ``named`` gives it; a field with neither keeps its default."""
+        keyed = {f.name: flat[key] for f in fields(factory)
+                 if (key := f"{section}.{f.name}") in flat}
         try:
-            return factory(**kwargs)
+            return factory(**{**keyed, **named})
         except ValidationError as exc:
             raise ValidationError(f"{section}: {exc}") from None
 
-    source = build("source", SourceParams,
-                   mu_q=flat["source.mu_q"],
-                   symbol_rate=flat["source.symbol_rate"],
-                   wavelength_nm=flat["source.wavelength_nm"])
+    source = build("source", SourceParams)
 
     try:
         kind = FiberKind(flat["channel.fiber_kind"])
@@ -173,27 +174,13 @@ def resolve_config(overrides: dict | None = None) -> ScenarioConfig:
             f"channel.fiber_kind: unknown fiber {flat['channel.fiber_kind']!r}"
         ) from None
     preset = fiber_preset(kind)
-    for key, attr in (("channel.fso_loss_db", "fso_loss_db"),
-                      ("channel.depol_p", "depol_p"),
-                      ("channel.drift_rate", "drift_rate"),
-                      ("channel.rx_insertion_db", "rx_insertion_db")):
-        if flat[key] is None:
-            flat[key] = getattr(preset, attr)
-    channel = build("channel", ChannelParams,
-                    fso_loss_db=flat["channel.fso_loss_db"],
-                    excess_loss_db=flat["channel.excess_loss_db"],
-                    depol_p=flat["channel.depol_p"],
-                    drift_rate=flat["channel.drift_rate"],
-                    fiber_kind=kind,
-                    rx_insertion_db=flat["channel.rx_insertion_db"],
+    for f in fields(ChannelParams):
+        key = f"channel.{f.name}"
+        if key in flat and flat[key] is None:
+            flat[key] = getattr(preset, f.name)
+    channel = build("channel", ChannelParams, fiber_kind=kind,
                     alignment_stable=preset.alignment_stable)
-
-    detector = build("detector", DetectorParams,
-                     efficiency=flat["detector.efficiency"],
-                     dark_rate=flat["detector.dark_rate"],
-                     dead_time=flat["detector.dead_time"],
-                     gate_fraction=flat["detector.gate_fraction"],
-                     signal_gate_acceptance=flat["detector.signal_gate_acceptance"])
+    detector = build("detector", DetectorParams)
 
     # Each mode reads one background key; setting the other would be hashed
     # and echoed without acting. A solar_rate equal to the spectrum's is what
@@ -212,12 +199,10 @@ def resolve_config(overrides: dict | None = None) -> ScenarioConfig:
             raise ValidationError(
                 "background.spectrum_path: not read under background.mode='explicit'; "
                 "drop it or set background.mode='spectrum'")
-        solar = flat["background.solar_rate"]
     else:
         raise ValidationError(
             f"background.mode: expected 'spectrum' or 'explicit', got {mode!r}")
-    background = build("background", BackgroundBudget,
-                       solar_rate=solar, dark_rate=detector.dark_rate)
+    background = build("background", BackgroundBudget, dark_rate=detector.dark_rate)
 
     if flat["protocol.intrinsic_error"] is None:
         flat["protocol.intrinsic_error"] = CALIBRATION.intrinsic_error_for(
@@ -227,18 +212,10 @@ def resolve_config(overrides: dict | None = None) -> ScenarioConfig:
         raise ValidationError(
             f"protocol.intrinsic_error: must be in [0, 0.5], got {intrinsic}")
 
-    classical = build("classical", ClassicalParams,
-                      wavelength_nm=flat["classical.wavelength_nm"],
-                      bit_rate=flat["classical.bit_rate"],
-                      launch_power_dbm=flat["classical.launch_power_dbm"],
-                      sensitivity_dbm_at_fec=flat["classical.sensitivity_dbm_at_fec"],
-                      fec_ber=flat["classical.fec_ber"],
-                      rx_insertion_db=flat["classical.rx_insertion_db"])
+    classical = build("classical", ClassicalParams)
     if flat["classical.crosstalk_rate_at_0dbm"] is None:
         flat["classical.crosstalk_rate_at_0dbm"] = CALIBRATION.crosstalk_rate_at_0dbm
-    coexist = build("classical", CoexistenceScenario,
-                    active=flat["classical.enabled"],
-                    crosstalk_rate_at_0dbm=flat["classical.crosstalk_rate_at_0dbm"])
+    coexist = build("classical", CoexistenceScenario, active=flat["classical.enabled"])
 
     # The threshold crossing scans upward crossings in list order and the
     # operating point is the first entry, so the grid must ascend from >= 0.

@@ -17,7 +17,6 @@ from fso_qkd.polarization import (
     R,
     V,
     apply_rotation,
-    depolarize,
     encode_symbol,
     projection_probability,
 )
@@ -166,50 +165,6 @@ class TestRotation:
         # scipy's rotation is the independent oracle
         oracle = Rotation.from_rotvec(axis * angles[:, np.newaxis]).apply(vectors)
         assert np.allclose(got, oracle, atol=TOL)
-
-
-class TestDepolarize:
-    def test_no_depolarization(self):
-        assert depolarize(R, 0.0) == R
-
-    def test_full_depolarization(self):
-        got = depolarize(R, 1.0)
-        assert got.vector.tolist() == [0.0, 0.0, 0.0]
-
-    def test_error_contribution_is_half_p(self):
-        # analyzing against the orthogonal port: wrong-outcome prob = p/2
-        for p in (0.0, 0.02, 0.3, 1.0):
-            shrunk = depolarize(R, p)
-            assert projection_probability(shrunk, L) == pytest.approx(p / 2, abs=TOL)
-
-    def test_projection_bounded_by_p(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            v = rng.normal(size=3)
-            v /= np.linalg.norm(v)
-            state = PolarizationState(*v)
-            p = rng.uniform(0, 1)
-            shrunk = depolarize(state, p)
-            prob = projection_probability(shrunk, state)
-            assert p / 2 - TOL <= prob <= 1 - p / 2 + TOL
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValidationError):
-            depolarize(R, 1.5)
-
-    def test_commutes_with_rotation(self):
-        rng = np.random.default_rng(11)
-        for _ in range(100):
-            v = rng.normal(size=3)
-            v *= rng.uniform(0, 1) / np.linalg.norm(v)
-            state = PolarizationState(*v)
-            axis = rng.normal(size=3)
-            axis /= np.linalg.norm(axis)
-            angle = rng.uniform(-7, 7)
-            p = rng.uniform(0, 1)
-            a = depolarize(apply_rotation(state, axis, angle), p)
-            b = apply_rotation(depolarize(state, p), axis, angle)
-            assert np.allclose(a.vector, b.vector, atol=TOL)
 
 
 def test_dop_above_one_rejected():

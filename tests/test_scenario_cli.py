@@ -20,6 +20,7 @@ from fso_qkd.errors import ValidationError
 from fso_qkd.linkparams import DetectorParams, SourceParams
 from fso_qkd.protocol import Run, run_map
 from fso_qkd.scenario import _KEYS, default_flat_config, resolve_config
+from fso_qkd.spectrum import SpectralTable, dump_spectrum, load_default_spectrum
 
 UNREADABLE = ["missing", "directory", "not-utf8"]
 
@@ -120,10 +121,17 @@ class TestConfigResolution:
             resolve_config({"channel.mistyped": 1.0})
 
     def test_error_carries_field_path(self):
-        with pytest.raises(ValidationError, match="channel"):
-            resolve_config({"channel.excess_loss_db": -3.0})
-        with pytest.raises(ValidationError, match="detector"):
-            resolve_config({"detector.gate_fraction": 0.0})
+        """A failed parameter check names the section that was being built."""
+        for overrides, section in [
+            ({"source.symbol_rate": 0}, "source"),
+            ({"channel.excess_loss_db": -3.0}, "channel"),
+            ({"detector.gate_fraction": 0.0}, "detector"),
+            ({"background.mode": "explicit", "background.solar_rate": -1}, "background"),
+            ({"classical.fec_ber": 0.6}, "classical"),
+            ({"classical.crosstalk_rate_at_0dbm": -1}, "classical"),
+        ]:
+            with pytest.raises(ValidationError, match=f"^{section}: "):
+                resolve_config(overrides)
 
     def test_type_errors_rejected(self):
         with pytest.raises(ValidationError, match="expected float"):
@@ -205,6 +213,40 @@ class TestConfigResolution:
         # None survives only where it means "packaged default"
         unresolved = {k for k, v in cfg.resolved.items() if v is None}
         assert unresolved == {"background.spectrum_path"}
+
+
+# a valid value other than the default for every key but background.spectrum_path
+NON_DEFAULT = {
+    "source.mu_q": 0.3, "source.symbol_rate": 1e9, "source.wavelength_nm": 1430.0,
+    "channel.fiber_kind": "OM4", "channel.fso_loss_db": 10.0,
+    "channel.excess_loss_db": 1.0, "channel.depol_p": 0.2, "channel.drift_rate": 0.05,
+    "channel.rx_insertion_db": 3.0,
+    "detector.efficiency": 0.2, "detector.dark_rate": 100.0, "detector.dead_time": 1e-5,
+    "detector.gate_fraction": 0.25, "detector.signal_gate_acceptance": 0.8,
+    "background.mode": "explicit", "background.solar_rate": 50.0,
+    "protocol.intrinsic_error": 0.03,
+    "classical.enabled": True, "classical.wavelength_nm": 1551.72,
+    "classical.bit_rate": 1e10, "classical.launch_power_dbm": -3.0,
+    "classical.sensitivity_dbm_at_fec": -30.0, "classical.fec_ber": 1e-3,
+    "classical.crosstalk_rate_at_0dbm": 5.0, "classical.rx_insertion_db": 3.0,
+    "sweep.el_db": [0.0, 1.0], "sweep.symbols_per_point": 1000,
+    "session.blocks": 3, "session.block_duration_s": 10.0,
+    "session.symbols_per_block": 1000, "rng_seed": 7, "output_path": "elsewhere",
+}
+
+
+@pytest.mark.parametrize("key", sorted(_KEYS))
+def test_every_key_acts(tmp_path, key):
+    """Each key reaches the typed config: a renamed parameter field, or a
+    section built without its keys, would leave the key hashed but unread."""
+    base = {"background.mode": "explicit"} if key == "background.solar_rate" else {}
+    if key == "background.spectrum_path":
+        table = load_default_spectrum()
+        value = str(tmp_path / "shifted.csv")
+        dump_spectrum(SpectralTable(table.wavelengths_nm, table.psd_db + 3.0), value)
+    else:
+        value = NON_DEFAULT[key]
+    assert resolve_config({**base, key: value}) != resolve_config(base)
 
 
 # the keys that README documents as "null (or absent) means derive it"
@@ -377,6 +419,16 @@ class TestCliCommands:
         assert summary["classical"]["margin_db"] == pytest.approx(17.6, abs=1e-9)
         header = (tmp_path / "coexist_blocks.csv").read_text().splitlines()[0]
         assert header.split(",")[:2] == ["block_start", "kappa"]
+
+    def test_coexist_turns_on_data_channel_by_resolving(self, tmp_path):
+        """coexist on a config with the data channel off writes the bytes it
+        writes on that config resolved with classical.enabled true."""
+        overrides = {"background.mode": "explicit", "background.solar_rate": 50.0,
+                     "classical.enabled": False, "session.blocks": 2,
+                     "session.symbols_per_block": 100_000_000}
+        cmd_coexist(resolve_config(overrides), tmp_path / "off")
+        cmd_coexist(resolve_config({**overrides, "classical.enabled": True}), tmp_path / "on")
+        assert read_tree(tmp_path / "off") == read_tree(tmp_path / "on")
 
     def test_coexist_low_launch_penalty_negligible(self, tmp_path):
         from fso_qkd.coexistence import crosstalk_background
