@@ -9,10 +9,21 @@ the rows and writes the files. Every CSV row carries the resolved-config
 hash for audit.
 
 Exit codes: 0 success, 2 validation error, 3 runtime error.
+
+This module sets up the process's native runtime; forked workers inherit it.
+numpy's OpenBLAS starts one spinning thread per core when numpy loads, and
+nothing here calls BLAS on more than a 4x3 matrix, so the pool gets one
+thread unless the user exports ``OPENBLAS_NUM_THREADS``. ``main`` keeps the
+heap across blocks (``_keep_heap``). Neither changes a value.
 """
 from __future__ import annotations
 
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before numpy loads
+
 import argparse
+import ctypes
 import json
 import sys
 from pathlib import Path
@@ -28,6 +39,29 @@ from .scenario import ScenarioConfig, load_config_file, resolve_config
 from . import spectrum as spectrum_mod
 
 QBER_THRESHOLD = 0.11
+
+# glibc's mallopt parameters (malloc.h)
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+
+
+def _keep_heap() -> None:
+    """Keep freed arrays in this process's heap for the next block.
+
+    By default glibc maps each large array on its own and hands it back to
+    the OS when it is freed, so every block faults its arrays in again. Here
+    arrays up to 1e8 bytes come from the heap, and the heap is trimmed only
+    above 2e8 free bytes. The trim threshold is set only once the mmap one
+    is, because on its own it turns off glibc's dynamic mmap threshold and
+    costs more than the default. A no-op where ``mallopt`` is missing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):  # no C library handle, or no mallopt
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if mallopt(M_MMAP_THRESHOLD, 100_000_000) == 1:
+        mallopt(M_TRIM_THRESHOLD, 200_000_000)
 
 
 def _fmt(value) -> str:
@@ -238,6 +272,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    _keep_heap()
     try:
         overrides = {}
         if args.config:

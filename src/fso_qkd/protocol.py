@@ -52,6 +52,14 @@ _SESSION_TAGS, _SWEEP_TAGS, _TAG_AXIS = (11, 13, 17), (101, 103, 107), 19
 # default pool is used only where workers fork.
 PARALLEL_MIN_EVENTS = 2e6
 
+# Serial cost model of a whole command: about 140 ns per expected detector
+# event (the figure PARALLEL_MIN_EVENTS rests on) plus about 0.24 ms per run
+# (200 and 2,000 session blocks of 1e3 symbols took 0.40 and 0.83 s on the
+# host above). A command estimated over MAX_COMMAND_SECONDS is refused before
+# it builds its runs; no golden, acceptance or benchmark run estimates over
+# 1.3 s.
+SECONDS_PER_EVENT, SECONDS_PER_RUN, MAX_COMMAND_SECONDS = 140e-9, 0.24e-3, 30.0
+
 
 class SymbolSequence:
     """Lazy i.i.d. uniform BB84 symbol stream, addressable by index."""
@@ -265,6 +273,18 @@ def _auto_workers(events: list[float]) -> int:
     return min(_usable_cores(), int(MAX_EXPECTED_EVENTS // max(events)))
 
 
+def _check_cost(key: str, runs: int, events: float) -> None:
+    """Refuse, naming ``key``, a command of ``runs`` runs that expect
+    ``events`` detector events in total if its serial cost estimate is over
+    ``MAX_COMMAND_SECONDS``."""
+    seconds = runs * SECONDS_PER_RUN + events * SECONDS_PER_EVENT
+    if seconds > MAX_COMMAND_SECONDS:
+        raise ValidationError(
+            f"{key}: {runs} runs expecting {events:.3g} detector events would take "
+            f"about {seconds:.3g} s on one core, over the cap of "
+            f"{MAX_COMMAND_SECONDS:.0f} s; lower {key} or the symbols per run")
+
+
 def run_map(config: ScenarioConfig, runs: list[Run],
             workers: int | None = None) -> list[BlockStats]:
     """``run_block(config, run)`` for each run, in run order.
@@ -291,11 +311,14 @@ def run_map(config: ScenarioConfig, runs: list[Run],
 
 def run_sweep(config: ScenarioConfig, workers: int | None = None) -> list[BlockStats]:
     """One run per excess loss in ``config.sweep_el_db``, on ``workers``
-    processes (see ``run_map``)."""
-    return run_map(config, [
-        Run(i, _SWEEP_TAGS, config.sweep_symbols_per_point,
-            config.channel.with_excess_loss(el), config.background)
-        for i, el in enumerate(config.sweep_el_db)], workers)
+    processes (see ``run_map``); a sweep over the cost cap is refused first."""
+    n = config.sweep_symbols_per_point
+    channels = [config.channel.with_excess_loss(el) for el in config.sweep_el_db]
+    _check_cost("sweep.el_db", len(channels), sum(
+        expected_events(n, config.source, ch, config.detector, config.background)
+        for ch in channels))
+    return run_map(config, [Run(i, _SWEEP_TAGS, n, ch, config.background)
+                            for i, ch in enumerate(channels)], workers)
 
 
 def run_session(config: ScenarioConfig) -> list[BlockStats]:
@@ -308,18 +331,33 @@ def run_session(config: ScenarioConfig) -> list[BlockStats]:
     block (first block off), adding its crosstalk to the background.
     A block whose expected detector load exceeds 10 counts per dead time is
     flagged ``saturated`` and not simulated; the rest go through ``run_map``.
+    A session over the cost cap is refused before any block is set up: its
+    blocks come in at most two kinds (data channel off and on), so the
+    estimate does not grow with ``session.blocks``.
     """
     axis = random_unit_vector(rng_from(mix64(config.rng_seed, _TAG_AXIS)))
     n = config.symbols_per_block
+    kappa_on = config.blocks // 2 if config.coexist.active else 0
+    kinds = {}  # kappa -> (background, saturated) of every block of that kind
+    events = 0.0
+    for kappa, count in ((False, config.blocks - kappa_on), (True, kappa_on)):
+        if count:
+            xtalk = crosstalk_background(
+                replace(config.coexist, active=kappa), config.classical.launch_power_dbm)
+            bg = config.background.with_crosstalk(xtalk)
+            saturated = detector_load(config.source, config.channel, config.detector,
+                                      bg) * config.detector.dead_time > 10.0
+            if not saturated:
+                events += count * expected_events(n, config.source, config.channel,
+                                                  config.detector, bg)
+            kinds[kappa] = bg, saturated
+    _check_cost("session.blocks", config.blocks, events)
     blocks: list[Run | BlockStats] = []
     for block in range(config.blocks):
         kappa = config.coexist.active and block % 2 == 1
-        xtalk = crosstalk_background(
-            replace(config.coexist, active=kappa), config.classical.launch_power_dbm)
-        bg = config.background.with_crosstalk(xtalk)
+        bg, saturated = kinds[kappa]
         start = block * config.block_duration_s
-        if detector_load(config.source, config.channel, config.detector, bg) \
-                * config.detector.dead_time > 10.0:
+        if saturated:
             blocks.append(BlockStats(block_start=start,
                                      block_duration=n / config.source.symbol_rate,
                                      raw_key_rate=0.0, qber=0.0, gated_clicks=0,

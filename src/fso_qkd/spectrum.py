@@ -142,7 +142,8 @@ def integrate_background(
             if lo < edge < hi:
                 # straddle each discontinuity so the mesh sees both sides
                 knots.extend((edge - 1e-9, edge + 1e-9))
-    mesh = np.union1d(np.asarray(knots, dtype=float), np.arange(lo, hi, _MESH_NM))
+    # sorted set, not np.union1d: that loads numpy.ma (about 16 ms a process)
+    mesh = np.array(sorted(set(knots).union(np.arange(lo, hi, _MESH_NM).tolist())))
     psd_lin = 10.0 ** (spectrum.psd_db_at(mesh) / 10.0)
     for f in filters:
         psd_lin = psd_lin * f.transmission(mesh)

@@ -1,0 +1,91 @@
+"""The CLI's native runtime: one BLAS thread unless the user exports a count,
+and a heap kept across blocks. Import-time checks run in fresh interpreters,
+because this test process has loaded numpy already."""
+import ctypes
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from fso_qkd import cli
+
+SRC = str(Path(cli.__file__).resolve().parents[1])
+
+
+def run_python(code: str, **env) -> str:
+    """Standard output of ``python -c code`` with ``src`` on the path and
+    ``OPENBLAS_NUM_THREADS`` unset unless given in ``env``."""
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    path = os.pathsep.join(p for p in (SRC, base.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env={**base, "PYTHONPATH": path, **env})
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_package_root_loads_no_numpy():
+    assert run_python("import sys, fso_qkd; print('numpy' in sys.modules)") == "False"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_cli_import_starts_no_blas_threads():
+    threads = run_python(
+        "import fso_qkd.cli\n"
+        "print(next(line.split()[1] for line in open('/proc/self/status')\n"
+        "           if line.startswith('Threads:')))")
+    assert threads == "1"
+
+
+def test_user_blas_thread_count_kept():
+    code = "import os, fso_qkd.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert run_python(code, OPENBLAS_NUM_THREADS="2") == "2"
+
+
+class FakeLibc:
+    """A C library whose ``mallopt`` records its calls and returns ``ok``."""
+
+    def __init__(self, ok: int):
+        self.calls = []
+
+        def mallopt(param, value):
+            self.calls.append((param, value))
+            return ok
+
+        self.mallopt = mallopt
+
+
+def use_libc(monkeypatch, libc):
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+
+
+def test_keep_heap_without_mallopt_is_a_no_op(monkeypatch):
+    use_libc(monkeypatch, object())  # e.g. macOS: the C library has no mallopt
+    cli._keep_heap()
+
+    def no_handle(name):
+        raise OSError("no C library")
+
+    monkeypatch.setattr(ctypes, "CDLL", no_handle)
+    cli._keep_heap()
+
+
+def test_keep_heap_sets_trim_only_after_mmap(monkeypatch):
+    refused = FakeLibc(ok=0)
+    use_libc(monkeypatch, refused)
+    cli._keep_heap()
+    assert refused.calls == [(cli.M_MMAP_THRESHOLD, 100_000_000)]
+
+    accepted = FakeLibc(ok=1)
+    use_libc(monkeypatch, accepted)
+    cli._keep_heap()
+    assert accepted.calls == [(cli.M_MMAP_THRESHOLD, 100_000_000),
+                              (cli.M_TRIM_THRESHOLD, 200_000_000)]
+
+
+def test_main_keeps_heap(monkeypatch, tmp_path):
+    libc = FakeLibc(ok=1)
+    use_libc(monkeypatch, libc)
+    assert cli.main(["plan-spectrum", "--out", str(tmp_path)]) == 0
+    assert len(libc.calls) == 2

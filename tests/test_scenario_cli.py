@@ -554,6 +554,26 @@ class TestMainEntry:
         assert time.perf_counter() - start < 1.0  # refused before any allocation
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command, settings, key", [
+        ("stability", ["session.blocks=1000000000"], "session.blocks"),
+        # mu_q = 4 at 2e9 symbols: ~2.9e6 events per run, ~40 s for 100 runs
+        ("coexist", ["session.blocks=100", "source.mu_q=4"], "session.blocks"),
+        ("sweep-el", ["sweep.symbols_per_point=2000000000", "source.mu_q=4",
+                      f"sweep.el_db={json.dumps([i / 100 for i in range(100)])}"],
+         "sweep.el_db"),
+    ], ids=["stability-runs", "coexist-events", "sweep-events"])
+    def test_over_command_cap_exit_two(self, tmp_path, capsys, no_pool, command,
+                                       settings, key):
+        args = [command, "--out", str(tmp_path / "o")]
+        for setting in settings:
+            args += ["--set", setting]
+        start = time.perf_counter()
+        assert main(args) == 2
+        assert time.perf_counter() - start < 1.0  # refused before any run is built
+        err = capsys.readouterr().err
+        assert err.startswith(f"validation error: {key}: ")
+        assert not (tmp_path / "o").exists()
+
     def test_drift_angle_overflow_exit_two(self, tmp_path, capsys, no_pool):
         # block 2 starts 1e10 s after the origin: 1e300 rad/s * 1e10 s is inf
         assert main(["stability", "--set", "channel.drift_rate=1e300",
@@ -662,6 +682,8 @@ def _edge_value(draw, key):
                float("inf"), float("nan")]
     if kind == "float":
         choices.append(1e300)
+    if kind == "int":
+        choices.append(10**9)
     return draw(st.sampled_from(choices))
 
 
