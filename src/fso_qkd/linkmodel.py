@@ -20,9 +20,9 @@ all chains with one ``searchsorted`` per round: one round per survivor of
 the longest cluster, and no table beyond the stream. Drift and the analyzer
 meet in the one Stokes component that each photon's port reads,
 A cos a + B sin a + C (1 - cos a), with (A, B, C) from a per-call table of
-Rodrigues terms over the four states. Clicks, survivors and their columns
-are selected by position (``flatnonzero`` and ``take``), and each
-``ClickStream`` column is gathered once, at survivor length.
+Rodrigues terms over the four states. Signal clicks and background
+arrivals merge into one stream, and each ``ClickStream`` column is gathered
+from that stream once, by the dead-time survivors' positions in it.
 """
 from __future__ import annotations
 
@@ -151,10 +151,6 @@ class ClickStream:
         self.in_gate = np.asarray(in_gate, dtype=bool)
         self.is_signal = np.asarray(is_signal, dtype=bool)
 
-    @classmethod
-    def empty(cls) -> "ClickStream":
-        return cls([], [], [], [], [], [])
-
     def __len__(self) -> int:
         return len(self.timestamps)
 
@@ -177,8 +173,8 @@ def dead_time_filter(times: np.ndarray, dead_time: float) -> np.ndarray:
     due times, the head and survivor masks, and the open frontier.
     """
     n = len(times)
-    if dead_time <= 0.0 or n == 0:
-        return np.arange(n, dtype=np.int64)
+    if n == 0:
+        return np.empty(0, dtype=np.int64)
     due = times + dead_time
     # head[n] is a sentinel that closes every chain running off the end.
     head = np.empty(n + 1, dtype=bool)
@@ -226,18 +222,20 @@ def random_unit_vector(rng: np.random.Generator) -> np.ndarray:
 
 
 def _pass_probability(bases, bits, abasis, abit, kappa: float, axis,
-                      angles=None) -> np.ndarray:
+                      angles) -> np.ndarray:
     """Malus probability that each photon passes its analyzer port.
 
     Photon i is sent in ``STATE_TABLE[bases[i], bits[i]] * kappa``, rotated
-    about ``axis`` by ``angles[i]`` (no drift when ``angles`` is None) and
-    met by port ``STATE_TABLE[abasis[i], abit[i]]``. Every state and port
-    lies on one Stokes axis, so the component the port reads is
+    about ``axis`` by ``angles[i]`` and met by port
+    ``STATE_TABLE[abasis[i], abit[i]]``. Every state and port lies on one
+    Stokes axis, so the component the port reads is
     A cos a + B sin a + C (1 - cos a), where (A, B, C) are the Rodrigues
     terms of the sent state on that axis, signed by the port: a 4x4 table
     per call instead of an (n, 3) rotation. The products with the port
     vector select one component and fold in its +-1 sign exactly, so each
     probability is rounded as the full rotation and dot product round it.
+    A zero angle leaves A exact (cos 0 = 1, sin 0 = 1 - cos 0 = 0), so a
+    drift-free run gives the unrotated probabilities bit for bit.
     """
     ports = STATE_TABLE.reshape(-1, 3)
     a_term, b_term, c_term = (
@@ -253,17 +251,16 @@ def _pass_probability(bases, bits, abasis, abit, kappa: float, axis,
     column += abit
     column = column.astype(np.intp)
     x = a_term.take(column)
-    if angles is not None:
-        # ((x c) + (B s)) + (C (1 - c)) in place, in that rounding order.
-        # column is always in range; mode="clip" lets take fill term unbuffered.
-        c = np.cos(angles)
-        x *= c
-        term = np.sin(angles)
-        term *= b_term.take(column)
-        x += term
-        np.subtract(1.0, c, out=c)
-        c *= c_term.take(column, out=term, mode="clip")
-        x += c
+    # ((x c) + (B s)) + (C (1 - c)) in place, in that rounding order.
+    # column is always in range; mode="clip" lets take fill term unbuffered.
+    c = np.cos(angles)
+    x *= c
+    term = np.sin(angles)
+    term *= b_term.take(column)
+    x += term
+    np.subtract(1.0, c, out=c)
+    c *= c_term.take(column, out=term, mode="clip")
+    x += c
     x += 1.0
     x *= 0.5
     return x
@@ -327,8 +324,6 @@ def simulate_clicks(
     if not 0.0 <= intrinsic_error <= 0.5:
         raise ValidationError(f"intrinsic_error must be in [0, 0.5], got {intrinsic_error}")
     n = len(symbols)
-    if n == 0:
-        return ClickStream.empty()
     expected_events(n, src, ch, det, bg, start_time)
     slot = 1.0 / src.symbol_rate
     q = click_probability(src, ch, det)
@@ -346,11 +341,10 @@ def simulate_clicks(
     bases, bits = symbols.symbols_at(idx)
     abasis, abit = analyzer_schedule.ports_at(idx)
     kappa = (1.0 - ch.depol_p) * (1.0 - 2.0 * intrinsic_error)
-    angles = ch.drift_rate * t if ch.drift_rate > 0.0 else None
-    p_pass = _pass_probability(bases, bits, abasis, abit, kappa, axis, angles)
+    p_pass = _pass_probability(bases, bits, abasis, abit, kappa, axis, ch.drift_rate * t)
     clicked = np.flatnonzero(rng.random(len(idx)) < p_pass)
     n_sig = len(clicked)
-    sig_gate = None if det.signal_gate_acceptance >= 1.0 \
+    sig_gate = np.ones(n_sig, dtype=bool) if det.signal_gate_acceptance >= 1.0 \
         else rng.random(n_sig) < det.signal_gate_acceptance
 
     bg_idx, bg_times, bg_gate = _background_events(
@@ -362,42 +356,18 @@ def simulate_clicks(
     times = times.take(order)
     survivors = dead_time_filter(times, det.dead_time)
     keep = order.take(survivors)
-    is_signal = keep < n_sig
-    # Each column is gathered at survivor length only: signal survivors from
-    # their photons (click k is photon clicked[k]), background ones from bg.
-    # The port hash is counter-based, so only surviving background is hashed.
-    sig_at = np.flatnonzero(is_signal)
-    bg_at = np.flatnonzero(~is_signal)
-    sig_click = keep.take(sig_at)
-    photon = clicked.take(sig_click)
-    bg_pos = keep.take(bg_at) - n_sig
-    bg_idx = bg_idx.take(bg_pos)
-    bg_basis, bg_bit = analyzer_schedule.ports_at(bg_idx)
-
-    def column(sig_values, bg_values):
-        out = np.empty(len(keep), dtype=bg_values.dtype)
-        out[sig_at] = sig_values
-        out[bg_at] = bg_values
-        return out
-
-    return ClickStream(
-        times.take(survivors),
-        column(idx.take(photon), bg_idx),
-        column(abasis.take(photon), bg_basis),
-        column(abit.take(photon), bg_bit),
-        column(True if sig_gate is None else sig_gate.take(sig_click),
-               bg_gate.take(bg_pos)),
-        is_signal,
-    )
+    # Each column is gathered once from the merged stream. The port hash is a
+    # pure function of the slot, so survivors are hashed by their slots alone.
+    slots = np.concatenate([idx.take(clicked), bg_idx]).take(keep)
+    basis, bit = analyzer_schedule.ports_at(slots)
+    return ClickStream(times.take(survivors), slots, basis, bit,
+                       np.concatenate([sig_gate, bg_gate]).take(keep), keep < n_sig)
 
 
 def _background_events(rng, rate: float, n: int, duration: float, slot: float,
                        start_time: float, gate_fraction: float):
     """Uniform Poisson background over the run: indices, timestamps, gate flags."""
     count = rng.poisson(rate * duration) if rate > 0.0 else 0
-    if count == 0:
-        empty = np.empty(0)
-        return empty.astype(np.int64), empty, empty.astype(bool)
     bidx = rng.integers(0, n, size=count)
     frac = rng.random(count)
     order = np.argsort(bidx + frac, kind="stable")

@@ -218,7 +218,9 @@ class Run:
 
     Alice's symbols, the analyzer schedule and the click stream draw from
     ``mix64(config.rng_seed, index, tag)`` for the three seed ``tags``, so
-    ``run_block`` is a pure function of the config and the run.
+    ``run_block`` is a pure function of the config and the run. A
+    ``saturated`` run is a session block that ``run_session`` found over the
+    detector's load limit; it is flagged, not simulated.
     """
 
     index: int
@@ -229,11 +231,19 @@ class Run:
     start_time: float = 0.0
     drift_axis: np.ndarray | None = None
     kappa: bool = False
+    saturated: bool = False
 
 
 def run_block(config: ScenarioConfig, run: Run) -> BlockStats:
     """Simulate, sift and summarize one sweep point or session block; the
-    one function every worker runs."""
+    one function every worker runs and the one that builds every block's
+    ``BlockStats``. A saturated run draws nothing and is flagged
+    ``saturated`` with zero rates."""
+    duration = run.symbols / config.source.symbol_rate
+    if run.saturated:
+        return BlockStats(block_start=run.start_time, block_duration=duration,
+                          raw_key_rate=0.0, qber=0.0, gated_clicks=0,
+                          kappa=run.kappa, flag="saturated")
     tag_alice, tag_schedule, tag_clicks = run.tags
     alice = alice_generate(run.symbols, mix64(config.rng_seed, run.index, tag_alice))
     clicks = simulate_clicks(
@@ -245,7 +255,7 @@ def run_block(config: ScenarioConfig, run: Run) -> BlockStats:
         start_time=run.start_time,
         drift_axis=run.drift_axis,
     )
-    return estimate_block_stats(sift(alice, clicks), run.symbols / config.source.symbol_rate,
+    return estimate_block_stats(sift(alice, clicks), duration,
                                 gated_clicks=clicks.gated_count(),
                                 block_start=run.start_time, kappa=run.kappa)
 
@@ -291,13 +301,15 @@ def run_map(config: ScenarioConfig, runs: list[Run],
 
     Every run is checked here before any is simulated, with the
     ``ValidationError`` that ``simulate_clicks`` would raise, so a refused
-    command starts no worker. The runs then go to ``workers`` processes,
-    at most one per run. With ``workers`` None, ``_auto_workers`` chooses
-    the count. Each run's seeds depend on its index and tags alone, so the
-    results do not depend on the worker count.
+    command starts no worker. A saturated run is not simulated, so it
+    expects no events and is never refused. The runs then go to ``workers``
+    processes, at most one per run. With ``workers`` None, ``_auto_workers``
+    chooses the count. Each run's seeds depend on its index and tags alone,
+    so the results do not depend on the worker count.
     """
-    events = [expected_events(run.symbols, config.source, run.channel, config.detector,
-                              run.bg, run.start_time) for run in runs]
+    events = [0.0 if run.saturated else expected_events(
+        run.symbols, config.source, run.channel, config.detector, run.bg, run.start_time)
+        for run in runs]
     if workers is None:
         workers = _auto_workers(events)
     workers = min(workers, len(runs))
@@ -330,10 +342,11 @@ def run_session(config: ScenarioConfig) -> list[BlockStats]:
     quantum time. With ``classical.enabled`` the data channel toggles per
     block (first block off), adding its crosstalk to the background.
     A block whose expected detector load exceeds 10 counts per dead time is
-    flagged ``saturated`` and not simulated; the rest go through ``run_map``.
-    A session over the cost cap is refused before any block is set up: its
-    blocks come in at most two kinds (data channel off and on), so the
-    estimate does not grow with ``session.blocks``.
+    a saturated ``Run``, which ``run_block`` flags without simulating it;
+    every block goes through ``run_map``. A session over the cost cap is
+    refused before any block is set up: its blocks come in at most two kinds
+    (data channel off and on), so the estimate does not grow with
+    ``session.blocks``.
     """
     axis = random_unit_vector(rng_from(mix64(config.rng_seed, _TAG_AXIS)))
     n = config.symbols_per_block
@@ -352,17 +365,10 @@ def run_session(config: ScenarioConfig) -> list[BlockStats]:
                                                   config.detector, bg)
             kinds[kappa] = bg, saturated
     _check_cost("session.blocks", config.blocks, events)
-    blocks: list[Run | BlockStats] = []
+    runs = []
     for block in range(config.blocks):
         kappa = config.coexist.active and block % 2 == 1
         bg, saturated = kinds[kappa]
-        start = block * config.block_duration_s
-        if saturated:
-            blocks.append(BlockStats(block_start=start,
-                                     block_duration=n / config.source.symbol_rate,
-                                     raw_key_rate=0.0, qber=0.0, gated_clicks=0,
-                                     kappa=kappa, flag="saturated"))
-        else:
-            blocks.append(Run(block, _SESSION_TAGS, n, config.channel, bg, start, axis, kappa))
-    done = iter(run_map(config, [b for b in blocks if isinstance(b, Run)]))
-    return [next(done) if isinstance(b, Run) else b for b in blocks]
+        runs.append(Run(block, _SESSION_TAGS, n, config.channel, bg,
+                        block * config.block_duration_s, axis, kappa, saturated))
+    return run_map(config, runs)

@@ -9,9 +9,12 @@ why in CHANGES.md.
 The runs are small (about a second each) but reach every stage: a
 Monte Carlo sweep, an OM4 session with polarization drift and dead time at
 load*tau ~ 3, an alternating co-existence session, and the spectral plan.
-Two more pin the edge branches: a sweep whose last point keeps no bits
-(its ``qber_mc`` is ``nan``), and a co-existence session whose kappa-on
-blocks saturate and are filled in without being simulated.
+Three more pin the edge branches: a sweep whose last point keeps no bits
+(its ``qber_mc`` is ``nan``), a co-existence session whose kappa-on blocks
+saturate and are flagged by ``run_block`` without being simulated, and a
+session with no drift, no dead time, no background and a partial signal
+gate, which the general Monte Carlo path runs with zero angles, every event
+surviving and an empty background stream.
 The drift rotation uses numpy's float64 sin/cos, so a platform whose
 vectorized kernels round differently will need its own pins.
 """
@@ -68,6 +71,18 @@ GOLDEN = {
                 "e6162d0fba0ce658345c0784a1056e7a2d52b5fe6c8212c87fe1a5fa9d1fecbd",
             "coexist_summary.json":
                 "91d69eec575f8e1cb3cdc77aca8f69b8d2747bcfe370b465ee6321e6b16011e8",
+        },
+    ),
+    "stability-no-drift-dead-time-background": (
+        ["stability", "--seed", "7", "--set", "channel.drift_rate=0",
+         "--set", "detector.dead_time=0", "--set", "detector.signal_gate_acceptance=0.7",
+         "--set", "background.mode=explicit", "--set", "detector.dark_rate=0",
+         "--set", "session.blocks=2", "--set", "session.symbols_per_block=100000000"],
+        {
+            "stability_blocks.csv":
+                "003fe33a04fff94e62631173241615fb4942ffb08c5fd5bae39c84a7325df7ec",
+            "stability_summary.json":
+                "bbc77409735c962b9e9c67026333b53ae348fb07111ad3198b294c86de5f7f2c",
         },
     ),
     "plan-spectrum": (

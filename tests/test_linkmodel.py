@@ -305,12 +305,12 @@ PHOTON_GRID = np.array([(b, bit, ab, abit) for b in (0, 1) for bit in (0, 1)
 
 
 def assert_pass_probability_matches(axis, kappa, angles):
-    photons = np.arange(len(angles)) % PHOTON_GRID.shape[1]
-    bases, bits, abasis, abit = PHOTON_GRID[:, photons]
-    for a in (angles, None):  # with drift and without
-        got = _pass_probability(bases, bits, abasis, abit, kappa, axis, a)
-        expected = full_rotation_pass_probability(bases, bits, abasis, abit, kappa, axis, a)
-        assert np.array_equal(got, expected)
+    photons = PHOTON_GRID[:, np.arange(len(angles)) % PHOTON_GRID.shape[1]]
+    got = _pass_probability(*photons, kappa, axis, angles)
+    assert np.array_equal(got, full_rotation_pass_probability(*photons, kappa, axis, angles))
+    # without drift: zero angles give the unrotated probabilities bit for bit
+    got = _pass_probability(*photons, kappa, axis, np.zeros_like(angles))
+    assert np.array_equal(got, full_rotation_pass_probability(*photons, kappa, axis, None))
 
 
 class TestPassProbability:
@@ -372,17 +372,31 @@ class TestMonteCarlo:
         assert np.array_equal(a.analyzer_bits, b.analyzer_bits)
         assert np.array_equal(a.in_gate, b.in_gate)
 
-    def test_stream_invariants(self):
+    @pytest.mark.parametrize("drift_rate", [0.0, 3.0])
+    @pytest.mark.parametrize("dead_time", [0.0, calibration.DEAD_TIME])
+    @pytest.mark.parametrize("acceptance", [1.0, 0.7])
+    @pytest.mark.parametrize("bg", [BackgroundBudget(solar_rate=5e4),
+                                    BackgroundBudget(dark_rate=0.0)],
+                             ids=["background", "no-background"])
+    def test_stream_invariants(self, drift_rate, dead_time, acceptance, bg):
+        """Time order, slot timing and dead time hold, and every click's
+        analyzer port is the schedule's port at its slot, signal or not."""
         alice = alice_generate(2_000_000, 5)
         src = SourceParams()
-        clicks = simulate_clicks(alice, src, quiet_channel(),
-                                 DetectorParams(), BackgroundBudget(solar_rate=5000.0),
-                                 rng_seed=9)
-        assert np.all(np.diff(clicks.timestamps) >= 0)
+        det = DetectorParams(dead_time=dead_time, signal_gate_acceptance=acceptance,
+                             dark_rate=bg.dark_rate)
+        schedule = RandomAnalyzerSchedule(8)
+        clicks = simulate_clicks(alice, src, quiet_channel(drift_rate=drift_rate), det, bg,
+                                 analyzer_schedule=schedule, rng_seed=9)
+        # both kinds of click survive, unless there is no background
+        assert set(clicks.is_signal.tolist()) == {True, bg.total_rate == 0.0}
+        gaps = np.diff(clicks.timestamps)
+        assert np.all(gaps >= dead_time)
         implied = np.floor(clicks.timestamps * src.symbol_rate).astype(np.int64)
         assert np.array_equal(implied, clicks.symbol_indices)
-        gaps = np.diff(clicks.timestamps)
-        assert np.all(gaps >= DetectorParams().dead_time)
+        basis, bit = schedule.ports_at(clicks.symbol_indices)
+        assert np.array_equal(basis, clicks.analyzer_basis_codes)
+        assert np.array_equal(bit, clicks.analyzer_bits)
 
     @pytest.mark.parametrize("seed", [101, 202, 303, 404, 505])
     def test_matches_rate_equation_within_3_sigma(self, seed):
@@ -453,13 +467,15 @@ CLICK_COLUMNS = ("timestamps", "symbol_indices", "analyzer_basis_codes",
                  "analyzer_bits", "in_gate", "is_signal")
 
 # sha256 of each ClickStream column, pinned before the click assembly was
-# rewritten. The golden CLI runs never read timestamps or is_signal and never
-# draw a partial gate acceptance, so these pins are what hold those columns.
-# The drift goes through numpy's float64 sin/cos, so like the golden CLI
-# pins they hold for one platform's vectorized kernels.
+# rewritten. The golden CLI runs never read timestamps or is_signal, so these
+# pins are what hold those columns. The first two runs drift under heavy
+# background; the third has neither drift nor background. The drift goes
+# through numpy's float64 sin/cos, so like the golden CLI pins they hold for
+# one platform's vectorized kernels.
+DRIFTING = quiet_channel(fso_loss_db=13.0, depol_p=0.05, drift_rate=3.0)
 CLICK_PINS = {
     "acceptance-0.8": (
-        DetectorParams(signal_gate_acceptance=0.8),
+        DetectorParams(signal_gate_acceptance=0.8), DRIFTING, BackgroundBudget(solar_rate=1e5),
         ["d30eb86d4a8d378a33c25cadeba3659eb98ae866dae3c463dc39864fede8696d",
          "002f4df46cb077666a8869ebd91b8a1f447b9a4af076ec9a430705560a2a4dc7",
          "9564718fd6753282feadf540c700e023563f9ec4e5598b50d36fb6a503855bdc",
@@ -468,7 +484,7 @@ CLICK_PINS = {
          "c3dbbbf82d723a251c75af47772dccf9d10ef7580f27f4af7e9046c8ae4a4211"],
     ),
     "no-dead-time": (
-        DetectorParams(dead_time=0.0),
+        DetectorParams(dead_time=0.0), DRIFTING, BackgroundBudget(solar_rate=1e5),
         ["1fa5ea65d40aec0bf2b26908adbf39b6744ba1b24c29dcbc5a00c9be8349b5a0",
          "d0583495d34043cbae6e34500ee13fec84f827668ada53f0f0ba729b939e12cb",
          "f34ae6b48be2beb6d6572ae84a0683ff5362e3ad563dcbd16a89d68f317b9f29",
@@ -476,20 +492,29 @@ CLICK_PINS = {
          "745639fca29bc684d4b3a9a28cb9c9e842cf7e3cefd2aa3a7721175b8c2ee6ff",
          "3c853f56c3571a34b5dccbdd6f798fb4d6c4155ab8c784d86a65302f18e0f262"],
     ),
+    "no-drift-no-background": (
+        DetectorParams(signal_gate_acceptance=0.7), quiet_channel(
+            fso_loss_db=13.0, depol_p=0.05, drift_rate=0.0), BackgroundBudget(dark_rate=0.0),
+        ["b339e04a81558b1b1b709d9091cb7e88ec81b4b6ec16142375ec4fbed53268d0",
+         "535fe60673df3fcba2fce75a387ceff932d48e6c26b9d6bde2f8be226eb416e1",
+         "5dcd0eb28ab8c98f023fdce6962f6fea2e188437147e952591befd534dda55be",
+         "1d0c8ea789caccf8230b54cb624d0375f28b8099db634acf0b858144d5d41991",
+         "c87237c282283e4b274a25e70d4d79c8fd028c08fd75f2f9325bbb5772c10067",
+         "0b8d8739ec526cedcdb2f789226160109e851a559398d3ea113cabaf939d7e6d"],
+    ),
 }
 
 
 class TestClickStreamPins:
-    """Every column of two small runs (drift, background, load*tau ~ 5.7)."""
+    """Every column of three small runs: two with drift and background at
+    load*tau ~ 5.7, one with neither."""
 
     @pytest.mark.parametrize("case", sorted(CLICK_PINS))
     def test_columns_match_pins(self, case):
-        det, pins = CLICK_PINS[case]
+        det, channel, bg, pins = CLICK_PINS[case]
         clicks = simulate_clicks(
-            alice_generate(50_000_000, 41), SourceParams(),
-            quiet_channel(fso_loss_db=13.0, depol_p=0.05, drift_rate=3.0),
-            det, BackgroundBudget(solar_rate=1e5), rng_seed=43,
-            intrinsic_error=0.03, start_time=50.0)
+            alice_generate(50_000_000, 41), SourceParams(), channel, det, bg,
+            rng_seed=43, intrinsic_error=0.03, start_time=50.0)
         digests = [hashlib.sha256(np.ascontiguousarray(getattr(clicks, name)).tobytes())
                    .hexdigest() for name in CLICK_COLUMNS]
         assert dict(zip(CLICK_COLUMNS, digests)) == dict(zip(CLICK_COLUMNS, pins))

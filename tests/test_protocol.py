@@ -100,7 +100,7 @@ class TestAliceGenerate:
 
 class TestSift:
     def test_no_clicks(self):
-        result = sift(alice_generate(100, 1), ClickStream.empty())
+        result = sift(alice_generate(100, 1), ClickStream([], [], [], [], [], []))
         assert result.kept == 0
 
     def test_noiseless_matching_clicks_agree(self):

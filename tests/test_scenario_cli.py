@@ -319,7 +319,7 @@ class TestCliCommands:
         (cmd_stability, {"channel.fiber_kind": "OM4", "channel.drift_rate": 0.02,
                          "session.symbols_per_block": 50_000_000}, ["ok"] * 4),
         (cmd_coexist, {"session.symbols_per_block": 200_000_000}, ["ok"] * 4),
-        # kappa-on blocks saturate: the parent fills them in between the workers' blocks
+        # kappa-on blocks saturate: run_block flags them wherever it runs them
         (cmd_coexist, {"classical.launch_power_dbm": 40,
                        "session.symbols_per_block": 100_000_000}, ["ok", "saturated"] * 2),
     ], ids=["stability", "coexist", "coexist-saturated"])
@@ -542,6 +542,15 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert "source.mu_q" in err and key in err
         assert not any(tmp_path.iterdir())
+
+    def test_saturated_blocks_skip_event_budget(self, tmp_path, no_pool):
+        """At mu_q = 100 (load*tau ~ 220) every block would expect ~7e7 events,
+        over the budget, but saturated blocks are flagged, not simulated."""
+        start = time.perf_counter()
+        assert main(["stability", "--set", "source.mu_q=100", "--out", str(tmp_path)]) == 0
+        assert time.perf_counter() - start < 1.0
+        rows = (tmp_path / "stability_blocks.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[4] for row in rows] == ["saturated"] * 10
 
     def test_over_memory_budget_refused_before_two_workers(self, tmp_path, monkeypatch,
                                                            no_pool):
