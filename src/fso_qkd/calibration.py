@@ -20,7 +20,9 @@ the anchors:
 Everything here is closed-form or a one-dimensional root solve, so the
 derived constants are identical on every import. The scalar link formulas
 that the solve shares with ``linkmodel`` live here, since ``linkparams``
-imports this module and ``linkmodel`` imports both.
+imports this module and ``linkmodel`` imports both: ``link_rates``, the one
+closed form of the gated, sifted and dead-time-thinned rates and the QBER,
+and ``stokes_overlap``, the one kappa of the matched-basis error.
 """
 from __future__ import annotations
 
@@ -87,14 +89,36 @@ def dead_time_thinning(load: float, dead_time: float) -> float:
     return 1.0 / (1.0 + load * dead_time)
 
 
-def combined_polarization_error(intrinsic_error: float, depol_p: float) -> float:
-    """Matched-basis error of depolarization composed with system infidelity.
+def link_rates(symbol_rate: float, p_click: float, gate_acceptance: float,
+               background_rate: float, gate_fraction: float, dead_time: float,
+               e_pol: float) -> tuple[float, float, float, float]:
+    """Closed-form per-detector rates of one operating point.
 
-    Both mechanisms shrink the effective Stokes overlap multiplicatively:
-    kappa = (1 - 2 e_i)(1 - p), so the error is (1 - kappa)/2. This reduces
-    to e_i + p/2 for small values but stays exact at any magnitude.
+    Returns the gated signal and gated background click rates, the sifted
+    key rate (all after dead time) and the QBER. Background bits are
+    uncorrelated with Alice, so they err half the time, and the sifted
+    background is half of the gated background. Dead time thins signal and
+    background by the same factor and therefore does not move the QBER.
     """
-    return 0.5 * (1.0 - (1.0 - 2.0 * intrinsic_error) * (1.0 - depol_p))
+    s_port = sifted_signal_rate(symbol_rate, p_click, gate_acceptance)
+    b_gated = background_rate * gate_fraction
+    b_key = 0.5 * b_gated
+    thin = dead_time_thinning(arrival_rate(symbol_rate, p_click, background_rate), dead_time)
+    kept = s_port + b_key
+    qber = 0.5 if kept == 0 else (e_pol * s_port + 0.5 * b_key) / kept
+    return (symbol_rate * p_click * gate_acceptance * 0.5 * thin, b_gated * thin,
+            kept * thin, qber)
+
+
+def stokes_overlap(intrinsic_error: float, depol_p: float) -> float:
+    """Stokes overlap kappa = (1 - 2 e_i)(1 - p) of a sent state with its port:
+    system infidelity and depolarization both shrink it multiplicatively."""
+    return (1.0 - 2.0 * intrinsic_error) * (1.0 - depol_p)
+
+
+def combined_polarization_error(intrinsic_error: float, depol_p: float) -> float:
+    """Matched-basis error (1 - kappa)/2: e_i + p/2 for small values, exact at any."""
+    return 0.5 * (1.0 - stokes_overlap(intrinsic_error, depol_p))
 
 
 def _intrinsic_from_combined(e_combined: float, depol_p: float) -> float:
@@ -115,10 +139,10 @@ def _solve_at(rx_insertion_db: float):
     denom = ANCHOR_QBER_EL0 - 0.5 + ratio * (0.5 - ANCHOR_QBER_THRESHOLD)
     x0 = (ANCHOR_QBER_THRESHOLD - ANCHOR_QBER_EL0) / denom
     e_combined = ANCHOR_QBER_EL0 * (1.0 + x0) - 0.5 * x0
-    sifted_bg = x0 * s0
-    bg_total = sifted_bg * 2.0 / GATE_FRACTION
-    load = arrival_rate(SYMBOL_RATE, p0, bg_total)
-    rawkey = (s0 + sifted_bg) * dead_time_thinning(load, DEAD_TIME)
+    # link_rates sifts this back to x0 * s0 exactly: GATE_FRACTION is 2**-1.
+    bg_total = x0 * s0 * 2.0 / GATE_FRACTION
+    rawkey = link_rates(SYMBOL_RATE, p0, SIGNAL_GATE_ACCEPTANCE, bg_total, GATE_FRACTION,
+                        DEAD_TIME, e_combined)[2]
     return rawkey, e_combined, x0, s0, bg_total
 
 

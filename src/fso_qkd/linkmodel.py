@@ -34,8 +34,9 @@ from .calibration import (
     arrival_rate,
     combined_polarization_error,
     dead_time_thinning,
+    link_rates,
     pulse_click_probability,
-    sifted_signal_rate,
+    stokes_overlap,
     transmittance,
 )
 from .errors import ValidationError
@@ -46,14 +47,8 @@ from .linkparams import (
     RatePrediction,
     SourceParams,
 )
-from .polarization import Basis, encode_symbol, rodrigues_terms
+from .polarization import STATE_TABLE, rodrigues_terms
 from .seeding import hash_stream, mix64, rng_from
-
-BASIS_CODES = {Basis.RL: 0, Basis.AD: 1}
-
-# Stokes vectors of sent states and analyzer ports, [basis_code, bit]: R/L, D/A.
-STATE_TABLE = np.array(
-    [[encode_symbol(basis, bit).vector for bit in (0, 1)] for basis in BASIS_CODES])
 
 # Expected detector events (signal photons plus background arrivals) that
 # one simulate_clicks call may hold. Each adds about 80 bytes to the peak
@@ -88,31 +83,19 @@ def expected_rates(
     bg: BackgroundBudget,
     intrinsic_error: float,
 ) -> RatePrediction:
-    """Closed-form per-detector prediction for one operating point.
+    """Closed-form per-detector prediction for one operating point, from
+    ``calibration.link_rates``.
 
     ``intrinsic_error`` is the matched-basis error of the system without
     fiber depolarization (alignment and extinction); it composes with
-    ``ch.depol_p`` multiplicatively on the Poincaré sphere. Background bits
-    are uncorrelated with Alice, so they err half the time, and the sifted
-    background is half of the gated background. Dead time thins signal and
-    background by the same factor and therefore does not move the QBER.
+    ``ch.depol_p`` multiplicatively on the Poincaré sphere.
     """
     if not 0.0 <= intrinsic_error <= 0.5:
         raise ValidationError(f"intrinsic_error must be in [0, 0.5], got {intrinsic_error}")
-    p_click = click_probability(src, ch, det)
-    s_port = sifted_signal_rate(src.symbol_rate, p_click, det.signal_gate_acceptance)
-    b_gated = bg.total_rate * det.gate_fraction
-    b_key = 0.5 * b_gated
-    thin = dead_time_thinning(detector_load(src, ch, det, bg), det.dead_time)
-    e_pol = combined_polarization_error(intrinsic_error, ch.depol_p)
-    kept = s_port + b_key
-    qber = 0.5 if kept == 0 else (e_pol * s_port + 0.5 * b_key) / kept
-    return RatePrediction(
-        signal_click_rate=src.symbol_rate * p_click * det.signal_gate_acceptance * 0.5 * thin,
-        background_click_rate=b_gated * thin,
-        sifted_key_rate=kept * thin,
-        qber=qber,
-    )
+    return RatePrediction(*link_rates(
+        src.symbol_rate, click_probability(src, ch, det), det.signal_gate_acceptance,
+        bg.total_rate, det.gate_fraction, det.dead_time,
+        combined_polarization_error(intrinsic_error, ch.depol_p)))
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +323,7 @@ def simulate_clicks(
 
     bases, bits = symbols.symbols_at(idx)
     abasis, abit = analyzer_schedule.ports_at(idx)
-    kappa = (1.0 - ch.depol_p) * (1.0 - 2.0 * intrinsic_error)
+    kappa = stokes_overlap(intrinsic_error, ch.depol_p)
     p_pass = _pass_probability(bases, bits, abasis, abit, kappa, axis, ch.drift_rate * t)
     clicked = np.flatnonzero(rng.random(len(idx)) < p_pass)
     n_sig = len(clicked)
@@ -366,12 +349,11 @@ def simulate_clicks(
 
 def _background_events(rng, rate: float, n: int, duration: float, slot: float,
                        start_time: float, gate_fraction: float):
-    """Uniform Poisson background over the run: indices, timestamps, gate flags."""
+    """Uniform Poisson background over the run: indices, timestamps, gate flags,
+    in draw order (``simulate_clicks`` sorts the merged stream)."""
     count = rng.poisson(rate * duration) if rate > 0.0 else 0
     bidx = rng.integers(0, n, size=count)
     frac = rng.random(count)
-    order = np.argsort(bidx + frac, kind="stable")
-    bidx, frac = bidx[order], frac[order]
     times = start_time + (bidx + frac) * slot
     in_gate = np.abs(frac - 0.5) <= gate_fraction / 2.0
     return bidx.astype(np.int64), times, in_gate

@@ -2,8 +2,10 @@
 
 States live as Stokes vectors (s1, s2, s3) normalized to unit intensity, so
 partially depolarized light is a first-class value: the degree of
-polarization (DOP) is just the vector norm. Pure BB84 states are derived
-once from their Jones form |H> + e^{i phi}|V> at encode time.
+polarization (DOP) is just the vector norm. The four BB84 states are fixed
+constants, not derived at encode time; ``STATE_TABLE`` holds them by
+(basis, bit), and ``Basis`` values are the basis codes of the symbol and
+analyzer streams.
 
 Sign conventions, fixed here and used everywhere:
   H = (+1, 0, 0)   V = (-1, 0, 0)
@@ -24,43 +26,11 @@ from .errors import ValidationError
 _DOP_TOL = 1e-9
 
 
-class Basis(enum.Enum):
-    """Bases: RL and AD generate key; HV is refused by the encoder, not analyzed."""
+class Basis(enum.IntEnum):
+    """Key bases, valued as their stream codes. HV is neither sent nor analyzed."""
 
-    RL = "RL"
-    AD = "AD"
-    HV = "HV"
-
-
-@dataclass(frozen=True)
-class BB84Symbol:
-    """One transmitted symbol: key basis plus bit value.
-
-    The relative phase between the H and V components is a pure function of
-    (basis, bit); the four symbols map onto four distinct quarter-turn phases.
-    """
-
-    basis: Basis
-    bit: int
-
-    def __post_init__(self):
-        if self.basis is Basis.HV:
-            raise ValidationError("transmitter never sends the HV basis")
-        if self.bit not in (0, 1):
-            raise ValidationError(f"bit must be 0 or 1, got {self.bit!r}")
-
-    @property
-    def phase(self) -> float:
-        """Relative H/V phase in radians: D=0, R=pi/2, A=pi, L=3pi/2."""
-        return _PHASE[(self.basis, self.bit)]
-
-
-_PHASE = {
-    (Basis.AD, 0): 0.0,
-    (Basis.RL, 0): math.pi / 2,
-    (Basis.AD, 1): math.pi,
-    (Basis.RL, 1): 3 * math.pi / 2,
-}
+    RL = 0
+    AD = 1
 
 
 @dataclass(frozen=True)
@@ -92,21 +62,18 @@ R = PolarizationState(0.0, 0.0, 1.0)
 L = PolarizationState(0.0, 0.0, -1.0)
 
 
+# Stokes vectors of sent states and analyzer ports, indexed [basis, bit].
+STATE_TABLE = np.array([[R.vector, L.vector], [D.vector, A.vector]])
+
+
 def encode_symbol(basis: Basis, bit: int) -> PolarizationState:
-    """Encode a BB84 symbol as the Stokes vector of (|H> + e^{i phi}|V>)/sqrt(2).
-
-    For that Jones vector s1 = 0, s2 = cos(phi), s3 = sin(phi), which lands the
-    four symbols on D, R, A, L for phi = 0, pi/2, pi, 3pi/2.
-    """
-    sym = BB84Symbol(basis, bit)  # validates basis/bit
-    phi = sym.phase
-    return PolarizationState(0.0, round_clean(math.cos(phi)), round_clean(math.sin(phi)))
-
-
-def round_clean(x: float, eps: float = 1e-15) -> float:
-    """Snap values within eps of an integer onto it (kills cos(pi/2) residue)."""
-    r = round(x)
-    return float(r) if abs(x - r) < eps else x
+    """Stokes state ``STATE_TABLE[basis, bit]`` of a BB84 symbol: the Jones form
+    (|H> + e^{i phi}|V>)/sqrt(2) at phi = 0, pi/2, pi, 3pi/2 for D, R, A, L."""
+    if not isinstance(basis, Basis):
+        raise ValidationError(f"basis must be Basis.RL or Basis.AD, got {basis!r}")
+    if bit not in (0, 1):
+        raise ValidationError(f"bit must be 0 or 1, got {bit!r}")
+    return PolarizationState(*STATE_TABLE[basis, bit].tolist())
 
 
 def projection_probability(state: PolarizationState, analyzer: PolarizationState) -> float:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -356,7 +356,7 @@ def run_session(config: ScenarioConfig) -> list[BlockStats]:
     for kappa, count in ((False, config.blocks - kappa_on), (True, kappa_on)):
         if count:
             xtalk = crosstalk_background(
-                replace(config.coexist, active=kappa), config.classical.launch_power_dbm)
+                config.coexist, config.classical.launch_power_dbm) if kappa else 0.0
             bg = config.background.with_crosstalk(xtalk)
             saturated = detector_load(config.source, config.channel, config.detector,
                                       bg) * config.detector.dead_time > 10.0

@@ -1,4 +1,5 @@
 """Rate equations, presets, and Monte Carlo vs closed-form agreement."""
+import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -10,7 +11,6 @@ from hypothesis import example, given, strategies as st
 from fso_qkd.errors import ValidationError
 from fso_qkd.linkmodel import (
     MAX_EXPECTED_EVENTS,
-    STATE_TABLE,
     ClickStream,
     RandomAnalyzerSchedule,
     _pass_probability,
@@ -28,6 +28,7 @@ from fso_qkd.linkparams import (
     SourceParams,
     fiber_preset,
 )
+from fso_qkd.polarization import STATE_TABLE
 from fso_qkd.protocol import alice_generate, sift
 from fso_qkd import calibration
 from fso_qkd.calibration import CALIBRATION
@@ -220,6 +221,28 @@ class TestBrent:
     def test_no_sign_change_rejected(self):
         with pytest.raises(ValueError):
             calibration.brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
+
+
+# Every derived constant, bit for bit. The anchor solve's background comes
+# back from link_rates as x0 * s0 exactly only because GATE_FRACTION is a
+# power of two, so a rewrite of the solve shows here first.
+CALIBRATION_HEX = {
+    "rx_insertion_db": "0x1.a9f04a871541ep+2",
+    "e_combined_1410": "0x1.26436aed18b31p-4",
+    "intrinsic_error_base": "0x1.027909d7d00f8p-4",
+    "bg_total_1410": "0x1.30c3c28f13001p+8",
+    "solar_1410": "0x1.30f0a3c4c0040p+2",
+    "sifted_signal_el0": "0x1.180fb26929054p+12",
+    "intrinsic_offset_1430": "0x1.260bc7b78d180p-7",
+    "depol_om4": "0x1.28647823f0dc6p-2",
+    "crosstalk_rate_at_0dbm": "0x1.3436ec8bb69b9p+8",
+}
+
+
+def test_calibration_fields_pinned():
+    got = {f.name: float.hex(getattr(CALIBRATION, f.name))
+           for f in dataclasses.fields(CALIBRATION)}
+    assert got == CALIBRATION_HEX
 
 
 class TestExpectedRates:

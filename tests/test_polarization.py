@@ -8,7 +8,7 @@ from scipy.spatial.transform import Rotation
 from fso_qkd.errors import ValidationError
 from fso_qkd.polarization import (
     A,
-    BB84Symbol,
+    STATE_TABLE,
     Basis,
     D,
     H,
@@ -22,6 +22,14 @@ from fso_qkd.polarization import (
 )
 
 TOL = 1e-12
+
+# Relative H/V phase of each symbol's Jones form: D=0, R=pi/2, A=pi, L=3pi/2.
+JONES_PHASE = {
+    (Basis.AD, 0): 0.0,
+    (Basis.RL, 0): math.pi / 2,
+    (Basis.AD, 1): math.pi,
+    (Basis.RL, 1): 3 * math.pi / 2,
+}
 
 
 def jones_to_stokes(phi):
@@ -48,29 +56,37 @@ class TestEncoding:
         assert np.allclose(got, A.vector, atol=TOL)
 
     def test_all_four_symbols_match_jones_form(self):
-        for basis in (Basis.RL, Basis.AD):
-            for bit in (0, 1):
-                phi = BB84Symbol(basis, bit).phase
-                assert np.allclose(
-                    encode_symbol(basis, bit).vector, jones_to_stokes(phi), atol=TOL
-                )
+        for (basis, bit), phi in JONES_PHASE.items():
+            assert np.allclose(
+                encode_symbol(basis, bit).vector, jones_to_stokes(phi), atol=TOL
+            )
 
-    def test_phases_are_distinct_quarter_turns(self):
-        phases = {BB84Symbol(b, x).phase for b in (Basis.RL, Basis.AD) for x in (0, 1)}
-        assert phases == {0.0, math.pi / 2, math.pi, 3 * math.pi / 2}
+    def test_state_table_is_encoded_symbols(self):
+        """STATE_TABLE[basis, bit] is the encoded state, sign bits included,
+        and every zero component is +0.0."""
+        for basis in Basis:
+            for bit in (0, 1):
+                row = STATE_TABLE[basis, bit]
+                vector = encode_symbol(basis, bit).vector
+                assert np.array_equal(row, vector)
+                assert np.array_equal(np.signbit(row), np.signbit(vector))
+                assert not np.signbit(row[row == 0.0]).any()
+        assert [int(b) for b in (Basis.RL, Basis.AD)] == [0, 1]
 
     def test_unit_dop(self):
         for basis in (Basis.RL, Basis.AD):
             for bit in (0, 1):
                 assert abs(encode_symbol(basis, bit).dop - 1.0) < TOL
 
-    def test_hv_rejected(self):
-        with pytest.raises(ValidationError):
-            encode_symbol(Basis.HV, 0)
+    def test_non_basis_rejected(self):
+        assert not hasattr(Basis, "HV")
+        for basis in ("HV", 0):
+            with pytest.raises(ValidationError):
+                encode_symbol(basis, 0)
 
     def test_bad_bit_rejected(self):
         with pytest.raises(ValidationError):
-            BB84Symbol(Basis.RL, 2)
+            encode_symbol(Basis.RL, 2)
 
 
 class TestProjection:

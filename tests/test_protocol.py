@@ -7,7 +7,6 @@ from scipy.stats import chi2_contingency, entropy
 
 from fso_qkd.errors import ValidationError
 from fso_qkd.linkmodel import (
-    BASIS_CODES,
     ClickStream,
     RandomAnalyzerSchedule,
     expected_rates,
@@ -20,7 +19,7 @@ from fso_qkd.linkparams import (
     DetectorParams,
     SourceParams,
 )
-from fso_qkd.polarization import BB84Symbol
+from fso_qkd.polarization import Basis
 from fso_qkd.protocol import (
     Run,
     SiftResult,
@@ -42,11 +41,10 @@ def quiet_channel(**kwargs) -> ChannelParams:
     return ChannelParams(**defaults)
 
 
-def symbol(alice, i: int) -> BB84Symbol:
-    """Alice's symbol i, read through the array interface."""
+def symbol(alice, i: int) -> tuple[Basis, int]:
+    """Alice's symbol i as (basis, bit), read through the array interface."""
     bases, bits = alice.symbols_at(np.array([i]))
-    basis = next(b for b, code in BASIS_CODES.items() if code == bases[0])
-    return BB84Symbol(basis, int(bits[0]))
+    return Basis(bases[0]), int(bits[0])
 
 
 def stream_from_rows(rows) -> ClickStream:
@@ -54,7 +52,7 @@ def stream_from_rows(rows) -> ClickStream:
     a basis is a ``Basis`` or a raw analyzer code."""
     ts, idx, bas, bit, gate = zip(*rows)
     return ClickStream(
-        np.array(ts), np.array(idx), np.array([BASIS_CODES.get(b, b) for b in bas]),
+        np.array(ts), np.array(idx), np.array([int(b) for b in bas]),
         np.array(bit), np.array(gate), np.ones(len(rows), bool))
 
 
@@ -89,9 +87,9 @@ class TestAliceGenerate:
         idx = np.arange(1000)
         bases, bits = alice.symbols_at(idx)
         for i in (0, 13, 999):
-            sym = symbol(alice, i)
-            assert BASIS_CODES[sym.basis] == bases[i]
-            assert sym.bit == bits[i]
+            basis, bit = symbol(alice, i)
+            assert int(basis) == bases[i]
+            assert bit == bits[i]
 
     def test_out_of_range_index(self):
         with pytest.raises(ValidationError):
@@ -106,15 +104,14 @@ class TestSift:
     def test_noiseless_matching_clicks_agree(self):
         alice = alice_generate(1000, 4)
         idx = np.arange(0, 1000, 7)
-        rows = [((i + 0.5) * 2e-9, i,
-                 symbol(alice, i).basis, symbol(alice, i).bit, True) for i in idx]
+        rows = [((i + 0.5) * 2e-9, i, *symbol(alice, i), True) for i in idx]
         result = sift(alice, stream_from_rows(rows))
         assert result.kept == len(idx)
         assert np.array_equal(result.alice_bits, result.bob_bits)
 
     def test_out_of_gate_clicks_dropped(self):
         alice = alice_generate(100, 4)
-        rows = [(1e-9, 0, symbol(alice, 0).basis, symbol(alice, 0).bit, False)]
+        rows = [(1e-9, 0, *symbol(alice, 0), False)]
         assert sift(alice, stream_from_rows(rows)).kept == 0
 
     def test_hv_monitor_clicks_excluded_from_key(self):
@@ -122,13 +119,13 @@ class TestSift:
         # comparison alone drops the click.
         alice = alice_generate(100, 4)
         rows = [(1e-9, 0, 2, 0, True),
-                ((5 + 0.5) * 2e-9, 5, symbol(alice, 5).basis, symbol(alice, 5).bit, True)]
+                ((5 + 0.5) * 2e-9, 5, *symbol(alice, 5), True)]
         result = sift(alice, stream_from_rows(rows))
         assert result.kept_indices.tolist() == [5]
 
     def test_duplicate_symbol_keeps_earliest(self):
         alice = alice_generate(100, 4)
-        basis = symbol(alice, 3).basis
+        basis, _ = symbol(alice, 3)
         rows = [(3.0e-9 * 2, 3, basis, 0, True), (3.1e-9 * 2, 3, basis, 1, True)]
         result = sift(alice, stream_from_rows(rows))
         assert result.kept == 1
