@@ -20,9 +20,14 @@ all chains with one ``searchsorted`` per round: one round per survivor of
 the longest cluster, and no table beyond the stream. Drift and the analyzer
 meet in the one Stokes component that each photon's port reads,
 A cos a + B sin a + C (1 - cos a), with (A, B, C) from a per-call table of
-Rodrigues terms over the four states. Signal clicks and background
-arrivals merge into one stream, and each ``ClickStream`` column is gathered
-from that stream once, by the dead-time survivors' positions in it.
+Rodrigues terms over the four states. The drift angle is monotone over a
+run, so each of the 16 (state, port) pass probabilities is bounded from the
+run's first and last angle; the bounds decide most photons' Malus test by
+two table lookups, and slot times, cos and sin are computed only for the
+photons the bounds leave undecided (and slot times for the clicks). Signal
+clicks and background arrivals merge into one stream, and each
+``ClickStream`` column is gathered from that stream once, by the dead-time
+survivors' positions in it.
 """
 from __future__ import annotations
 
@@ -51,8 +56,9 @@ from .polarization import STATE_TABLE, rodrigues_terms
 from .seeding import hash_stream, mix64, rng_from
 
 # Expected detector events (signal photons plus background arrivals) that
-# one simulate_clicks call may hold. Each adds about 80 bytes to the peak
-# resident set (measured on OM4 blocks), so the budget is about 1.6 GB.
+# one simulate_clicks call may hold. Each adds about 42 bytes to the peak
+# resident set (measured on 8.6e6-event OM4 runs, at the default drift and
+# at 50 rad/s), so the budget is about 0.85 GB.
 MAX_EXPECTED_EVENTS = 2e7
 
 
@@ -204,6 +210,39 @@ def random_unit_vector(rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def _slot_times(idx: np.ndarray, slot: float, start_time: float) -> np.ndarray:
+    """Centre times ``start_time + (idx + 0.5) * slot`` of slots ``idx``, built in
+    place in that rounding order, so any subset of slots gets the same times
+    as the whole run."""
+    t = idx + 0.5
+    t *= slot
+    t += start_time
+    return t
+
+
+def _port_columns(bases, bits, abasis, abit) -> np.ndarray:
+    """Row of each photon in the 16-entry (sent state, port) tables:
+    ((bases * 2 + bits) * 2 + abasis) * 2 + abit, built in place in the
+    inputs' narrow dtype and widened once, since take would otherwise convert
+    the index to intp on each call."""
+    column = bases * 2
+    column += bits
+    column *= 2
+    column += abasis
+    column *= 2
+    column += abit
+    return column.astype(np.intp)
+
+
+def _malus_terms(kappa: float, axis) -> list[np.ndarray]:
+    """(A, B, C): the Rodrigues terms of each sent state ``kappa *
+    STATE_TABLE[basis, bit]`` about ``axis``, read by each port, as three
+    16-entry tables indexed by ``_port_columns``. The products with the port
+    vector select one component and fold in its +-1 sign exactly."""
+    ports = STATE_TABLE.reshape(-1, 3)
+    return [(t @ ports.T).ravel() for t in rodrigues_terms(ports * kappa, axis)]
+
+
 def _pass_probability(bases, bits, abasis, abit, kappa: float, axis,
                       angles) -> np.ndarray:
     """Malus probability that each photon passes its analyzer port.
@@ -212,27 +251,15 @@ def _pass_probability(bases, bits, abasis, abit, kappa: float, axis,
     about ``axis`` by ``angles[i]`` and met by port
     ``STATE_TABLE[abasis[i], abit[i]]``. Every state and port lies on one
     Stokes axis, so the component the port reads is
-    A cos a + B sin a + C (1 - cos a), where (A, B, C) are the Rodrigues
-    terms of the sent state on that axis, signed by the port: a 4x4 table
-    per call instead of an (n, 3) rotation. The products with the port
-    vector select one component and fold in its +-1 sign exactly, so each
-    probability is rounded as the full rotation and dot product round it.
-    A zero angle leaves A exact (cos 0 = 1, sin 0 = 1 - cos 0 = 0), so a
-    drift-free run gives the unrotated probabilities bit for bit.
+    A cos a + B sin a + C (1 - cos a), with (A, B, C) from ``_malus_terms``:
+    a 4x4 table per call instead of an (n, 3) rotation. Each probability is
+    rounded as the full rotation and dot product round it. A zero angle
+    leaves A exact (cos 0 = 1, sin 0 = 1 - cos 0 = 0), so a drift-free run
+    gives the unrotated probabilities bit for bit. ``simulate_clicks`` calls
+    it only for the photons that ``_malus_clicks``' bounds leave undecided.
     """
-    ports = STATE_TABLE.reshape(-1, 3)
-    a_term, b_term, c_term = (
-        (t @ ports.T).ravel() for t in rodrigues_terms(ports * kappa, axis))
-    # ((bases * 2 + bits) * 2 + abasis) * 2 + abit, built in place in the
-    # inputs' narrow dtype and widened once: take would otherwise convert the
-    # index to intp on each of its three calls.
-    column = bases * 2
-    column += bits
-    column *= 2
-    column += abasis
-    column *= 2
-    column += abit
-    column = column.astype(np.intp)
+    a_term, b_term, c_term = _malus_terms(kappa, axis)
+    column = _port_columns(bases, bits, abasis, abit)
     x = a_term.take(column)
     # ((x c) + (B s)) + (C (1 - c)) in place, in that rounding order.
     # column is always in range; mode="clip" lets take fill term unbuffered.
@@ -247,6 +274,59 @@ def _pass_probability(bases, bits, abasis, abit, kappa: float, axis,
     x += 1.0
     x *= 0.5
     return x
+
+
+# Slack added to every bound of _malus_clicks: far above the last-ulp
+# differences (about 1e-16) between one probability rounded two ways, and
+# small enough to leave only about 2e-9 of the draws undecided at no drift.
+_BOUND_SLACK = 1e-9
+# bases, bits, abasis, abit of one photon per (sent state, port) pair, in
+# _port_columns order.
+_EVERY_COLUMN = np.indices((2, 2, 2, 2), dtype=np.uint8).reshape(4, 16)
+# Undecided photons are evaluated this many at a time, so the exact path
+# allocates nothing of run length beyond their positions.
+_EXACT_SLICE = 1 << 16
+
+
+def _malus_clicks(u, bases, bits, abasis, abit, kappa: float, axis,
+                  drift_rate: float, idx, slot: float, start_time: float) -> np.ndarray:
+    """Positions i with ``u[i] < _pass_probability(...)`` at photon i's drift
+    angle ``drift_rate * _slot_times(idx, slot, start_time)[i]``.
+
+    ``idx`` increases and ``drift_rate >= 0``, so every angle lies between
+    the first and last photon's, a0 <= a1. On that range each of the 16
+    (sent state, port) probabilities moves by at most
+    (|A| + |B| + |C|)/2 per radian, so it lies within
+    (|A| + |B| + |C|)(a1 - a0)/4 of the nearer endpoint's value. With
+    ``_BOUND_SLACK`` for rounding, that bounds it to [lo, hi]: a draw below
+    lo clicks, one at hi or above does not, and only the draws in between
+    pay for slot times, cos and sin through ``_pass_probability``. The
+    result equals the exact test's bit for bit; when the drift is slow
+    against the run's span, almost every photon is decided by two table
+    lookups.
+    """
+    if len(idx) == 0:
+        return np.empty(0, dtype=np.int64)
+    a0, a1 = ends = drift_rate * _slot_times(idx[[0, -1]], slot, start_time)
+    p = _pass_probability(*np.tile(_EVERY_COLUMN, 2), kappa, axis,
+                          ends.repeat(16)).reshape(2, 16)
+    slack = sum(np.abs(t) for t in _malus_terms(kappa, axis)) * (0.25 * (a1 - a0))
+    slack += _BOUND_SLACK
+    column = _port_columns(bases, bits, abasis, abit)
+    bound = (p.min(axis=0) - slack).take(column)
+    clicked = u < bound
+    (p.max(axis=0) + slack).take(column, out=bound, mode="clip")  # unbuffered
+    undecided = u < bound
+    del bound, column
+    undecided ^= clicked  # clicked implies below hi
+    pending = np.flatnonzero(undecided)
+    for start in range(0, len(pending), _EXACT_SLICE):
+        j = pending[start:start + _EXACT_SLICE]
+        angles = _slot_times(idx.take(j), slot, start_time)
+        angles *= drift_rate
+        clicked[j] = u.take(j) < _pass_probability(
+            bases.take(j), bits.take(j), abasis.take(j), abit.take(j), kappa, axis, angles)
+    return np.flatnonzero(clicked)
 
 
 def expected_events(n: int, src: SourceParams, ch: ChannelParams, det: DetectorParams,
@@ -317,15 +397,12 @@ def simulate_clicks(
         analyzer_schedule = RandomAnalyzerSchedule(mix64(rng_seed, 0xA11A))
 
     idx = _sample_detection_indices(rng, n, q)
-    t = idx + 0.5  # start_time + (idx + 0.5) * slot, in place
-    t *= slot
-    t += start_time
-
     bases, bits = symbols.symbols_at(idx)
     abasis, abit = analyzer_schedule.ports_at(idx)
     kappa = stokes_overlap(intrinsic_error, ch.depol_p)
-    p_pass = _pass_probability(bases, bits, abasis, abit, kappa, axis, ch.drift_rate * t)
-    clicked = np.flatnonzero(rng.random(len(idx)) < p_pass)
+    clicked = _malus_clicks(rng.random(len(idx)), bases, bits, abasis, abit, kappa, axis,
+                            ch.drift_rate, idx, slot, start_time)
+    sig_idx = idx.take(clicked)
     n_sig = len(clicked)
     sig_gate = np.ones(n_sig, dtype=bool) if det.signal_gate_acceptance >= 1.0 \
         else rng.random(n_sig) < det.signal_gate_acceptance
@@ -334,14 +411,14 @@ def simulate_clicks(
         rng, bg.total_rate, n, n * slot, slot, start_time, det.gate_fraction)
 
     # Signal clicks lead the merged stream: a survivor is signal iff keep < n_sig.
-    times = np.concatenate([t.take(clicked), bg_times])
+    times = np.concatenate([_slot_times(sig_idx, slot, start_time), bg_times])
     order = np.argsort(times, kind="stable")
     times = times.take(order)
     survivors = dead_time_filter(times, det.dead_time)
     keep = order.take(survivors)
     # Each column is gathered once from the merged stream. The port hash is a
     # pure function of the slot, so survivors are hashed by their slots alone.
-    slots = np.concatenate([idx.take(clicked), bg_idx]).take(keep)
+    slots = np.concatenate([sig_idx, bg_idx]).take(keep)
     basis, bit = analyzer_schedule.ports_at(slots)
     return ClickStream(times.take(survivors), slots, basis, bit,
                        np.concatenate([sig_gate, bg_gate]).take(keep), keep < n_sig)

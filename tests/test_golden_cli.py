@@ -1,4 +1,4 @@
-"""Golden CLI outputs: every file of four small runs, pinned by sha256.
+"""Golden CLI outputs: every file of eight small runs, pinned by sha256.
 
 The CLI promises byte-identical outputs for an identical config and seed.
 These hashes hold that promise across changes to the Monte Carlo hot path:
@@ -9,12 +9,14 @@ why in CHANGES.md.
 The runs are small (about a second each) but reach every stage: a
 Monte Carlo sweep, an OM4 session with polarization drift and dead time at
 load*tau ~ 3, an alternating co-existence session, and the spectral plan.
-Three more pin the edge branches: a sweep whose last point keeps no bits
+Four more pin the edge branches: a sweep whose last point keeps no bits
 (its ``qber_mc`` is ``nan``), a co-existence session whose kappa-on blocks
-saturate and are flagged by ``run_block`` without being simulated, and a
+saturate and are flagged by ``run_block`` without being simulated, a
 session with no drift, no dead time, no background and a partial signal
 gate, which the general Monte Carlo path runs with zero angles, every event
-surviving and an empty background stream.
+surviving and an empty background stream, and an OM4 session drifting at
+50 rad/s, so fast that the per-run Malus bounds decide no photon and every
+one takes the exact cos/sin path.
 The drift rotation uses numpy's float64 sin/cos, so a platform whose
 vectorized kernels round differently will need its own pins.
 """
@@ -83,6 +85,16 @@ GOLDEN = {
                 "003fe33a04fff94e62631173241615fb4942ffb08c5fd5bae39c84a7325df7ec",
             "stability_summary.json":
                 "bbc77409735c962b9e9c67026333b53ae348fb07111ad3198b294c86de5f7f2c",
+        },
+    ),
+    "stability-om4-fast-drift": (
+        ["stability", "--seed", "13", "--set", "channel.fiber_kind=OM4",
+         "--set", "channel.drift_rate=50", "--set", "session.symbols_per_block=200000000"],
+        {
+            "stability_blocks.csv":
+                "91e9ea438670e8482df938c0a45b4ad7ca6845845f705f115b15cd9e869b932c",
+            "stability_summary.json":
+                "d029fbd6815cef5ed29ce7739ae5026f87363af7d14b6595af5e2f2a2581509c",
         },
     ),
     "plan-spectrum": (

@@ -6,13 +6,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fso_qkd.errors import ValidationError
 from fso_qkd.linkmodel import (
     MAX_EXPECTED_EVENTS,
     ClickStream,
     RandomAnalyzerSchedule,
+    _malus_clicks,
     _pass_probability,
     dead_time_corrected,
     dead_time_filter,
@@ -30,7 +31,8 @@ from fso_qkd.linkparams import (
 )
 from fso_qkd.polarization import STATE_TABLE
 from fso_qkd.protocol import alice_generate, sift
-from fso_qkd import calibration
+from fso_qkd.scenario import resolve_config
+from fso_qkd import calibration, linkmodel
 from fso_qkd.calibration import CALIBRATION
 
 
@@ -357,6 +359,114 @@ class TestPassProbability:
     def test_matches_full_rotation_property(self, raw_axis, kappa, angles):
         axis = np.array(raw_axis) / np.linalg.norm(raw_axis)
         assert_pass_probability_matches(axis, kappa, np.array(angles))
+
+
+def malus_run(seed, size):
+    """Strictly increasing slots at the OM4 detection probability (a run of
+    2e5 photons spans about a second), random sent states and ports, draws."""
+    rng = np.random.default_rng(seed)
+    idx = np.cumsum(rng.geometric(4e-4, size=size)) - 1
+    bases, bits, abasis, abit = rng.integers(0, 2, size=(4, size), dtype=np.uint8)
+    return idx, (bases, bits, abasis, abit), rng.random(size)
+
+
+def exact_clicks(u, photons, kappa, axis, drift_rate, idx, slot, start_time):
+    """The unbounded test: every photon's slot time, drift angle and Malus
+    probability, rounded in simulate_clicks' order."""
+    angles = drift_rate * ((idx + 0.5) * slot + start_time)
+    return np.flatnonzero(u < _pass_probability(*photons, kappa, axis, angles))
+
+
+SLOT = 1.0 / SourceParams().symbol_rate
+
+
+class TestMalusClicks:
+    """The bounded decision clicks exactly the photons the exact test clicks."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1),
+           st.sampled_from([0, 1, 200_000]),
+           st.sampled_from([0.0, 2e-4, 1e-2, 1.0, 1e3]),
+           st.floats(0.0, 1.0),
+           st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).filter(
+               lambda u: np.linalg.norm(u) > 1e-3),
+           st.sampled_from([0.0, 45.0, 400.0]))
+    @example(1, 200_000, 0.0, 0.97, [0.6, 0.0, 0.8], 400.0)  # bounds decide every photon
+    @example(2, 200_000, 1e3, 0.97, [0.6, 0.0, 0.8], 45.0)  # bounds decide none
+    @example(3, 1, 1e3, 1.0, [0.0, 0.0, 1.0], 400.0)
+    def test_matches_exact_test(self, seed, size, drift_rate, kappa, raw_axis, start_time):
+        axis = np.array(raw_axis) / np.linalg.norm(raw_axis)
+        idx, photons, u = malus_run(seed, size)
+        got = _malus_clicks(u, *photons, kappa, axis, drift_rate, idx, SLOT, start_time)
+        want = exact_clicks(u, photons, kappa, axis, drift_rate, idx, SLOT, start_time)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_draws_on_the_probability_itself(self):
+        """One-photon runs, where the bounds shrink to the photon's own
+        probability plus the slack: a draw equal to the exact probability
+        does not click and the next float below it does."""
+        rng = np.random.default_rng(11)
+        for _ in range(500):
+            axis = rng.normal(size=3)
+            axis /= np.linalg.norm(axis)
+            kappa = rng.uniform(0.0, 1.0)
+            idx = rng.integers(0, 2_000_000_000, size=1)
+            photons = rng.integers(0, 2, size=(4, 1), dtype=np.uint8)
+            drift_rate, start_time = rng.uniform(0.0, 10.0), rng.uniform(0.0, 400.0)
+            angles = drift_rate * ((idx + 0.5) * SLOT + start_time)
+            p = _pass_probability(*photons, kappa, axis, angles)
+            for u, clicks in ((p, []), (np.nextafter(p, 0.0), [0])):
+                got = _malus_clicks(u, *photons, kappa, axis, drift_rate, idx, SLOT,
+                                    start_time)
+                assert got.tolist() == clicks
+
+    @pytest.mark.parametrize("drift_rate, exact", [(0.0, 0), (2e-4, None), (1e3, 200_000)])
+    def test_bounds_decide_slow_drift_and_leave_fast_drift(self, monkeypatch, drift_rate,
+                                                           exact):
+        """Without drift the bounds decide every photon; at the default drift
+        they leave a few in 10^4; at 1e3 rad/s over a second they decide none."""
+        evaluated = []
+
+        def counting(*args):
+            evaluated.append(len(args[0]))
+            return _pass_probability(*args)
+
+        monkeypatch.setattr(linkmodel, "_pass_probability", counting)
+        axis = np.array([0.6, 0.0, 0.8])
+        idx, photons, u = malus_run(5, 200_000)
+        got = _malus_clicks(u, *photons, 0.97, axis, drift_rate, idx, SLOT, 45.0)
+        assert np.array_equal(got, exact_clicks(u, photons, 0.97, axis, drift_rate, idx,
+                                                SLOT, 45.0))
+        bounds, *exact_slices = evaluated
+        assert bounds == 32  # both ends of every (sent state, port) pair
+        if exact is None:
+            assert 0 < sum(exact_slices) < 200_000 * 1e-3
+        else:
+            assert sum(exact_slices) == exact
+        assert max(exact_slices, default=0) <= linkmodel._EXACT_SLICE
+
+    @pytest.mark.parametrize("drift_rate", [None, 50.0])
+    def test_om4_block_peak_memory_per_expected_event(self, drift_rate):
+        """One default 2e9-symbol OM4 block holds at most 56 bytes per expected
+        detector event at its peak, whether the bounds decide most photons
+        (default drift) or none (50 rad/s), since the undecided ones are
+        evaluated a slice at a time."""
+        overrides = {"channel.fiber_kind": "OM4"}
+        if drift_rate is not None:
+            overrides["channel.drift_rate"] = drift_rate
+        config = resolve_config(overrides)
+        n = config.symbols_per_block
+        src, ch, det, bg = config.source, config.channel, config.detector, config.background
+        events = linkmodel.expected_events(n, src, ch, det, bg)
+        alice = alice_generate(n, 5)
+        tracemalloc.start()
+        try:
+            simulate_clicks(alice, src, ch, det, bg, rng_seed=7,
+                            intrinsic_error=config.intrinsic_error)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / events <= 56.0
 
 
 class TestMonteCarlo:
