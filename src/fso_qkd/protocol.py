@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +50,7 @@ _SESSION_TAGS, _SWEEP_TAGS, _TAG_AXIS = (11, 13, 17), (101, 103, 107), 19
 # host (Python 3.11, fork) a two-worker OM4 session broke even between 5e5
 # and 1e6 events. A spawned or forkserver worker imports numpy and fso_qkd
 # again (about 0.25 s each), a cost this number was not measured with, so the
-# default pool is used only where workers fork.
+# default pool is used only where ``_fork_context`` can fork the workers.
 PARALLEL_MIN_EVENTS = 2e6
 
 # Serial cost model of a whole command: about 140 ns per expected detector
@@ -267,17 +268,23 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
+def _fork_context():
+    """The fork context whatever the default start method (forkserver on Linux
+    since 3.14); None without fork, or on macOS, whose libraries may not survive one."""
+    import multiprocessing
+
+    if sys.platform == "darwin" or "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    return multiprocessing.get_context("fork")
+
+
 def _auto_workers(events: list[float]) -> int:
     """Default worker count for runs that expect ``events`` detector events
     each: one process below ``PARALLEL_MIN_EVENTS`` in total or where
     workers would not fork, else every usable core, but never more runs at
     a time than fit together in one run's budget of ``MAX_EXPECTED_EVENTS``.
     """
-    if sum(events) < PARALLEL_MIN_EVENTS:
-        return 1
-    import multiprocessing
-
-    if multiprocessing.get_start_method() != "fork":
+    if sum(events) < PARALLEL_MIN_EVENTS or _fork_context() is None:
         return 1
     # every run was checked to be within the budget, so this is at least 1
     return min(_usable_cores(), int(MAX_EXPECTED_EVENTS // max(events)))
@@ -303,9 +310,10 @@ def run_map(config: ScenarioConfig, runs: list[Run],
     ``ValidationError`` that ``simulate_clicks`` would raise, so a refused
     command starts no worker. A saturated run is not simulated, so it
     expects no events and is never refused. The runs then go to ``workers``
-    processes, at most one per run. With ``workers`` None, ``_auto_workers``
-    chooses the count. Each run's seeds depend on its index and tags alone,
-    so the results do not depend on the worker count.
+    processes, at most one per run, forked where ``_fork_context`` can fork
+    them and started by the default method elsewhere. With ``workers`` None,
+    ``_auto_workers`` chooses the count. Each run's seeds depend on its index
+    and tags alone, so the results do not depend on the worker count.
     """
     events = [0.0 if run.saturated else expected_events(
         run.symbols, config.source, run.channel, config.detector, run.bg, run.start_time)
@@ -316,7 +324,7 @@ def run_map(config: ScenarioConfig, runs: list[Run],
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, mp_context=_fork_context()) as pool:
             return list(pool.map(run_block, [config] * len(runs), runs))
     return [run_block(config, run) for run in runs]
 

@@ -32,6 +32,7 @@ from fso_qkd.linkparams import (
 from fso_qkd.polarization import STATE_TABLE
 from fso_qkd.protocol import alice_generate, sift
 from fso_qkd.scenario import resolve_config
+from fso_qkd.seeding import rng_from
 from fso_qkd import calibration, linkmodel
 from fso_qkd.calibration import CALIBRATION
 
@@ -447,10 +448,12 @@ class TestMalusClicks:
 
     @pytest.mark.parametrize("drift_rate", [None, 50.0])
     def test_om4_block_peak_memory_per_expected_event(self, drift_rate):
-        """One default 2e9-symbol OM4 block holds at most 56 bytes per expected
-        detector event at its peak, whether the bounds decide most photons
-        (default drift) or none (50 rad/s), since the undecided ones are
-        evaluated a slice at a time."""
+        """One default 2e9-symbol OM4 block holds at most 36 bytes per expected
+        detector event at its peak (about 28.6), whether the bounds decide
+        most photons (default drift) or none (50 rad/s): only the slot indices
+        span the run, and each 2^16-photon slice's symbols, ports, draws and
+        bounds are freed before the next. Deciding every photon in one
+        whole-run pass peaks at about 38.8, over the pin."""
         overrides = {"channel.fiber_kind": "OM4"}
         if drift_rate is not None:
             overrides["channel.drift_rate"] = drift_rate
@@ -466,7 +469,121 @@ class TestMalusClicks:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak / events <= 56.0
+        assert peak / events <= 36.0
+
+
+# Gap probabilities on both sides of numpy's switch from inversion to search
+# at 1/3, from a detection probability far below any link's.
+GAP_Q = [1e-7, 4.3e-4, 0.02, 0.3333, float(np.nextafter(1.0 / 3.0, 0.0)), 1.0 / 3.0, 0.7]
+
+
+def geometric_detection_indices(rng, n, q):
+    """Reference sampler: every gap from ``rng.geometric``, batched as
+    ``_sample_detection_indices`` batches."""
+    expected = n * q
+    batch = int(expected + 6.0 * math.sqrt(expected) + 16.0)
+    chunks, last = [], -1
+    while True:
+        cum = np.cumsum(rng.geometric(q, size=batch)) + last
+        if cum[-1] >= n:
+            chunks.append(cum[cum < n])
+            return np.concatenate(chunks)
+        chunks.append(cum)
+        last = int(cum[-1])
+        batch = max(batch // 2, 1024)
+
+
+class TestStreamFacts:
+    """The two facts of numpy's generator stream that simulate_clicks' sampling
+    and sliced decisions rest on. If numpy changes either, these fail before
+    any golden or click pin does."""
+
+    @pytest.mark.parametrize("q", [q for q in GAP_Q if q < 1.0 / 3.0])
+    def test_exponential_gaps_are_numpys_geometric(self, q):
+        """Below 1/3, ceil(E / -log1p(-q)) over standard exponentials E gives
+        ``rng.geometric(q)``'s gaps and leaves the generator where it does."""
+        for seed in range(40):
+            ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+            gaps = ours.standard_exponential(2_000)
+            gaps /= -math.log1p(-q)
+            got = np.ceil(gaps, out=gaps).astype(np.int64)
+            assert np.array_equal(got, numpys.geometric(q, size=2_000))
+            assert ours.bit_generator.state == numpys.bit_generator.state
+
+    @pytest.mark.parametrize("cut", [0, 1, 777, 1 << 16])
+    def test_uniform_draws_split_anywhere(self, cut):
+        """``random(a)`` then ``random(b)`` draws ``random(a + b)``."""
+        total = 3 * (1 << 16) + 5
+        split, whole = np.random.default_rng(cut), np.random.default_rng(cut)
+        parts = np.concatenate([split.random(cut), split.random(total - cut)])
+        assert np.array_equal(parts, whole.random(total))
+        assert split.bit_generator.state == whole.bit_generator.state
+
+    @pytest.mark.parametrize("q", GAP_Q)
+    @pytest.mark.parametrize("n", [1, 1_000, 300_000])
+    def test_sampler_draws_the_geometric_gaps(self, q, n):
+        """On either side of 1/3 the sampler's slots and generator state are
+        those of gaps drawn by ``rng.geometric``."""
+        for seed in range(5):
+            ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = linkmodel._sample_detection_indices(ours, n, q)
+            assert np.array_equal(got, geometric_detection_indices(reference, n, q))
+            assert ours.bit_generator.state == reference.bit_generator.state
+
+
+def whole_run_clicks(symbols, src, ch, det, bg, schedule, rng_seed, intrinsic_error,
+                     start_time, axis):
+    """Reference composition: ``simulate_clicks`` with every photon's symbols,
+    ports and draw taken at once and decided by one ``_malus_clicks`` call."""
+    n = len(symbols)
+    slot = 1.0 / src.symbol_rate
+    rng = rng_from(rng_seed)
+    idx = linkmodel._sample_detection_indices(rng, n, linkmodel.click_probability(src, ch, det))
+    kappa = calibration.stokes_overlap(intrinsic_error, ch.depol_p)
+    clicked = _malus_clicks(rng.random(len(idx)), *symbols.symbols_at(idx),
+                            *schedule.ports_at(idx), kappa, axis, ch.drift_rate, idx, slot,
+                            start_time)
+    sig_idx = idx.take(clicked)
+    n_sig = len(sig_idx)
+    sig_gate = np.ones(n_sig, dtype=bool) if det.signal_gate_acceptance >= 1.0 \
+        else rng.random(n_sig) < det.signal_gate_acceptance
+    bg_idx, bg_times, bg_gate = linkmodel._background_events(
+        rng, bg.total_rate, n, n * slot, slot, start_time, det.gate_fraction)
+    times = np.concatenate([linkmodel._slot_times(sig_idx, slot, start_time), bg_times])
+    order = np.argsort(times, kind="stable")
+    times = times.take(order)
+    survivors = dead_time_filter(times, det.dead_time)
+    keep = order.take(survivors)
+    slots = np.concatenate([sig_idx, bg_idx]).take(keep)
+    return ClickStream(times.take(survivors), slots, *schedule.ports_at(slots),
+                       np.concatenate([sig_gate, bg_gate]).take(keep), keep < n_sig)
+
+
+class TestSlicedDecide:
+    """Deciding the photons 2^16 at a time clicks what one whole-run pass does."""
+
+    @pytest.mark.parametrize("drift_rate", [0.0, calibration.DRIFT_RATE_DEFAULT, 50.0])
+    @pytest.mark.parametrize("photons", [0, 1, (1 << 16) - 1, 1 << 16, (1 << 16) + 1,
+                                         3 * (1 << 16) + 5])
+    def test_matches_whole_run(self, monkeypatch, drift_rate, photons):
+        def spread(rng, n, q):  # exactly ``photons`` increasing slots in [0, n)
+            return np.cumsum(rng.integers(1, n // max(photons, 1) + 1, size=photons)) - 1
+
+        monkeypatch.setattr(linkmodel, "_sample_detection_indices", spread)
+        assert linkmodel._EXACT_SLICE == 1 << 16
+        symbols = alice_generate(2_000_000_000, 61)  # 4 s of slots
+        schedule = RandomAnalyzerSchedule(67)
+        src, det, bg = (SourceParams(), DetectorParams(signal_gate_acceptance=0.8),
+                        BackgroundBudget(solar_rate=5e4))
+        ch = quiet_channel(fso_loss_db=13.0, depol_p=0.05, drift_rate=drift_rate)
+        axis = np.array([0.6, 0.0, 0.8])
+        got = simulate_clicks(symbols, src, ch, det, bg, schedule, rng_seed=71,
+                              intrinsic_error=0.03, start_time=50.0, drift_axis=axis)
+        want = whole_run_clicks(symbols, src, ch, det, bg, schedule, 71, 0.03, 50.0, axis)
+        assert np.count_nonzero(want.is_signal) >= photons // 10
+        for name in CLICK_COLUMNS:
+            column, expected = getattr(got, name), getattr(want, name)
+            assert column.dtype == expected.dtype and np.array_equal(column, expected), name
 
 
 class TestMonteCarlo:

@@ -1,5 +1,6 @@
 """Config resolution, CLI subcommands, reproducibility, exit codes."""
 import concurrent.futures
+import functools
 import json
 import multiprocessing
 import os
@@ -18,11 +19,28 @@ from fso_qkd.cli import cmd_coexist, cmd_plan_spectrum, cmd_stability, cmd_sweep
 from fso_qkd.coexistence import ClassicalParams
 from fso_qkd.errors import ValidationError
 from fso_qkd.linkparams import DetectorParams, SourceParams
-from fso_qkd.protocol import Run, run_map
+from fso_qkd.protocol import Run, _auto_workers, run_map
 from fso_qkd.scenario import _KEYS, default_flat_config, resolve_config
 from fso_qkd.spectrum import SpectralTable, dump_spectrum, load_default_spectrum
 
 UNREADABLE = ["missing", "directory", "not-utf8"]
+
+
+class SerialPool:
+    """In-process stand-in for ``ProcessPoolExecutor`` that hands each pool's
+    ``max_workers`` and ``mp_context`` to ``record``."""
+
+    def __init__(self, record, max_workers, mp_context=None):
+        record(max_workers, mp_context)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
 
 
 @pytest.fixture
@@ -30,21 +48,8 @@ def pool_sizes(monkeypatch):
     """Replace the process pool by an in-process map; returns the list of
     ``max_workers`` of every pool started."""
     started = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        functools.partial(SerialPool, lambda workers, _: started.append(workers)))
     return started
 
 
@@ -59,9 +64,10 @@ def no_pool(monkeypatch):
 
 @pytest.fixture
 def start_method(monkeypatch):
-    """Set the start method that run_map sees, by calling the fixture."""
+    """Make ``method`` the one start method the platform offers, by calling
+    the fixture; fork until then."""
     def use(method):
-        monkeypatch.setattr(multiprocessing, "get_start_method", lambda *a, **k: method)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: [method])
 
     use("fork")
     return use
@@ -87,7 +93,6 @@ def force_workers(monkeypatch, workers):
     one process, or a pool of that many."""
     monkeypatch.setattr("fso_qkd.protocol._usable_cores", lambda: workers)
     monkeypatch.setattr("fso_qkd.protocol.PARALLEL_MIN_EVENTS", 1.0)
-    monkeypatch.setattr(multiprocessing, "get_start_method", lambda *a, **k: "fork")
 
 
 def big_runs(symbols, count=8):
@@ -373,8 +378,9 @@ class TestCliCommands:
     @pytest.mark.parametrize("method", ["spawn", "forkserver"])
     def test_auto_workers_only_where_workers_fork(self, monkeypatch, no_pool, start_method,
                                                   index_runs, method):
-        """A worker that is not forked imports numpy again, so the automatic
-        choice stays in this process however many events the runs expect."""
+        """A worker that is not forked imports numpy again, so on a platform
+        without fork the automatic choice stays in this process however many
+        events the runs expect."""
         start_method(method)
         monkeypatch.setattr("fso_qkd.protocol._usable_cores", lambda: 8)
         config, runs = big_runs(100_000_000)
@@ -386,6 +392,35 @@ class TestCliCommands:
         config, runs = big_runs(1_000_000, count=3)
         assert run_map(config, runs, workers=2) == [0, 1, 2]
         assert pool_sizes == [2]
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="Linux workers fork")
+    def test_auto_workers_fork_whatever_the_default_start_method(self, monkeypatch):
+        """Python 3.14 makes forkserver Linux's default start method; the pool
+        forks its own workers, so the automatic choice still uses the cores."""
+        monkeypatch.setattr(multiprocessing, "get_start_method", lambda *a, **k: "forkserver")
+        monkeypatch.setattr("fso_qkd.protocol._usable_cores", lambda: 8)
+        assert _auto_workers([3.5e6] * 8) == 5
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="Linux workers fork; reads /proc/self/status")
+    def test_pool_gets_a_fork_context_from_one_thread(self, monkeypatch, index_runs):
+        """The pool is built from a fork context under any default start
+        method, in a process that runs one thread (numpy's OpenBLAS starts
+        none of its own with OPENBLAS_NUM_THREADS=1, which the CLI and
+        tests/conftest.py set), so no fork warns of a multi-threaded parent."""
+        pools = []
+
+        def record(workers, context):
+            threads = re.search(r"^Threads:\s+(\d+)", Path("/proc/self/status").read_text(),
+                                re.M)
+            pools.append((workers, context.get_start_method(), int(threads.group(1))))
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            functools.partial(SerialPool, record))
+        monkeypatch.setattr(multiprocessing, "get_start_method", lambda *a, **k: "forkserver")
+        config, runs = big_runs(1_000_000, count=3)
+        assert run_map(config, runs, workers=2) == [0, 1, 2]
+        assert pools == [(2, "fork", 1)]
 
     def test_stability_blocks(self, tmp_path):
         cfg = resolve_config(small_sweep_overrides(**{
