@@ -26,10 +26,10 @@ slices; only their slot indices span the run. The drift angle is monotone,
 so each of the 16 (state, port) pass probabilities is bounded from a slice's
 first and last angle; the bounds decide most photons' Malus test by two
 table lookups, and slot times, cos and sin are computed only for the
-photons the bounds leave undecided (and slot times for the clicks). Signal
-clicks and background arrivals merge into one stream, and each
-``ClickStream`` column is gathered from that stream once, by the dead-time
-survivors' positions in it.
+photons the bounds leave undecided (and slot times for the clicks). The
+clicks come out in time order, so only the background arrivals, about a
+thousand a run, are sorted before they are inserted among them; each
+``ClickStream`` column is gathered for the dead-time survivors alone.
 """
 from __future__ import annotations
 
@@ -58,9 +58,9 @@ from .polarization import STATE_TABLE, rodrigues_terms
 from .seeding import hash_stream, mix64, rng_from
 
 # Expected detector events (signal photons plus background arrivals) that
-# one simulate_clicks call may hold. Each adds about 32 bytes to the peak
+# one simulate_clicks call may hold. Each adds about 16 bytes to the peak
 # resident set (measured on 8.6e6-event OM4 runs, at the default drift and
-# at 50 rad/s), so the budget is about 0.64 GB.
+# at 50 rad/s), so the budget is about 0.32 GB.
 MAX_EXPECTED_EVENTS = 2e7
 
 
@@ -184,24 +184,35 @@ def dead_time_filter(times: np.ndarray, dead_time: float) -> np.ndarray:
     return np.flatnonzero(alive)
 
 
+# The sampler's first batch of gaps covers this many standard deviations
+# beyond the expected detections, so a second batch is about a 1e-9 event.
+_BATCH_SIGMAS = 6.0
+
+
 def _sample_detection_indices(rng: np.random.Generator, n: int, q: float) -> np.ndarray:
     """Slot indices with a detectable photon: Bernoulli(q) per slot via gaps,
     ``rng.geometric(q)``'s draw for draw: below q = 1/3 they are numpy's own
     inversion, ceil(E / -log1p(-q)) over standard exponentials E, with the
-    log1p hoisted out of the per-draw loop."""
+    log1p hoisted out of the per-draw loop. The exponentials are drawn
+    ``_EXACT_SLICE`` at a time into one buffer and ceiled straight into the
+    int64 gaps, so the gaps are the only array that spans the run."""
     if q <= 0.0 or n == 0:
         return np.empty(0, dtype=np.int64)
     if q >= 1.0:
         return np.arange(n, dtype=np.int64)
     expected = n * q
-    batch = int(expected + 6.0 * math.sqrt(expected) + 16.0)
+    batch = int(expected + _BATCH_SIGMAS * math.sqrt(expected) + 16.0)
     chunks = []
     last = -1  # slot of the last detection so far
     while True:
         if q < 1.0 / 3.0:
-            gaps = rng.standard_exponential(batch)
-            gaps /= -math.log1p(-q)
-            cum = np.ceil(gaps, out=gaps).astype(np.int64)
+            cum = np.empty(batch, dtype=np.int64)
+            buf = np.empty(min(batch, _EXACT_SLICE))
+            for start in range(0, batch, _EXACT_SLICE):
+                gaps = buf[:min(batch - start, _EXACT_SLICE)]
+                rng.standard_exponential(out=gaps)
+                gaps /= -math.log1p(-q)
+                np.ceil(gaps, out=cum[start:start + len(gaps)], casting="unsafe")
         else:
             cum = rng.geometric(q, size=batch)
         cum[0] += last  # the running sum carries it to every slot
@@ -295,7 +306,7 @@ _BOUND_SLACK = 1e-9
 _EVERY_COLUMN = np.indices((2, 2, 2, 2), dtype=np.uint8).reshape(4, 16)
 # Photons are decided this many at a time by simulate_clicks, so a slice's
 # arrays stay in a 4 MiB L2 (2^16 beat 2^12..2^18 and the whole run on an OM4
-# block), and undecided ones are evaluated this many at a time.
+# block); undecided ones are evaluated, and gaps drawn, this many at a time.
 _EXACT_SLICE = 1 << 16
 
 
@@ -391,7 +402,9 @@ def simulate_clicks(
     (drawn from the seed when not given) by ``ch.drift_rate * t_elapsed``
     with ``t_elapsed`` counted from the session origin, ``start_time`` into
     the past of this call. Background and dark counts arrive uniformly;
-    dead time is enforced on the merged event stream. A call that
+    dead time is enforced on the merged event stream. While the photons are
+    decided, a slice at a time, only their slot indices span the run, and
+    they are freed before the clicks meet the background. A call that
     ``expected_events`` refuses raises its ``ValidationError`` before
     anything is allocated.
     """
@@ -410,42 +423,78 @@ def simulate_clicks(
     idx = _sample_detection_indices(rng, n, q)
     kappa = stokes_overlap(intrinsic_error, ch.depol_p)
     # All gaps precede any u, and random(a) then random(b) draws random(a + b),
-    # so the slices click what one whole-run pass would.
-    hits = [idx[:0]]
+    # so the slices click what one whole-run pass would. Each slice's clicked
+    # slots go back to the front of idx, which never passes the slice being
+    # read; j ends as a copy, so no view keeps idx alive past the loop.
+    n_sig = 0
     for start in range(0, len(idx), _EXACT_SLICE):
         j = idx[start:start + _EXACT_SLICE]
-        hits.append(j.take(_malus_clicks(
+        j = j.take(_malus_clicks(
             rng.random(len(j)), *symbols.symbols_at(j), *analyzer_schedule.ports_at(j),
-            kappa, axis, ch.drift_rate, j, slot, start_time)))
-    sig_idx = np.concatenate(hits)
-    n_sig = len(sig_idx)
+            kappa, axis, ch.drift_rate, j, slot, start_time))
+        idx[n_sig:n_sig + len(j)] = j
+        n_sig += len(j)
+    sig_idx = idx[:n_sig].copy()
+    del idx
     sig_gate = np.ones(n_sig, dtype=bool) if det.signal_gate_acceptance >= 1.0 \
         else rng.random(n_sig) < det.signal_gate_acceptance
 
-    bg_idx, bg_times, bg_gate = _background_events(
-        rng, bg.total_rate, n, n * slot, slot, start_time, det.gate_fraction)
+    return _merged_survivors(
+        sig_idx, sig_gate,
+        _background_events(rng, bg.total_rate, n, n * slot, slot, start_time,
+                           det.gate_fraction),
+        det.dead_time, slot, start_time, analyzer_schedule)
 
-    # Signal clicks lead the merged stream: a survivor is signal iff keep < n_sig.
-    times = np.concatenate([_slot_times(sig_idx, slot, start_time), bg_times])
-    order = np.argsort(times, kind="stable")
-    times = times.take(order)
-    survivors = dead_time_filter(times, det.dead_time)
-    keep = order.take(survivors)
-    # Each column is gathered once from the merged stream. The port hash is a
-    # pure function of the slot, so survivors are hashed by their slots alone.
-    slots = np.concatenate([sig_idx, bg_idx]).take(keep)
+
+def _merged_survivors(sig_idx, sig_gate, background, dead_time: float, slot: float,
+                      start_time: float, analyzer_schedule) -> ClickStream:
+    """The dead-time survivors of signal clicks at slots ``sig_idx`` (increasing)
+    and of ``_background_events``' arrivals (in time order), as a ``ClickStream``.
+
+    The clicks are in time order already, so the merge inserts each arrival
+    after every click at or before its time: the order a stable sort of the
+    clicks followed by the arrivals gives. Each column is gathered for the
+    survivors alone, from the clicks' and the arrivals' own arrays.
+    """
+    bg_idx, bg_times, bg_gate = background
+    times = _slot_times(sig_idx, slot, start_time)
+    at = np.searchsorted(times, bg_times, side="right")
+    times = np.insert(times, at, bg_times)
+    survivors = dead_time_filter(times, dead_time)
+    # Each arrival's position in the merged stream, then one past its end. A
+    # survivor with k arrivals before it is arrival k if it sits at pos[k],
+    # and click survivors - k otherwise.
+    pos = np.append(at + np.arange(len(at)), len(times))
+    times = times.take(survivors)
+    k = np.searchsorted(pos, survivors)
+    is_signal = pos.take(k) != survivors
+    sig_rank, bg_rank = (survivors - k)[is_signal], k[~is_signal]
+    slots = _interleave(is_signal, sig_idx.take(sig_rank), bg_idx.take(bg_rank))
+    # The port hash is a pure function of the slot, so survivors are hashed by
+    # their slots alone.
     basis, bit = analyzer_schedule.ports_at(slots)
-    return ClickStream(times.take(survivors), slots, basis, bit,
-                       np.concatenate([sig_gate, bg_gate]).take(keep), keep < n_sig)
+    return ClickStream(times, slots, basis, bit,
+                       _interleave(is_signal, sig_gate.take(sig_rank), bg_gate.take(bg_rank)),
+                       is_signal)
+
+
+def _interleave(is_signal, signal, background) -> np.ndarray:
+    """One survivor column from its signal and its background values, each in
+    stream order."""
+    column = np.empty(len(is_signal), dtype=signal.dtype)
+    column[is_signal] = signal
+    column[~is_signal] = background
+    return column
 
 
 def _background_events(rng, rate: float, n: int, duration: float, slot: float,
                        start_time: float, gate_fraction: float):
     """Uniform Poisson background over the run: indices, timestamps, gate flags,
-    in draw order (``simulate_clicks`` sorts the merged stream)."""
+    in time order, equal times in draw order."""
     count = rng.poisson(rate * duration) if rate > 0.0 else 0
     bidx = rng.integers(0, n, size=count)
     frac = rng.random(count)
     times = start_time + (bidx + frac) * slot
     in_gate = np.abs(frac - 0.5) <= gate_fraction / 2.0
-    return bidx.astype(np.int64), times, in_gate
+    order = np.argsort(times, kind="stable")
+    return bidx.astype(np.int64).take(order), times.take(order), in_gate.take(order)

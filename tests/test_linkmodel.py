@@ -448,12 +448,13 @@ class TestMalusClicks:
 
     @pytest.mark.parametrize("drift_rate", [None, 50.0])
     def test_om4_block_peak_memory_per_expected_event(self, drift_rate):
-        """One default 2e9-symbol OM4 block holds at most 36 bytes per expected
-        detector event at its peak (about 28.6), whether the bounds decide
-        most photons (default drift) or none (50 rad/s): only the slot indices
-        span the run, and each 2^16-photon slice's symbols, ports, draws and
-        bounds are freed before the next. Deciding every photon in one
-        whole-run pass peaks at about 38.8, over the pin."""
+        """One default 2e9-symbol OM4 block holds at most 20 bytes per expected
+        detector event at its peak (about 16), whether the bounds decide most
+        photons (default drift) or none (50 rad/s): the slot indices are the
+        one array that spans the run while each 2^16-photon slice is decided,
+        and the merge holds no permutation or concatenation of the whole
+        stream. Keeping a whole-run float gap batch, list of clicks and sorted
+        concatenation beside them peaks at about 32, over the pin."""
         overrides = {"channel.fiber_kind": "OM4"}
         if drift_rate is not None:
             overrides["channel.drift_rate"] = drift_rate
@@ -469,7 +470,7 @@ class TestMalusClicks:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak / events <= 36.0
+        assert peak / events <= 20.0
 
 
 # Gap probabilities on both sides of numpy's switch from inversion to search
@@ -481,7 +482,7 @@ def geometric_detection_indices(rng, n, q):
     """Reference sampler: every gap from ``rng.geometric``, batched as
     ``_sample_detection_indices`` batches."""
     expected = n * q
-    batch = int(expected + 6.0 * math.sqrt(expected) + 16.0)
+    batch = int(expected + linkmodel._BATCH_SIGMAS * math.sqrt(expected) + 16.0)
     chunks, last = [], -1
     while True:
         cum = np.cumsum(rng.geometric(q, size=batch)) + last
@@ -511,6 +512,18 @@ class TestStreamFacts:
             assert ours.bit_generator.state == numpys.bit_generator.state
 
     @pytest.mark.parametrize("cut", [0, 1, 777, 1 << 16])
+    def test_exponentials_fill_slices_in_stream_order(self, cut):
+        """``standard_exponential`` drawn into consecutive ``out=`` slices of one
+        buffer draws what one whole call does."""
+        total = 3 * (1 << 16) + 5
+        split, whole = np.random.default_rng(cut), np.random.default_rng(cut)
+        parts = np.empty(total)
+        split.standard_exponential(out=parts[:cut])
+        split.standard_exponential(out=parts[cut:])
+        assert np.array_equal(parts, whole.standard_exponential(total))
+        assert split.bit_generator.state == whole.bit_generator.state
+
+    @pytest.mark.parametrize("cut", [0, 1, 777, 1 << 16])
     def test_uniform_draws_split_anywhere(self, cut):
         """``random(a)`` then ``random(b)`` draws ``random(a + b)``."""
         total = 3 * (1 << 16) + 5
@@ -520,15 +533,34 @@ class TestStreamFacts:
         assert split.bit_generator.state == whole.bit_generator.state
 
     @pytest.mark.parametrize("q", GAP_Q)
-    @pytest.mark.parametrize("n", [1, 1_000, 300_000])
+    @pytest.mark.parametrize("n", [1, 1_000, 300_000, 1_000_000])
     def test_sampler_draws_the_geometric_gaps(self, q, n):
         """On either side of 1/3 the sampler's slots and generator state are
-        those of gaps drawn by ``rng.geometric``."""
+        those of gaps drawn by ``rng.geometric``, also when a batch spans
+        several 2^16-draw slices (over 330,000 gaps at q = 0.3333)."""
         for seed in range(5):
             ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
             got = linkmodel._sample_detection_indices(ours, n, q)
             assert np.array_equal(got, geometric_detection_indices(reference, n, q))
             assert ours.bit_generator.state == reference.bit_generator.state
+
+    @pytest.mark.parametrize("q", GAP_Q)
+    @pytest.mark.parametrize("n", [1_000, 1_000_000])
+    def test_sampler_refills_draw_for_draw(self, monkeypatch, q, n):
+        """With a first batch six deviations short of the expected detections,
+        the sampler draws more batches, each half as long but at least 1024
+        gaps (longer than the first when few are expected); the slots and
+        state still follow ``rng.geometric``."""
+        monkeypatch.setattr(linkmodel, "_BATCH_SIGMAS", -6.0)
+        expected = n * q
+        first = int(expected - 6.0 * math.sqrt(expected) + 16.0)
+        for seed in range(3):
+            ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = linkmodel._sample_detection_indices(ours, n, q)
+            assert np.array_equal(got, geometric_detection_indices(reference, n, q))
+            assert ours.bit_generator.state == reference.bit_generator.state
+            if expected >= 100:
+                assert len(got) > first  # the first batch did not reach n
 
 
 def whole_run_clicks(symbols, src, ch, det, bg, schedule, rng_seed, intrinsic_error,
@@ -547,16 +579,33 @@ def whole_run_clicks(symbols, src, ch, det, bg, schedule, rng_seed, intrinsic_er
     n_sig = len(sig_idx)
     sig_gate = np.ones(n_sig, dtype=bool) if det.signal_gate_acceptance >= 1.0 \
         else rng.random(n_sig) < det.signal_gate_acceptance
-    bg_idx, bg_times, bg_gate = linkmodel._background_events(
+    background = linkmodel._background_events(
         rng, bg.total_rate, n, n * slot, slot, start_time, det.gate_fraction)
+    return concatenated_merge(sig_idx, sig_gate, background, det.dead_time, slot,
+                              start_time, schedule)
+
+
+def concatenated_merge(sig_idx, sig_gate, background, dead_time, slot, start_time,
+                       schedule):
+    """Reference merge: clicks followed by background arrivals in one array,
+    put in time order by a stable argsort, filtered for dead time, and every
+    column gathered through the sort's permutation."""
+    bg_idx, bg_times, bg_gate = background
+    n_sig = len(sig_idx)
     times = np.concatenate([linkmodel._slot_times(sig_idx, slot, start_time), bg_times])
     order = np.argsort(times, kind="stable")
     times = times.take(order)
-    survivors = dead_time_filter(times, det.dead_time)
+    survivors = dead_time_filter(times, dead_time)
     keep = order.take(survivors)
     slots = np.concatenate([sig_idx, bg_idx]).take(keep)
     return ClickStream(times.take(survivors), slots, *schedule.ports_at(slots),
                        np.concatenate([sig_gate, bg_gate]).take(keep), keep < n_sig)
+
+
+def assert_same_stream(got, want):
+    for name in CLICK_COLUMNS:
+        column, expected = getattr(got, name), getattr(want, name)
+        assert column.dtype == expected.dtype and np.array_equal(column, expected), name
 
 
 class TestSlicedDecide:
@@ -581,9 +630,52 @@ class TestSlicedDecide:
                               intrinsic_error=0.03, start_time=50.0, drift_axis=axis)
         want = whole_run_clicks(symbols, src, ch, det, bg, schedule, 71, 0.03, 50.0, axis)
         assert np.count_nonzero(want.is_signal) >= photons // 10
-        for name in CLICK_COLUMNS:
-            column, expected = getattr(got, name), getattr(want, name)
-            assert column.dtype == expected.dtype and np.array_equal(column, expected), name
+        assert_same_stream(got, want)
+
+
+def background_at(rng, slots, fracs, start_time):
+    """``_background_events``' arrays for arrivals at ``slots`` plus ``fracs``
+    of a slot, in time order, with random gate flags."""
+    slots, fracs = np.asarray(slots, dtype=np.int64), np.asarray(fracs, dtype=float)
+    times = start_time + (slots + fracs) * SLOT
+    order = np.argsort(times, kind="stable")
+    return (slots.take(order), times.take(order),
+            rng.random(len(slots)).take(order) < 0.5)
+
+
+class TestMergedSurvivors:
+    """Inserting the sorted background among the clicks gives the stream that
+    concatenating both and sorting stably gave, column for column."""
+
+    @pytest.mark.parametrize("dead_time", [0.0, 3.5 * SLOT, calibration.DEAD_TIME])
+    @pytest.mark.parametrize("case", ["ties", "random", "no-signal", "no-background",
+                                      "empty"])
+    def test_matches_concatenated_sort(self, case, dead_time):
+        rng = np.random.default_rng(83)
+        start_time = 45.0
+        if case == "ties":  # arrivals at a click's own time, before and after
+            sig_idx = np.array([10, 20, 30], dtype=np.int64)
+            background = background_at(rng, [20, 20, 19, 31], [0.5, 0.5, 0.9, 0.1],
+                                       start_time)
+        else:
+            n_sig = 0 if case in ("no-signal", "empty") else 20_000
+            sig_idx = np.sort(rng.choice(100_000, size=n_sig, replace=False)).astype(np.int64)
+            slots = rng.integers(0, 100_000,
+                                 size=0 if case in ("no-background", "empty") else 1_200)
+            fracs = rng.random(len(slots))
+            if n_sig and len(slots):  # every fourth arrival exactly at a click's time
+                slots[::4], fracs[::4] = sig_idx[:300], 0.5
+            background = background_at(rng, slots, fracs, start_time)
+        sig_gate = rng.random(len(sig_idx)) < 0.8
+        schedule = RandomAnalyzerSchedule(89)
+        got = linkmodel._merged_survivors(sig_idx, sig_gate, background, dead_time, SLOT,
+                                          start_time, schedule)
+        want = concatenated_merge(sig_idx, sig_gate, background, dead_time, SLOT,
+                                  start_time, schedule)
+        assert_same_stream(got, want)
+        if case == "ties" and dead_time == 0.0:  # each click precedes its tied arrivals
+            assert got.symbol_indices.tolist() == [10, 19, 20, 20, 20, 30, 31]
+            assert got.is_signal.tolist() == [True, False, True, False, False, True, False]
 
 
 class TestMonteCarlo:
