@@ -14,16 +14,17 @@ The Monte Carlo samples only symbols that produce a detectable photon
 (geometric gaps over the slot lattice, as one vectorized exponential), so
 cost scales with click counts, not symbol counts, and multi-gigasymbol
 blocks stay cheap. No stage steps
-through events in Python: each symbol's basis and bit come from one hash
-word, and the dead-time filter starts a survivor chain at every cluster
-head (an event at least one dead time after its predecessor) and advances
-all chains with one ``searchsorted`` per round: one round per survivor of
-the longest cluster, and no table beyond the stream. Drift and the analyzer
-meet in the one Stokes component that each photon's port reads,
-A cos a + B sin a + C (1 - cos a), with (A, B, C) from a per-call table of
-Rodrigues terms over the four states. Photons are decided in cache-sized
-slices; only their slot indices span the run. The drift angle is monotone,
-so each of the 16 (state, port) pass probabilities is bounded from a slice's
+through events in Python: each photon's sent state and analyzer port are
+two-bit hash codes of its slot, and 4 * state + port is its row of the
+16-entry (state, port) tables; the dead-time filter starts a survivor chain
+at every cluster head (an event at least one dead time after its
+predecessor) and advances all chains with one ``searchsorted`` per round:
+one round per survivor of the longest cluster, and no table beyond the
+stream. Drift and the analyzer meet in the one Stokes component that each
+photon's port reads, A cos a + B sin a + C (1 - cos a), with (A, B, C) from
+tables of Rodrigues terms built once per call. Photons are decided in
+cache-sized slices; only their slot indices span the run. The drift angle is
+monotone, so each of the 16 pass probabilities is bounded from a slice's
 first and last angle; the bounds decide most photons' Malus test by two
 table lookups, and slot times, cos and sin are computed only for the
 photons the bounds leave undecided (and slot times for the clicks). The
@@ -34,6 +35,7 @@ thousand a run, are sorted before they are inserted among them; each
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,7 +57,7 @@ from .linkparams import (
     SourceParams,
 )
 from .polarization import STATE_TABLE, rodrigues_terms
-from .seeding import hash_stream, mix64, rng_from
+from .seeding import mix64, rng_from, two_bit_codes
 
 # Expected detector events (signal photons plus background arrivals) that
 # one simulate_clicks call may hold. Each adds about 16 bytes to the peak
@@ -106,47 +108,16 @@ def expected_rates(
         combined_polarization_error(intrinsic_error, ch.depol_p)))
 
 
-# ---------------------------------------------------------------------------
-# Analyzer schedules
-# ---------------------------------------------------------------------------
-
-class RandomAnalyzerSchedule:
-    """Uniform random choice among the four key ports, one per symbol slot.
-
-    The schedule is a pure function of (seed, index), so any slice of it
-    can be regenerated independently.
-    """
-
-    def __init__(self, seed: int):
-        self._seed = seed
-
-    def ports_at(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        words = hash_stream(self._seed, indices)
-        words &= np.uint64(3)
-        port = words.astype(np.uint8)
-        return port >> 1, port & 1
-
-
+@dataclass(frozen=True)
 class ClickStream:
-    """Array-backed, time-ordered detection events as logged by the time tagger."""
+    """Time-ordered detection events as logged by the time tagger."""
 
-    __slots__ = ("timestamps", "symbol_indices", "analyzer_basis_codes",
-                 "analyzer_bits", "in_gate", "is_signal")
-
-    def __init__(self, timestamps, symbol_indices, analyzer_basis_codes,
-                 analyzer_bits, in_gate, is_signal):
-        self.timestamps = np.asarray(timestamps, dtype=np.float64)
-        self.symbol_indices = np.asarray(symbol_indices, dtype=np.int64)
-        self.analyzer_basis_codes = np.asarray(analyzer_basis_codes, dtype=np.uint8)
-        self.analyzer_bits = np.asarray(analyzer_bits, dtype=np.uint8)
-        self.in_gate = np.asarray(in_gate, dtype=bool)
-        self.is_signal = np.asarray(is_signal, dtype=bool)
-
-    def __len__(self) -> int:
-        return len(self.timestamps)
-
-    def gated_count(self) -> int:
-        return int(np.count_nonzero(self.in_gate))
+    timestamps: np.ndarray            # float64, seconds from the session origin
+    symbol_indices: np.ndarray        # int64 slot of each event
+    analyzer_basis_codes: np.ndarray  # uint8 basis of the port it met
+    analyzer_bits: np.ndarray         # uint8 bit of that port
+    in_gate: np.ndarray               # bool: inside the temporal gate
+    is_signal: np.ndarray             # bool: a photon, not a background arrival
 
 
 def dead_time_filter(times: np.ndarray, dead_time: float) -> np.ndarray:
@@ -160,17 +131,16 @@ def dead_time_filter(times: np.ndarray, dead_time: float) -> np.ndarray:
     the next head. So the walk starts one survivor chain at every head and
     advances all open chains together, one ``searchsorted`` of the frontier
     per round, until every chain has reached a head. That costs one round
-    per survivor of the longest cluster and no table beyond the stream: its
-    due times, the head and survivor masks, and the open frontier.
+    per survivor of the longest cluster and no table beyond the stream: the
+    head and survivor masks and the open frontier.
     """
     n = len(times)
     if n == 0:
         return np.empty(0, dtype=np.int64)
-    due = times + dead_time
     # head[n] is a sentinel that closes every chain running off the end.
     head = np.empty(n + 1, dtype=bool)
     head[0] = head[n] = True
-    np.greater_equal(times[1:], due[:-1], out=head[1:n])
+    np.greater_equal(times[1:], times[:-1] + dead_time, out=head[1:n])
     alive = head[:n].copy()
     chain = np.flatnonzero(alive)
     while chain.size:
@@ -178,7 +148,7 @@ def dead_time_filter(times: np.ndarray, dead_time: float) -> np.ndarray:
         # ends. If dead_time vanishes against times[i] in floating point, the
         # step may fall back to an earlier equal timestamp; that event is a
         # head, so the chain closes there.
-        step = np.searchsorted(times, due.take(chain), side="left")
+        step = np.searchsorted(times, times.take(chain) + dead_time, side="left")
         chain = step.compress(~head.take(step))
         alive[chain] = True
     return np.flatnonzero(alive)
@@ -241,46 +211,44 @@ def _slot_times(idx: np.ndarray, slot: float, start_time: float) -> np.ndarray:
     return t
 
 
-def _port_columns(bases, bits, abasis, abit) -> np.ndarray:
-    """Row of each photon in the 16-entry (sent state, port) tables:
-    ((bases * 2 + bits) * 2 + abasis) * 2 + abit, built in place in the
-    inputs' narrow dtype and widened once, since take would otherwise convert
-    the index to intp on each call."""
-    column = bases * 2
-    column += bits
-    column *= 2
-    column += abasis
-    column *= 2
-    column += abit
+def _port_columns(sent, port) -> np.ndarray:
+    """Row 4 * sent + port of each photon in the 16-entry (sent state, port)
+    tables, from uint8 symbol and port codes, built in place in uint8 and
+    widened once, since take would otherwise convert the index to intp on
+    each call."""
+    column = sent << 2
+    column += port
     return column.astype(np.intp)
 
 
 def _malus_terms(kappa: float, axis) -> list[np.ndarray]:
     """(A, B, C): the Rodrigues terms of each sent state ``kappa *
     STATE_TABLE[basis, bit]`` about ``axis``, read by each port, as three
-    16-entry tables indexed by ``_port_columns``. The products with the port
-    vector select one component and fold in its +-1 sign exactly."""
-    ports = STATE_TABLE.reshape(-1, 3)
-    return [(t @ ports.T).ravel() for t in rodrigues_terms(ports * kappa, axis)]
+    16-entry tables indexed by ``_port_columns``. A symbol code c sends
+    basis c & 1 and bit c >> 1, so the sent rows are STATE_TABLE in [bit,
+    basis] order; a port code c reads basis c >> 1 and bit c & 1, so the port
+    rows are STATE_TABLE in its own order. The products with the port vector
+    select one component and fold in its +-1 sign exactly."""
+    sent = STATE_TABLE.transpose(1, 0, 2).reshape(4, 3)
+    ports = STATE_TABLE.reshape(4, 3)
+    return [(t @ ports.T).ravel() for t in rodrigues_terms(sent * kappa, axis)]
 
 
-def _pass_probability(bases, bits, abasis, abit, kappa: float, axis,
-                      angles) -> np.ndarray:
+def _pass_probability(column, terms, angles) -> np.ndarray:
     """Malus probability that each photon passes its analyzer port.
 
-    Photon i is sent in ``STATE_TABLE[bases[i], bits[i]] * kappa``, rotated
-    about ``axis`` by ``angles[i]`` and met by port
-    ``STATE_TABLE[abasis[i], abit[i]]``. Every state and port lies on one
+    Photon i is sent in its state times kappa, rotated about the drift axis
+    by ``angles[i]`` and met by its port; ``column[i]`` is its row of the
+    ``_malus_terms`` tables ``terms``. Every state and port lies on one
     Stokes axis, so the component the port reads is
-    A cos a + B sin a + C (1 - cos a), with (A, B, C) from ``_malus_terms``:
-    a 4x4 table per call instead of an (n, 3) rotation. Each probability is
-    rounded as the full rotation and dot product round it. A zero angle
-    leaves A exact (cos 0 = 1, sin 0 = 1 - cos 0 = 0), so a drift-free run
-    gives the unrotated probabilities bit for bit. ``simulate_clicks`` calls
-    it only for the photons that ``_malus_clicks``' bounds leave undecided.
+    A cos a + B sin a + C (1 - cos a): a 4x4 table per call instead of an
+    (n, 3) rotation. Each probability is rounded as the full rotation and dot
+    product round it. A zero angle leaves A exact (cos 0 = 1,
+    sin 0 = 1 - cos 0 = 0), so a drift-free run gives the unrotated
+    probabilities bit for bit. ``simulate_clicks`` calls it only for the
+    photons that ``_malus_clicks``' bounds leave undecided.
     """
-    a_term, b_term, c_term = _malus_terms(kappa, axis)
-    column = _port_columns(bases, bits, abasis, abit)
+    a_term, b_term, c_term = terms
     x = a_term.take(column)
     # ((x c) + (B s)) + (C (1 - c)) in place, in that rounding order.
     # column is always in range; mode="clip" lets take fill term unbuffered.
@@ -301,17 +269,14 @@ def _pass_probability(bases, bits, abasis, abit, kappa: float, axis,
 # differences (about 1e-16) between one probability rounded two ways, and
 # small enough to leave only about 2e-9 of the draws undecided at no drift.
 _BOUND_SLACK = 1e-9
-# bases, bits, abasis, abit of one photon per (sent state, port) pair, in
-# _port_columns order.
-_EVERY_COLUMN = np.indices((2, 2, 2, 2), dtype=np.uint8).reshape(4, 16)
 # Photons are decided this many at a time by simulate_clicks, so a slice's
 # arrays stay in a 4 MiB L2 (2^16 beat 2^12..2^18 and the whole run on an OM4
 # block); undecided ones are evaluated, and gaps drawn, this many at a time.
 _EXACT_SLICE = 1 << 16
 
 
-def _malus_clicks(u, bases, bits, abasis, abit, kappa: float, axis,
-                  drift_rate: float, idx, slot: float, start_time: float) -> np.ndarray:
+def _malus_clicks(u, column, terms, drift_rate: float, idx, slot: float,
+                  start_time: float) -> np.ndarray:
     """Positions i with ``u[i] < _pass_probability(...)`` at photon i's drift
     angle ``drift_rate * _slot_times(idx, slot, start_time)[i]``.
 
@@ -330,24 +295,21 @@ def _malus_clicks(u, bases, bits, abasis, abit, kappa: float, axis,
     if len(idx) == 0:
         return np.empty(0, dtype=np.int64)
     a0, a1 = ends = drift_rate * _slot_times(idx[[0, -1]], slot, start_time)
-    p = _pass_probability(*np.tile(_EVERY_COLUMN, 2), kappa, axis,
-                          ends.repeat(16)).reshape(2, 16)
-    slack = sum(np.abs(t) for t in _malus_terms(kappa, axis)) * (0.25 * (a1 - a0))
+    p = _pass_probability(np.tile(np.arange(16), 2), terms, ends.repeat(16)).reshape(2, 16)
+    slack = sum(np.abs(t) for t in terms) * (0.25 * (a1 - a0))
     slack += _BOUND_SLACK
-    column = _port_columns(bases, bits, abasis, abit)
     bound = (p.min(axis=0) - slack).take(column)
     clicked = u < bound
     (p.max(axis=0) + slack).take(column, out=bound, mode="clip")  # unbuffered
     undecided = u < bound
-    del bound, column
+    del bound
     undecided ^= clicked  # clicked implies below hi
     pending = np.flatnonzero(undecided)
     for start in range(0, len(pending), _EXACT_SLICE):
         j = pending[start:start + _EXACT_SLICE]
         angles = _slot_times(idx.take(j), slot, start_time)
         angles *= drift_rate
-        clicked[j] = u.take(j) < _pass_probability(
-            bases.take(j), bits.take(j), abasis.take(j), abit.take(j), kappa, axis, angles)
+        clicked[j] = u.take(j) < _pass_probability(column.take(j), terms, angles)
     return np.flatnonzero(clicked)
 
 
@@ -386,7 +348,7 @@ def simulate_clicks(
     ch: ChannelParams,
     det: DetectorParams,
     bg: BackgroundBudget,
-    analyzer_schedule=None,
+    schedule_seed: int | None = None,
     rng_seed: int = 0,
     intrinsic_error: float = 0.0,
     start_time: float = 0.0,
@@ -394,9 +356,10 @@ def simulate_clicks(
 ) -> ClickStream:
     """Monte Carlo detection run over ``symbols``; deterministic per seed.
 
-    One SPAD sits behind the port chosen by ``analyzer_schedule`` for each
-    slot; a photon clicks with the Malus probability of that port and is
-    otherwise absorbed.
+    One SPAD sits behind one of the four key ports in each slot, the
+    ``two_bit_codes`` of the slot under ``schedule_seed`` (derived from
+    ``rng_seed`` when not given); a photon clicks with the Malus probability
+    of that port and is otherwise absorbed.
 
     Polarization drift rotates the transmitted states about ``drift_axis``
     (drawn from the seed when not given) by ``ch.drift_rate * t_elapsed``
@@ -417,11 +380,11 @@ def simulate_clicks(
     rng = rng_from(rng_seed)
     axis = np.asarray(drift_axis, dtype=float) if drift_axis is not None \
         else random_unit_vector(rng)
-    if analyzer_schedule is None:
-        analyzer_schedule = RandomAnalyzerSchedule(mix64(rng_seed, 0xA11A))
+    if schedule_seed is None:
+        schedule_seed = mix64(rng_seed, 0xA11A)
 
     idx = _sample_detection_indices(rng, n, q)
-    kappa = stokes_overlap(intrinsic_error, ch.depol_p)
+    terms = _malus_terms(stokes_overlap(intrinsic_error, ch.depol_p), axis)
     # All gaps precede any u, and random(a) then random(b) draws random(a + b),
     # so the slices click what one whole-run pass would. Each slice's clicked
     # slots go back to the front of idx, which never passes the slice being
@@ -429,9 +392,9 @@ def simulate_clicks(
     n_sig = 0
     for start in range(0, len(idx), _EXACT_SLICE):
         j = idx[start:start + _EXACT_SLICE]
-        j = j.take(_malus_clicks(
-            rng.random(len(j)), *symbols.symbols_at(j), *analyzer_schedule.ports_at(j),
-            kappa, axis, ch.drift_rate, j, slot, start_time))
+        column = _port_columns(symbols.codes_at(j), two_bit_codes(schedule_seed, j))
+        j = j.take(_malus_clicks(rng.random(len(j)), column, terms, ch.drift_rate, j, slot,
+                                 start_time))
         idx[n_sig:n_sig + len(j)] = j
         n_sig += len(j)
     sig_idx = idx[:n_sig].copy()
@@ -443,11 +406,11 @@ def simulate_clicks(
         sig_idx, sig_gate,
         _background_events(rng, bg.total_rate, n, n * slot, slot, start_time,
                            det.gate_fraction),
-        det.dead_time, slot, start_time, analyzer_schedule)
+        det.dead_time, slot, start_time, schedule_seed)
 
 
 def _merged_survivors(sig_idx, sig_gate, background, dead_time: float, slot: float,
-                      start_time: float, analyzer_schedule) -> ClickStream:
+                      start_time: float, schedule_seed: int) -> ClickStream:
     """The dead-time survivors of signal clicks at slots ``sig_idx`` (increasing)
     and of ``_background_events``' arrivals (in time order), as a ``ClickStream``.
 
@@ -472,8 +435,8 @@ def _merged_survivors(sig_idx, sig_gate, background, dead_time: float, slot: flo
     slots = _interleave(is_signal, sig_idx.take(sig_rank), bg_idx.take(bg_rank))
     # The port hash is a pure function of the slot, so survivors are hashed by
     # their slots alone.
-    basis, bit = analyzer_schedule.ports_at(slots)
-    return ClickStream(times, slots, basis, bit,
+    port = two_bit_codes(schedule_seed, slots)
+    return ClickStream(times, slots, port >> 1, port & 1,
                        _interleave(is_signal, sig_gate.take(sig_rank), bg_gate.take(bg_rank)),
                        is_signal)
 

@@ -28,7 +28,6 @@ from .coexistence import crosstalk_background
 from .errors import ValidationError
 from .linkmodel import (
     ClickStream,
-    RandomAnalyzerSchedule,
     MAX_EXPECTED_EVENTS,
     detector_load,
     expected_events,
@@ -37,7 +36,7 @@ from .linkmodel import (
 )
 from .linkparams import BackgroundBudget, ChannelParams
 from .scenario import ScenarioConfig
-from .seeding import hash_stream, mix64, rng_from
+from .seeding import mix64, rng_from, two_bit_codes
 
 # Seed tags (Alice, schedule, clicks) of a session block and of a sweep
 # point, and the tag of a session's drift axis.
@@ -76,19 +75,18 @@ class SymbolSequence:
     def __len__(self) -> int:
         return self.n
 
-    def _words(self, indices: np.ndarray) -> np.ndarray:
+    def codes_at(self, indices: np.ndarray) -> np.ndarray:
+        """Symbol codes at the given indices: basis code (0=RL, 1=AD) code & 1,
+        bit code >> 1."""
         idx = np.asarray(indices, dtype=np.int64)
         if idx.size and (idx.min() < 0 or idx.max() >= self.n):
             raise ValidationError("symbol index out of range")
-        return hash_stream(self.seed, idx)
+        return two_bit_codes(self.seed, idx)
 
     def symbols_at(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Basis codes (0=RL, 1=AD) and bits at the given indices, from one
-        hash word each."""
-        words = self._words(indices)
-        words &= np.uint64(3)
-        port = words.astype(np.uint8)
-        return port & 1, port >> 1
+        """Basis codes and bits at the given indices."""
+        code = self.codes_at(indices)
+        return code & 1, code >> 1
 
 
 def alice_generate(n: int, rng_seed: int) -> SymbolSequence:
@@ -170,7 +168,7 @@ class BlockStats:
 def estimate_block_stats(
     sifted: SiftResult,
     duration: float,
-    gated_clicks: int | None = None,
+    gated_clicks: int,
     block_start: float = 0.0,
     kappa: bool = False,
 ) -> BlockStats:
@@ -188,7 +186,7 @@ def estimate_block_stats(
         block_duration=duration,
         raw_key_rate=kept / duration,
         qber=qber,
-        gated_clicks=kept if gated_clicks is None else int(gated_clicks),
+        gated_clicks=gated_clicks,
         kept_bits=kept,
         kappa=kappa,
         flag="ok" if kept else "insufficient_data",
@@ -217,7 +215,7 @@ def secure_fraction(qber: float) -> float:
 class Run:
     """One session block or sweep point, set up in the parent process.
 
-    Alice's symbols, the analyzer schedule and the click stream draw from
+    Alice's symbols, the analyzer ports and the click stream draw from
     ``mix64(config.rng_seed, index, tag)`` for the three seed ``tags``, so
     ``run_block`` is a pure function of the config and the run. A
     ``saturated`` run is a session block that ``run_session`` found over the
@@ -249,15 +247,14 @@ def run_block(config: ScenarioConfig, run: Run) -> BlockStats:
     alice = alice_generate(run.symbols, mix64(config.rng_seed, run.index, tag_alice))
     clicks = simulate_clicks(
         alice, config.source, run.channel, config.detector, run.bg,
-        analyzer_schedule=RandomAnalyzerSchedule(
-            mix64(config.rng_seed, run.index, tag_schedule)),
+        schedule_seed=mix64(config.rng_seed, run.index, tag_schedule),
         rng_seed=mix64(config.rng_seed, run.index, tag_clicks),
         intrinsic_error=config.intrinsic_error,
         start_time=run.start_time,
         drift_axis=run.drift_axis,
     )
     return estimate_block_stats(sift(alice, clicks), duration,
-                                gated_clicks=clicks.gated_count(),
+                                int(np.count_nonzero(clicks.in_gate)),
                                 block_start=run.start_time, kappa=run.kappa)
 
 

@@ -1,8 +1,8 @@
 """Deterministic seeding and counter-based random streams.
 
-Large runs never materialize per-symbol random state. Alice's symbols and
-the receiver's analyzer schedule are defined as pure functions of
-(seed, symbol index) through a splitmix64-style mixer, so any slice of a
+Large runs never materialize per-symbol random state. Alice's symbol and
+the receiver's analyzer port in each slot are two-bit codes, pure functions
+of (seed, symbol index) through a splitmix64-style mixer, so any slice of a
 multi-gigasymbol stream can be reproduced independently and two runs with
 the same seed are bit-identical regardless of chunking or worker count.
 """
@@ -50,6 +50,14 @@ def hash_stream(seed: int, indices: np.ndarray) -> np.ndarray:
     np.right_shift(z, np.uint64(31), out=shifted)
     z ^= shifted
     return z
+
+
+def two_bit_codes(seed: int, indices: np.ndarray) -> np.ndarray:
+    """The low two bits of ``hash_stream(seed, indices)`` as uint8: the one
+    source of symbol and analyzer port codes."""
+    words = hash_stream(seed, indices)
+    words &= np.uint64(3)
+    return words.astype(np.uint8)
 
 
 def rng_from(seed: int) -> np.random.Generator:

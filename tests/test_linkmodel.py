@@ -12,9 +12,10 @@ from fso_qkd.errors import ValidationError
 from fso_qkd.linkmodel import (
     MAX_EXPECTED_EVENTS,
     ClickStream,
-    RandomAnalyzerSchedule,
     _malus_clicks,
+    _malus_terms,
     _pass_probability,
+    _port_columns,
     dead_time_corrected,
     dead_time_filter,
     expected_rates,
@@ -32,7 +33,7 @@ from fso_qkd.linkparams import (
 from fso_qkd.polarization import STATE_TABLE
 from fso_qkd.protocol import alice_generate, sift
 from fso_qkd.scenario import resolve_config
-from fso_qkd.seeding import rng_from
+from fso_qkd.seeding import hash_stream, rng_from, two_bit_codes
 from fso_qkd import calibration, linkmodel
 from fso_qkd.calibration import CALIBRATION
 
@@ -327,15 +328,30 @@ def full_rotation_pass_probability(bases, bits, abasis, abit, kappa, axis, angle
 
 # Every sent key state against each of the four key analyzer ports.
 PHOTON_GRID = np.array([(b, bit, ab, abit) for b in (0, 1) for bit in (0, 1)
-                        for ab in (0, 1) for abit in (0, 1)]).T
+                        for ab in (0, 1) for abit in (0, 1)], dtype=np.uint8).T
+
+
+def photon_columns(bases, bits, abasis, abit):
+    """Table rows of photons given by basis and bit, through their symbol code
+    bit * 2 + basis and their port code abasis * 2 + abit."""
+    return _port_columns(bits * 2 + bases, abasis * 2 + abit)
+
+
+def port_of_slot(schedule_seed, slots):
+    """Analyzer (basis, bit) of each slot straight from its hash word w:
+    ((w >> 1) & 1, w & 1)."""
+    w = hash_stream(schedule_seed, slots)
+    return ((w >> np.uint64(1)) & np.uint64(1)).astype(np.uint8), \
+        (w & np.uint64(1)).astype(np.uint8)
 
 
 def assert_pass_probability_matches(axis, kappa, angles):
     photons = PHOTON_GRID[:, np.arange(len(angles)) % PHOTON_GRID.shape[1]]
-    got = _pass_probability(*photons, kappa, axis, angles)
+    column, terms = photon_columns(*photons), _malus_terms(kappa, axis)
+    got = _pass_probability(column, terms, angles)
     assert np.array_equal(got, full_rotation_pass_probability(*photons, kappa, axis, angles))
     # without drift: zero angles give the unrotated probabilities bit for bit
-    got = _pass_probability(*photons, kappa, axis, np.zeros_like(angles))
+    got = _pass_probability(column, terms, np.zeros_like(angles))
     assert np.array_equal(got, full_rotation_pass_probability(*photons, kappa, axis, None))
 
 
@@ -364,18 +380,19 @@ class TestPassProbability:
 
 def malus_run(seed, size):
     """Strictly increasing slots at the OM4 detection probability (a run of
-    2e5 photons spans about a second), random sent states and ports, draws."""
+    2e5 photons spans about a second), the table rows of random sent states
+    and ports, draws."""
     rng = np.random.default_rng(seed)
     idx = np.cumsum(rng.geometric(4e-4, size=size)) - 1
-    bases, bits, abasis, abit = rng.integers(0, 2, size=(4, size), dtype=np.uint8)
-    return idx, (bases, bits, abasis, abit), rng.random(size)
+    photons = rng.integers(0, 2, size=(4, size), dtype=np.uint8)
+    return idx, photon_columns(*photons), rng.random(size)
 
 
-def exact_clicks(u, photons, kappa, axis, drift_rate, idx, slot, start_time):
+def exact_clicks(u, column, terms, drift_rate, idx, slot, start_time):
     """The unbounded test: every photon's slot time, drift angle and Malus
     probability, rounded in simulate_clicks' order."""
     angles = drift_rate * ((idx + 0.5) * slot + start_time)
-    return np.flatnonzero(u < _pass_probability(*photons, kappa, axis, angles))
+    return np.flatnonzero(u < _pass_probability(column, terms, angles))
 
 
 SLOT = 1.0 / SourceParams().symbol_rate
@@ -397,9 +414,10 @@ class TestMalusClicks:
     @example(3, 1, 1e3, 1.0, [0.0, 0.0, 1.0], 400.0)
     def test_matches_exact_test(self, seed, size, drift_rate, kappa, raw_axis, start_time):
         axis = np.array(raw_axis) / np.linalg.norm(raw_axis)
-        idx, photons, u = malus_run(seed, size)
-        got = _malus_clicks(u, *photons, kappa, axis, drift_rate, idx, SLOT, start_time)
-        want = exact_clicks(u, photons, kappa, axis, drift_rate, idx, SLOT, start_time)
+        idx, column, u = malus_run(seed, size)
+        terms = _malus_terms(kappa, axis)
+        got = _malus_clicks(u, column, terms, drift_rate, idx, SLOT, start_time)
+        want = exact_clicks(u, column, terms, drift_rate, idx, SLOT, start_time)
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_draws_on_the_probability_itself(self):
@@ -412,13 +430,13 @@ class TestMalusClicks:
             axis /= np.linalg.norm(axis)
             kappa = rng.uniform(0.0, 1.0)
             idx = rng.integers(0, 2_000_000_000, size=1)
-            photons = rng.integers(0, 2, size=(4, 1), dtype=np.uint8)
+            column = photon_columns(*rng.integers(0, 2, size=(4, 1), dtype=np.uint8))
+            terms = _malus_terms(kappa, axis)
             drift_rate, start_time = rng.uniform(0.0, 10.0), rng.uniform(0.0, 400.0)
             angles = drift_rate * ((idx + 0.5) * SLOT + start_time)
-            p = _pass_probability(*photons, kappa, axis, angles)
+            p = _pass_probability(column, terms, angles)
             for u, clicks in ((p, []), (np.nextafter(p, 0.0), [0])):
-                got = _malus_clicks(u, *photons, kappa, axis, drift_rate, idx, SLOT,
-                                    start_time)
+                got = _malus_clicks(u, column, terms, drift_rate, idx, SLOT, start_time)
                 assert got.tolist() == clicks
 
     @pytest.mark.parametrize("drift_rate, exact", [(0.0, 0), (2e-4, None), (1e3, 200_000)])
@@ -434,10 +452,10 @@ class TestMalusClicks:
 
         monkeypatch.setattr(linkmodel, "_pass_probability", counting)
         axis = np.array([0.6, 0.0, 0.8])
-        idx, photons, u = malus_run(5, 200_000)
-        got = _malus_clicks(u, *photons, 0.97, axis, drift_rate, idx, SLOT, 45.0)
-        assert np.array_equal(got, exact_clicks(u, photons, 0.97, axis, drift_rate, idx,
-                                                SLOT, 45.0))
+        idx, column, u = malus_run(5, 200_000)
+        terms = _malus_terms(0.97, axis)
+        got = _malus_clicks(u, column, terms, drift_rate, idx, SLOT, 45.0)
+        assert np.array_equal(got, exact_clicks(u, column, terms, drift_rate, idx, SLOT, 45.0))
         bounds, *exact_slices = evaluated
         assert bounds == 32  # both ends of every (sent state, port) pair
         if exact is None:
@@ -449,7 +467,7 @@ class TestMalusClicks:
     @pytest.mark.parametrize("drift_rate", [None, 50.0])
     def test_om4_block_peak_memory_per_expected_event(self, drift_rate):
         """One default 2e9-symbol OM4 block holds at most 20 bytes per expected
-        detector event at its peak (about 16), whether the bounds decide most
+        detector event at its peak (about 14), whether the bounds decide most
         photons (default drift) or none (50 rad/s): the slot indices are the
         one array that spans the run while each 2^16-photon slice is decided,
         and the merge holds no permutation or concatenation of the whole
@@ -563,7 +581,7 @@ class TestStreamFacts:
                 assert len(got) > first  # the first batch did not reach n
 
 
-def whole_run_clicks(symbols, src, ch, det, bg, schedule, rng_seed, intrinsic_error,
+def whole_run_clicks(symbols, src, ch, det, bg, schedule_seed, rng_seed, intrinsic_error,
                      start_time, axis):
     """Reference composition: ``simulate_clicks`` with every photon's symbols,
     ports and draw taken at once and decided by one ``_malus_clicks`` call."""
@@ -572,9 +590,9 @@ def whole_run_clicks(symbols, src, ch, det, bg, schedule, rng_seed, intrinsic_er
     rng = rng_from(rng_seed)
     idx = linkmodel._sample_detection_indices(rng, n, linkmodel.click_probability(src, ch, det))
     kappa = calibration.stokes_overlap(intrinsic_error, ch.depol_p)
-    clicked = _malus_clicks(rng.random(len(idx)), *symbols.symbols_at(idx),
-                            *schedule.ports_at(idx), kappa, axis, ch.drift_rate, idx, slot,
-                            start_time)
+    column = photon_columns(*symbols.symbols_at(idx), *port_of_slot(schedule_seed, idx))
+    clicked = _malus_clicks(rng.random(len(idx)), column, _malus_terms(kappa, axis),
+                            ch.drift_rate, idx, slot, start_time)
     sig_idx = idx.take(clicked)
     n_sig = len(sig_idx)
     sig_gate = np.ones(n_sig, dtype=bool) if det.signal_gate_acceptance >= 1.0 \
@@ -582,11 +600,11 @@ def whole_run_clicks(symbols, src, ch, det, bg, schedule, rng_seed, intrinsic_er
     background = linkmodel._background_events(
         rng, bg.total_rate, n, n * slot, slot, start_time, det.gate_fraction)
     return concatenated_merge(sig_idx, sig_gate, background, det.dead_time, slot,
-                              start_time, schedule)
+                              start_time, schedule_seed)
 
 
 def concatenated_merge(sig_idx, sig_gate, background, dead_time, slot, start_time,
-                       schedule):
+                       schedule_seed):
     """Reference merge: clicks followed by background arrivals in one array,
     put in time order by a stable argsort, filtered for dead time, and every
     column gathered through the sort's permutation."""
@@ -598,7 +616,7 @@ def concatenated_merge(sig_idx, sig_gate, background, dead_time, slot, start_tim
     survivors = dead_time_filter(times, dead_time)
     keep = order.take(survivors)
     slots = np.concatenate([sig_idx, bg_idx]).take(keep)
-    return ClickStream(times.take(survivors), slots, *schedule.ports_at(slots),
+    return ClickStream(times.take(survivors), slots, *port_of_slot(schedule_seed, slots),
                        np.concatenate([sig_gate, bg_gate]).take(keep), keep < n_sig)
 
 
@@ -621,16 +639,30 @@ class TestSlicedDecide:
         monkeypatch.setattr(linkmodel, "_sample_detection_indices", spread)
         assert linkmodel._EXACT_SLICE == 1 << 16
         symbols = alice_generate(2_000_000_000, 61)  # 4 s of slots
-        schedule = RandomAnalyzerSchedule(67)
         src, det, bg = (SourceParams(), DetectorParams(signal_gate_acceptance=0.8),
                         BackgroundBudget(solar_rate=5e4))
         ch = quiet_channel(fso_loss_db=13.0, depol_p=0.05, drift_rate=drift_rate)
         axis = np.array([0.6, 0.0, 0.8])
-        got = simulate_clicks(symbols, src, ch, det, bg, schedule, rng_seed=71,
+        got = simulate_clicks(symbols, src, ch, det, bg, 67, rng_seed=71,
                               intrinsic_error=0.03, start_time=50.0, drift_axis=axis)
-        want = whole_run_clicks(symbols, src, ch, det, bg, schedule, 71, 0.03, 50.0, axis)
+        want = whole_run_clicks(symbols, src, ch, det, bg, 67, 71, 0.03, 50.0, axis)
         assert np.count_nonzero(want.is_signal) >= photons // 10
         assert_same_stream(got, want)
+
+    def test_tables_built_once_per_call(self, monkeypatch):
+        """Every slice reads the one set of Malus tables built for the call."""
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return _malus_terms(*args)
+
+        monkeypatch.setattr(linkmodel, "_malus_terms", counting)
+        clicks = simulate_clicks(alice_generate(2_000_000_000, 61), SourceParams(),
+                                 quiet_channel(fso_loss_db=13.0, drift_rate=50.0),
+                                 DetectorParams(), BackgroundBudget(), rng_seed=71)
+        assert np.count_nonzero(clicks.is_signal) > 3 * linkmodel._EXACT_SLICE // 10
+        assert len(built) == 1
 
 
 def background_at(rng, slots, fracs, start_time):
@@ -667,11 +699,10 @@ class TestMergedSurvivors:
                 slots[::4], fracs[::4] = sig_idx[:300], 0.5
             background = background_at(rng, slots, fracs, start_time)
         sig_gate = rng.random(len(sig_idx)) < 0.8
-        schedule = RandomAnalyzerSchedule(89)
         got = linkmodel._merged_survivors(sig_idx, sig_gate, background, dead_time, SLOT,
-                                          start_time, schedule)
+                                          start_time, 89)
         want = concatenated_merge(sig_idx, sig_gate, background, dead_time, SLOT,
-                                  start_time, schedule)
+                                  start_time, 89)
         assert_same_stream(got, want)
         if case == "ties" and dead_time == 0.0:  # each click precedes its tied arrivals
             assert got.symbol_indices.tolist() == [10, 19, 20, 20, 20, 30, 31]
@@ -685,7 +716,7 @@ class TestMonteCarlo:
             alice, SourceParams(), quiet_channel(fso_loss_db=float("inf")),
             DetectorParams(dark_rate=0.0), BackgroundBudget(dark_rate=0.0),
             rng_seed=4)
-        assert len(clicks) == 0
+        assert clicks.timestamps.size == 0
 
     def test_over_memory_budget_rejected(self):
         """Expected background alone past the event budget is refused up front."""
@@ -700,7 +731,7 @@ class TestMonteCarlo:
         clicks = simulate_clicks(alice_generate(0, 1), SourceParams(),
                                  quiet_channel(), DetectorParams(),
                                  BackgroundBudget(), rng_seed=2)
-        assert len(clicks) == 0
+        assert clicks.timestamps.size == 0
 
     def test_same_seed_bit_identical(self):
         alice = alice_generate(500_000, 21)
@@ -722,21 +753,21 @@ class TestMonteCarlo:
                              ids=["background", "no-background"])
     def test_stream_invariants(self, drift_rate, dead_time, acceptance, bg):
         """Time order, slot timing and dead time hold, and every click's
-        analyzer port is the schedule's port at its slot, signal or not."""
+        analyzer port is read off the hash word w of its slot, basis
+        (w >> 1) & 1 and bit w & 1, signal or not."""
         alice = alice_generate(2_000_000, 5)
         src = SourceParams()
         det = DetectorParams(dead_time=dead_time, signal_gate_acceptance=acceptance,
                              dark_rate=bg.dark_rate)
-        schedule = RandomAnalyzerSchedule(8)
         clicks = simulate_clicks(alice, src, quiet_channel(drift_rate=drift_rate), det, bg,
-                                 analyzer_schedule=schedule, rng_seed=9)
+                                 schedule_seed=8, rng_seed=9)
         # both kinds of click survive, unless there is no background
         assert set(clicks.is_signal.tolist()) == {True, bg.total_rate == 0.0}
         gaps = np.diff(clicks.timestamps)
         assert np.all(gaps >= dead_time)
         implied = np.floor(clicks.timestamps * src.symbol_rate).astype(np.int64)
         assert np.array_equal(implied, clicks.symbol_indices)
-        basis, bit = schedule.ports_at(clicks.symbol_indices)
+        basis, bit = port_of_slot(8, clicks.symbol_indices)
         assert np.array_equal(basis, clicks.analyzer_basis_codes)
         assert np.array_equal(bit, clicks.analyzer_bits)
 
@@ -862,11 +893,10 @@ class TestClickStreamPins:
         assert dict(zip(CLICK_COLUMNS, digests)) == dict(zip(CLICK_COLUMNS, pins))
 
 
-class TestSchedules:
-    def test_random_schedule_deterministic(self):
-        sched = RandomAnalyzerSchedule(99)
+class TestTwoBitCodes:
+    def test_deterministic_uint8_codes(self):
         idx = np.arange(1000)
-        b1, x1 = sched.ports_at(idx)
-        b2, x2 = RandomAnalyzerSchedule(99).ports_at(idx)
-        assert np.array_equal(b1, b2) and np.array_equal(x1, x2)
-        assert set(np.unique(b1)) <= {0, 1}
+        codes = two_bit_codes(99, idx)
+        assert codes.dtype == np.uint8
+        assert np.array_equal(codes, two_bit_codes(99, idx))
+        assert set(codes.tolist()) == {0, 1, 2, 3}

@@ -8,7 +8,6 @@ from scipy.stats import chi2_contingency, entropy
 from fso_qkd.errors import ValidationError
 from fso_qkd.linkmodel import (
     ClickStream,
-    RandomAnalyzerSchedule,
     expected_rates,
     random_unit_vector,
     simulate_clicks,
@@ -31,7 +30,7 @@ from fso_qkd.protocol import (
     sift,
 )
 from fso_qkd.scenario import resolve_config
-from fso_qkd.seeding import mix64, rng_from
+from fso_qkd.seeding import hash_stream, mix64, rng_from
 
 
 def quiet_channel(**kwargs) -> ChannelParams:
@@ -50,10 +49,11 @@ def symbol(alice, i: int) -> tuple[Basis, int]:
 def stream_from_rows(rows) -> ClickStream:
     """Build a ClickStream from (timestamp, index, basis, bit, in_gate) rows;
     a basis is a ``Basis`` or a raw analyzer code."""
-    ts, idx, bas, bit, gate = zip(*rows)
+    ts, idx, bas, bit, gate = zip(*rows) if rows else ((),) * 5
     return ClickStream(
-        np.array(ts), np.array(idx), np.array([int(b) for b in bas]),
-        np.array(bit), np.array(gate), np.ones(len(rows), bool))
+        np.array(ts, dtype=np.float64), np.array(idx, dtype=np.int64),
+        np.array([int(b) for b in bas], dtype=np.uint8), np.array(bit, dtype=np.uint8),
+        np.array(gate, dtype=bool), np.ones(len(rows), bool))
 
 
 class TestAliceGenerate:
@@ -94,11 +94,24 @@ class TestAliceGenerate:
     def test_out_of_range_index(self):
         with pytest.raises(ValidationError):
             alice_generate(10, 1).symbols_at(np.array([10]))
+        with pytest.raises(ValidationError):
+            alice_generate(10, 1).codes_at(np.array([-1]))
+
+    def test_symbols_are_the_low_bits_of_the_hash_word(self):
+        """Symbol i's basis is w & 1 and its bit (w >> 1) & 1, for w the hash
+        word of i under Alice's seed."""
+        alice = alice_generate(10_000, 23)
+        idx = np.arange(10_000)
+        w = hash_stream(23, idx)
+        bases, bits = alice.symbols_at(idx)
+        assert bases.dtype == bits.dtype == np.uint8
+        assert np.array_equal(bases, w & np.uint64(1))
+        assert np.array_equal(bits, (w >> np.uint64(1)) & np.uint64(1))
 
 
 class TestSift:
     def test_no_clicks(self):
-        result = sift(alice_generate(100, 1), ClickStream([], [], [], [], [], []))
+        result = sift(alice_generate(100, 1), stream_from_rows([]))
         assert result.kept == 0
 
     def test_noiseless_matching_clicks_agree(self):
@@ -150,29 +163,30 @@ class TestBlockStats:
             bob_bits=np.concatenate([np.ones(79, dtype=np.uint8),
                                      np.zeros(921, dtype=np.uint8)]),
         )
-        stats = estimate_block_stats(sifted, duration=0.27)
+        stats = estimate_block_stats(sifted, duration=0.27, gated_clicks=2000)
         assert stats.qber == pytest.approx(0.079, abs=1e-12)
         assert stats.raw_key_rate == pytest.approx(1000 / 0.27, rel=1e-12)
+        assert (stats.kept_bits, stats.gated_clicks) == (1000, 2000)
 
     def test_zero_mismatches(self):
         sifted = SiftResult(np.arange(10), np.zeros(10, np.uint8), np.zeros(10, np.uint8))
-        assert estimate_block_stats(sifted, 1.0).qber == 0.0
+        assert estimate_block_stats(sifted, 1.0, 10).qber == 0.0
 
     def test_all_mismatched(self):
         sifted = SiftResult(np.arange(10), np.zeros(10, np.uint8), np.ones(10, np.uint8))
-        assert estimate_block_stats(sifted, 1.0).qber == 1.0
+        assert estimate_block_stats(sifted, 1.0, 10).qber == 1.0
 
     def test_empty_block_flagged(self):
         sifted = SiftResult(np.array([], np.int64), np.array([], np.uint8),
                             np.array([], np.uint8))
-        stats = estimate_block_stats(sifted, 1.0)
+        stats = estimate_block_stats(sifted, 1.0, 0)
         assert stats.flag == "insufficient_data"
         assert stats.raw_key_rate == 0.0
 
     def test_bad_duration(self):
         sifted = SiftResult(np.arange(1), np.zeros(1, np.uint8), np.zeros(1, np.uint8))
         with pytest.raises(ValidationError):
-            estimate_block_stats(sifted, 0.0)
+            estimate_block_stats(sifted, 0.0, 1)
 
 
 class TestSecureFraction:
@@ -244,7 +258,7 @@ class TestEndToEnd:
         for sched_seed in (61, 62):
             clicks = simulate_clicks(
                 alice, src, ch, det, bg,
-                analyzer_schedule=RandomAnalyzerSchedule(sched_seed),
+                schedule_seed=sched_seed,
                 rng_seed=63, intrinsic_error=0.03)
             sifted = sift(alice, clicks)
             table.append([sifted.mismatches, sifted.kept - sifted.mismatches])
