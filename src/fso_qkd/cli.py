@@ -187,7 +187,7 @@ def cmd_stability(config: ScenarioConfig, out_dir: Path) -> dict:
 
 def cmd_coexist(config: ScenarioConfig, out_dir: Path) -> dict:
     """Alternating-kappa session plus classical BER and power margin."""
-    if not config.coexist.active:  # resolved again, so the hashed map says what runs
+    if not config.classical.enabled:  # resolved again, so the hashed map says what runs
         config = resolve_config({**config.resolved, "classical.enabled": True})
     if config.blocks < 2:
         raise ValidationError("session.blocks: need >= 2 blocks to compare kappa on/off")

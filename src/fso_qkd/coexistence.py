@@ -5,7 +5,8 @@ with linear received optical power. The single quoted (power, BER)
 sensitivity point pins the one free constant exactly; everything else
 follows from the Gaussian error integral. Crosstalk into the quantum
 channel is a flat in-band background rate proportional to linear launch
-power, calibrated from the measured QBER penalty.
+power, calibrated from the measured QBER penalty. ``ClassicalParams`` holds
+every ``classical.*`` key, the data channel's session switch and that rate too.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ MAX_ABS_DBM = 1000.0
 
 @dataclass(frozen=True)
 class ClassicalParams:
-    """OOK data channel appended in the C-band."""
+    """OOK data channel appended in the C-band, on in every second session block."""
 
     wavelength_nm: float = 1547.72
     bit_rate: float = 1e9
@@ -29,6 +30,8 @@ class ClassicalParams:
     sensitivity_dbm_at_fec: float = -37.4
     fec_ber: float = 2e-4
     rx_insertion_db: float = 2.0  # add/drop cascade on the classical path
+    enabled: bool = False
+    crosstalk_rate_at_0dbm: float = CALIBRATION.crosstalk_rate_at_0dbm
 
     def __post_init__(self):
         if not 0.0 < self.fec_ber < 0.5:
@@ -45,16 +48,6 @@ class ClassicalParams:
             raise ValidationError(f"bit_rate must be > 0, got {self.bit_rate}")
         if self.rx_insertion_db < 0:
             raise ValidationError("rx_insertion_db must be >= 0")
-
-
-@dataclass(frozen=True)
-class CoexistenceScenario:
-    """Block-wise activation of the data channel next to the quantum one."""
-
-    active: bool = False
-    crosstalk_rate_at_0dbm: float = CALIBRATION.crosstalk_rate_at_0dbm
-
-    def __post_init__(self):
         if self.crosstalk_rate_at_0dbm < 0:
             raise ValidationError("crosstalk_rate_at_0dbm must be >= 0")
 
@@ -80,8 +73,6 @@ def link_margin(params: ClassicalParams, total_loss_db: float) -> float:
     return (params.launch_power_dbm - total_loss_db) - params.sensitivity_dbm_at_fec
 
 
-def crosstalk_background(scenario: CoexistenceScenario, launch_power_dbm: float) -> float:
-    """In-band crosstalk rate (cts/s) injected into the quantum detector."""
-    if not scenario.active:
-        return 0.0
-    return scenario.crosstalk_rate_at_0dbm * 10.0 ** (launch_power_dbm / 10.0)
+def crosstalk_background(params: ClassicalParams) -> float:
+    """In-band crosstalk rate (cts/s) of the data channel, while on, at the SPAD."""
+    return params.crosstalk_rate_at_0dbm * 10.0 ** (params.launch_power_dbm / 10.0)

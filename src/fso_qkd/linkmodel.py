@@ -60,9 +60,10 @@ from .polarization import STATE_TABLE, rodrigues_terms
 from .seeding import mix64, rng_from, two_bit_codes
 
 # Expected detector events (signal photons plus background arrivals) that
-# one simulate_clicks call may hold. Each adds about 16 bytes to the peak
-# resident set (measured on 8.6e6-event OM4 runs, at the default drift and
-# at 50 rad/s), so the budget is about 0.32 GB.
+# one simulate_clicks call may hold, at a peak of about 16 bytes per photon
+# (8.6e6-event OM4 runs at the default drift and 50 rad/s: 0.32 GB at the
+# budget) and 53 per event of a 92 %-background block, whose arrivals' slots,
+# times, gate flags and sort order live through the sort and merge (1.1 GB).
 MAX_EXPECTED_EVENTS = 2e7
 
 
@@ -271,7 +272,7 @@ def _pass_probability(column, terms, angles) -> np.ndarray:
 _BOUND_SLACK = 1e-9
 # Photons are decided this many at a time by simulate_clicks, so a slice's
 # arrays stay in a 4 MiB L2 (2^16 beat 2^12..2^18 and the whole run on an OM4
-# block); undecided ones are evaluated, and gaps drawn, this many at a time.
+# block); the sampler draws its gaps this many at a time.
 _EXACT_SLICE = 1 << 16
 
 
@@ -304,12 +305,10 @@ def _malus_clicks(u, column, terms, drift_rate: float, idx, slot: float,
     undecided = u < bound
     del bound
     undecided ^= clicked  # clicked implies below hi
-    pending = np.flatnonzero(undecided)
-    for start in range(0, len(pending), _EXACT_SLICE):
-        j = pending[start:start + _EXACT_SLICE]
-        angles = _slot_times(idx.take(j), slot, start_time)
-        angles *= drift_rate
-        clicked[j] = u.take(j) < _pass_probability(column.take(j), terms, angles)
+    j = np.flatnonzero(undecided)
+    angles = _slot_times(idx.take(j), slot, start_time)
+    angles *= drift_rate
+    clicked[j] = u.take(j) < _pass_probability(column.take(j), terms, angles)
     return np.flatnonzero(clicked)
 
 
@@ -318,22 +317,29 @@ def expected_events(n: int, src: SourceParams, ch: ChannelParams, det: DetectorP
     """Expected detector events (signal photons plus background arrivals) of
     an n-slot run that starts ``start_time`` after the session origin.
 
-    Raises ``ValidationError`` for a run that ``simulate_clicks`` cannot
-    hold: one over ``MAX_EXPECTED_EVENTS``, or one whose drift angle at its
-    last slot overflows a float (the rotation would turn into nan).
+    Raises ``ValidationError`` for a run that ``simulate_clicks`` cannot hold:
+    one over ``MAX_EXPECTED_EVENTS``, naming its larger term, or one whose last
+    slot time or drift angle overflows a float (the rotation would be nan).
     """
     slot = 1.0 / src.symbol_rate
     q = click_probability(src, ch, det)
-    events = n * min(q, 1.0) + bg.total_rate * n * slot
+    photons, background = n * min(q, 1.0), bg.total_rate * n * slot
+    events = photons + background
     if events > MAX_EXPECTED_EVENTS:
+        key, remedy = (("source.mu_q", "source.mu_q") if photons >= background
+                       else ("background.solar_rate", "the background rate"))
         raise ValidationError(
-            f"source.mu_q: {n} symbols at detection probability {q:.3g} plus "
-            f"background expect {events:.3g} detector events in one run, "
-            f"over the memory budget of {MAX_EXPECTED_EVENTS:.0e}; lower source.mu_q "
-            "or the symbols per run (session.symbols_per_block or "
-            "sweep.symbols_per_point)")
+            f"{key}: {n} symbols expect {photons:.3g} photons (source.mu_q "
+            f"{src.mu_q:.3g}) plus {background:.3g} background arrivals "
+            f"({bg.total_rate:.3g} cts/s) in one run, over the memory budget of "
+            f"{MAX_EXPECTED_EVENTS:.0e} detector events; lower {remedy} or the symbols "
+            "per run (session.symbols_per_block or sweep.symbols_per_point)")
     # simulate_clicks times slot i at start_time + (i + 0.5) * slot
     last = (n - 0.5) * slot + start_time
+    if not math.isfinite(last):
+        raise ValidationError(
+            f"session.block_duration_s: a run that starts {start_time:.3g} s from the "
+            "session origin has no finite slot times; lower session.block_duration_s")
     if ch.drift_rate > 0.0 and not math.isfinite(ch.drift_rate * last):
         raise ValidationError(
             f"channel.drift_rate: {ch.drift_rate:.3g} rad/s over {last:.3g} s from the "
@@ -404,8 +410,7 @@ def simulate_clicks(
 
     return _merged_survivors(
         sig_idx, sig_gate,
-        _background_events(rng, bg.total_rate, n, n * slot, slot, start_time,
-                           det.gate_fraction),
+        _background_events(rng, bg.total_rate, n, slot, start_time, det.gate_fraction),
         det.dead_time, slot, start_time, schedule_seed)
 
 
@@ -450,14 +455,14 @@ def _interleave(is_signal, signal, background) -> np.ndarray:
     return column
 
 
-def _background_events(rng, rate: float, n: int, duration: float, slot: float,
-                       start_time: float, gate_fraction: float):
-    """Uniform Poisson background over the run: indices, timestamps, gate flags,
-    in time order, equal times in draw order."""
-    count = rng.poisson(rate * duration) if rate > 0.0 else 0
+def _background_events(rng, rate: float, n: int, slot: float, start_time: float,
+                       gate_fraction: float):
+    """Uniform Poisson background over the n-slot run: indices, timestamps, gate
+    flags, in time order, equal times in draw order; at rate 0 nothing is drawn."""
+    count = rng.poisson(rate * (n * slot))
     bidx = rng.integers(0, n, size=count)
     frac = rng.random(count)
     times = start_time + (bidx + frac) * slot
     in_gate = np.abs(frac - 0.5) <= gate_fraction / 2.0
     order = np.argsort(times, kind="stable")
-    return bidx.astype(np.int64).take(order), times.take(order), in_gate.take(order)
+    return bidx.take(order), times.take(order), in_gate.take(order)

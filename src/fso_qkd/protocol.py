@@ -3,8 +3,9 @@ and the runs that the CLI maps over workers.
 
 Alice and Bob exchange exactly two messages per block: Bob announces the
 (symbol index, analyzer basis) of his gated clicks, Alice answers with the
-subset whose bases match. The helpers below implement those flows as pure
-value exchanges so the session could later be split across a transport.
+subset whose bases match, and the block keeps only the counts of kept bits and
+of errors. The helpers below implement those flows as pure value exchanges so
+the session could later be split across a transport.
 
 Alice's random symbols are a counter-based stream: symbol i is a pure
 function of (seed, i), so gigasymbol sequences are addressable without
@@ -96,23 +97,10 @@ def alice_generate(n: int, rng_seed: int) -> SymbolSequence:
 
 @dataclass(frozen=True)
 class SiftResult:
-    """Outcome of basis reconciliation for one block."""
+    """Basis reconciliation of one block: kept bits, and errors among them."""
 
-    kept_indices: np.ndarray
-    alice_bits: np.ndarray
-    bob_bits: np.ndarray
-
-    def __post_init__(self):
-        if not (len(self.kept_indices) == len(self.alice_bits) == len(self.bob_bits)):
-            raise ValidationError("sift arrays must have equal length")
-
-    @property
-    def kept(self) -> int:
-        return len(self.kept_indices)
-
-    @property
-    def mismatches(self) -> int:
-        return int(np.count_nonzero(self.alice_bits != self.bob_bits))
+    kept: int
+    mismatches: int
 
 
 def bob_announce(clicks: ClickStream) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -130,19 +118,16 @@ def bob_announce(clicks: ClickStream) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 def sift(alice: SymbolSequence, clicks: ClickStream) -> SiftResult:
-    """Run the two-message sifting dialogue and return the kept bits.
+    """Run the two-message sifting dialogue and count the kept bits and errors.
 
     Alice looks up each announced symbol once: the same fetch that answers
     the basis comparison already holds her bits for the kept subset.
     """
     indices, bases, bob_bits = bob_announce(clicks)
     alice_bases, alice_bits = alice.symbols_at(indices)
-    keep = np.flatnonzero(alice_bases == bases)
-    return SiftResult(
-        kept_indices=indices.take(keep),
-        alice_bits=alice_bits.take(keep),
-        bob_bits=bob_bits.take(keep),
-    )
+    match = alice_bases == bases
+    return SiftResult(kept=int(np.count_nonzero(match)),
+                      mismatches=int(np.count_nonzero(match & (alice_bits != bob_bits))))
 
 
 @dataclass(frozen=True)
@@ -355,13 +340,12 @@ def run_session(config: ScenarioConfig) -> list[BlockStats]:
     """
     axis = random_unit_vector(rng_from(mix64(config.rng_seed, _TAG_AXIS)))
     n = config.symbols_per_block
-    kappa_on = config.blocks // 2 if config.coexist.active else 0
+    kappa_on = config.blocks // 2 if config.classical.enabled else 0
     kinds = {}  # kappa -> (background, saturated) of every block of that kind
     events = 0.0
     for kappa, count in ((False, config.blocks - kappa_on), (True, kappa_on)):
         if count:
-            xtalk = crosstalk_background(
-                config.coexist, config.classical.launch_power_dbm) if kappa else 0.0
+            xtalk = crosstalk_background(config.classical) if kappa else 0.0
             bg = config.background.with_crosstalk(xtalk)
             saturated = detector_load(config.source, config.channel, config.detector,
                                       bg) * config.detector.dead_time > 10.0
@@ -372,7 +356,7 @@ def run_session(config: ScenarioConfig) -> list[BlockStats]:
     _check_cost("session.blocks", config.blocks, events)
     runs = []
     for block in range(config.blocks):
-        kappa = config.coexist.active and block % 2 == 1
+        kappa = config.classical.enabled and block % 2 == 1
         bg, saturated = kinds[kappa]
         runs.append(Run(block, _SESSION_TAGS, n, config.channel, bg,
                         block * config.block_duration_s, axis, kappa, saturated))

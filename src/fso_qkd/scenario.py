@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .calibration import CALIBRATION
-from .coexistence import ClassicalParams, CoexistenceScenario
+from .coexistence import ClassicalParams
 from .errors import ValidationError
 from .linkparams import (
     BackgroundBudget,
@@ -55,7 +55,7 @@ _KEYS: dict[str, tuple[str, object]] = {
     "background.spectrum_path": ("str", None),
     "background.solar_rate": ("float", 0.0),
     "protocol.intrinsic_error": ("float", None),
-    "classical.enabled": ("bool", False),
+    "classical.enabled": ("bool", ClassicalParams.enabled),
     "classical.wavelength_nm": ("float", ClassicalParams.wavelength_nm),
     "classical.bit_rate": ("float", ClassicalParams.bit_rate),
     "classical.launch_power_dbm": ("float", ClassicalParams.launch_power_dbm),
@@ -120,7 +120,6 @@ class ScenarioConfig:
     detector: DetectorParams
     background: BackgroundBudget
     classical: ClassicalParams
-    coexist: CoexistenceScenario
     intrinsic_error: float
     sweep_el_db: tuple[float, ...]
     sweep_symbols_per_point: int
@@ -212,10 +211,9 @@ def resolve_config(overrides: dict | None = None) -> ScenarioConfig:
         raise ValidationError(
             f"protocol.intrinsic_error: must be in [0, 0.5], got {intrinsic}")
 
-    classical = build("classical", ClassicalParams)
     if flat["classical.crosstalk_rate_at_0dbm"] is None:
         flat["classical.crosstalk_rate_at_0dbm"] = CALIBRATION.crosstalk_rate_at_0dbm
-    coexist = build("classical", CoexistenceScenario, active=flat["classical.enabled"])
+    classical = build("classical", ClassicalParams)
 
     # The threshold crossing scans upward crossings in list order and the
     # operating point is the first entry, so the grid must ascend from >= 0.
@@ -239,7 +237,6 @@ def resolve_config(overrides: dict | None = None) -> ScenarioConfig:
         detector=detector,
         background=background,
         classical=classical,
-        coexist=coexist,
         intrinsic_error=intrinsic,
         sweep_el_db=tuple(flat["sweep.el_db"]),
         sweep_symbols_per_point=flat["sweep.symbols_per_point"],

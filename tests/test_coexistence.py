@@ -3,10 +3,10 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from fso_qkd import protocol
 from fso_qkd.calibration import CALIBRATION
 from fso_qkd.coexistence import (
     ClassicalParams,
-    CoexistenceScenario,
     crosstalk_background,
     link_margin,
     ook_ber,
@@ -15,6 +15,7 @@ from fso_qkd.errors import ValidationError
 from fso_qkd.linkmodel import expected_rates
 from fso_qkd.linkparams import BackgroundBudget, DetectorParams, SourceParams, fiber_preset
 from fso_qkd.linkparams import FiberKind
+from fso_qkd.scenario import resolve_config
 
 PARAMS = ClassicalParams()
 
@@ -62,21 +63,34 @@ class TestLinkMargin:
 
 
 class TestCrosstalk:
-    def test_inactive_is_zero(self):
-        scen = CoexistenceScenario(active=False)
-        assert crosstalk_background(scen, 0.0) == 0.0
+    def test_inactive_is_zero(self, monkeypatch):
+        """A session adds the crosstalk to its kappa-on blocks alone, which it
+        has only with the data channel enabled; every other block runs on the
+        configured background."""
+        runs = []
+        monkeypatch.setattr(protocol, "run_map", lambda config, blocks: runs.extend(blocks))
+        for enabled in (False, True):
+            runs.clear()
+            config = resolve_config({"classical.enabled": enabled, "session.blocks": 4})
+            protocol.run_session(config)
+            assert [run.kappa for run in runs] == [False, enabled] * 2
+            on = config.background.with_crosstalk(crosstalk_background(config.classical))
+            assert [run.bg for run in runs] == [config.background,
+                                                on if enabled else config.background] * 2
 
     def test_linear_power_scaling(self):
-        scen = CoexistenceScenario(active=True, crosstalk_rate_at_0dbm=500.0)
-        assert crosstalk_background(scen, 0.0) == 500.0
-        assert crosstalk_background(scen, -10.0) == pytest.approx(50.0, rel=1e-12)
-        assert crosstalk_background(scen, 3.0) == pytest.approx(500.0 * 10 ** 0.3, rel=1e-12)
+        def xtalk(dbm):
+            return crosstalk_background(
+                ClassicalParams(launch_power_dbm=dbm, crosstalk_rate_at_0dbm=500.0))
+
+        assert xtalk(0.0) == 500.0
+        assert xtalk(-10.0) == pytest.approx(50.0, rel=1e-12)
+        assert xtalk(3.0) == pytest.approx(500.0 * 10 ** 0.3, rel=1e-12)
 
     def test_calibrated_rate_gives_qber_penalty(self):
         src, ch, det = SourceParams(), fiber_preset(FiberKind.MMF25), DetectorParams()
         bg_off = BackgroundBudget(solar_rate=CALIBRATION.solar_1410)
-        scen = CoexistenceScenario(active=True)
-        bg_on = bg_off.with_crosstalk(crosstalk_background(scen, 0.0))
+        bg_on = bg_off.with_crosstalk(crosstalk_background(PARAMS))
         e = CALIBRATION.intrinsic_error_base
         penalty = (expected_rates(src, ch, det, bg_on, e).qber
                    - expected_rates(src, ch, det, bg_off, e).qber)
@@ -88,21 +102,20 @@ class TestCrosstalk:
         for _ in range(20):
             ch = fiber_preset(FiberKind.MMF25).with_excess_loss(rng.uniform(0, 10))
             bg = BackgroundBudget(solar_rate=rng.uniform(0, 1000))
-            scen = CoexistenceScenario(active=True,
-                                       crosstalk_rate_at_0dbm=rng.uniform(0, 2000))
-            launch = rng.uniform(-20, 5)
+            params = ClassicalParams(crosstalk_rate_at_0dbm=rng.uniform(0, 2000),
+                                     launch_power_dbm=rng.uniform(-20, 5))
             e = rng.uniform(0, 0.1)
             q_off = expected_rates(src, ch, det, bg, e).qber
             q_on = expected_rates(
-                src, ch, det, bg.with_crosstalk(crosstalk_background(scen, launch)), e).qber
+                src, ch, det, bg.with_crosstalk(crosstalk_background(params)), e).qber
             assert q_on >= q_off - 1e-15
 
     def test_penalty_monotone_in_launch_power(self):
         src, ch, det = SourceParams(), fiber_preset(FiberKind.MMF25), DetectorParams()
         bg = BackgroundBudget(solar_rate=CALIBRATION.solar_1410)
-        scen = CoexistenceScenario(active=True)
         qs = [expected_rates(src, ch, det,
-                             bg.with_crosstalk(crosstalk_background(scen, p)),
+                             bg.with_crosstalk(crosstalk_background(
+                                 ClassicalParams(launch_power_dbm=p))),
                              CALIBRATION.intrinsic_error_base).qber
               for p in np.linspace(-30, 5, 15)]
         assert all(a <= b + 1e-15 for a, b in zip(qs, qs[1:]))

@@ -477,8 +477,7 @@ class TestCliCommands:
         # linear crosstalk scaling: 1/1000th of the 0-dBm rate is invisible
         q_off = expected_rates(cfg.source, cfg.channel, cfg.detector,
                                cfg.background, cfg.intrinsic_error).qber
-        bg_on = cfg.background.with_crosstalk(
-            crosstalk_background(cfg.coexist, -30.0))
+        bg_on = cfg.background.with_crosstalk(crosstalk_background(cfg.classical))
         q_on = expected_rates(cfg.source, cfg.channel, cfg.detector,
                               bg_on, cfg.intrinsic_error).qber
         assert q_on - q_off < 0.001
@@ -567,7 +566,12 @@ class TestMainEntry:
         (["stability", "--set", "detector.dead_time=0"], "session.symbols_per_block"),
         (["sweep-el", "--workers", "2", "--set", "sweep.symbols_per_point=2000000000"],
          "sweep.symbols_per_point"),
-    ], ids=["stability", "sweep-el-workers-2"])
+        # 1e7 symbols at 1e10 cts/s expect 2e8 background arrivals, far more
+        # than the photons even at mu_q = 100
+        (["sweep-el", "--set", "background.mode=explicit",
+          "--set", "background.solar_rate=1e10", "--set", "sweep.el_db=[0.0]"],
+         "background.solar_rate"),
+    ], ids=["stability", "sweep-el-workers-2", "sweep-el-background"])
     def test_over_memory_budget_exit_two(self, tmp_path, capsys, no_pool, args, key):
         # mu_q = 100 at 2e9 symbols expects ~7e7 detector events per run, which
         # the automatic worker count would give a pool; the parent refuses first
@@ -626,6 +630,17 @@ class TestMainEntry:
                      "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("validation error") and "channel.drift_rate" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_non_finite_block_start_exit_two(self, tmp_path, capsys, no_pool):
+        # block 2 starts at 2e308 s, past the largest float: its slot times and
+        # drift angles (0 * inf) would be nan
+        assert main(["stability", "--set", "channel.drift_rate=0",
+                     "--set", "session.block_duration_s=1e308", "--set", "session.blocks=3",
+                     "--set", "session.symbols_per_block=1000000",
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: session.block_duration_s: ")
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command, key, dbm", [
