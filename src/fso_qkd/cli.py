@@ -12,8 +12,8 @@ Exit codes: 0 success, 2 validation error, 3 runtime error.
 
 This module sets up the process's native runtime; forked workers inherit it.
 numpy's OpenBLAS starts one spinning thread per core when numpy loads, and
-nothing here calls BLAS on more than a 4x3 matrix, so the pool gets one
-thread unless the user exports ``OPENBLAS_NUM_THREADS``. ``main`` keeps the
+nothing here calls BLAS on more than a 4x3 matrix, so the process that forks
+the workers runs one thread unless the user exports ``OPENBLAS_NUM_THREADS``. ``main`` keeps the
 heap across blocks (``_keep_heap``). Neither changes a value.
 """
 from __future__ import annotations

@@ -18,11 +18,12 @@ through events in Python: each photon's sent state and analyzer port are
 two-bit hash codes of its slot, and 4 * state + port is its row of the
 16-entry (state, port) tables; the dead-time filter starts a survivor chain
 at every cluster head (an event at least one dead time after its
-predecessor) and advances all chains with one ``searchsorted`` per round:
-one round per survivor of the longest cluster, and no table beyond the
-stream. Drift and the analyzer meet in the one Stokes component that each
-photon's port reads, A cos a + B sin a + C (1 - cos a), with (A, B, C) from
-tables of Rodrigues terms built once per call. Photons are decided in
+predecessor) whose next event is not a head, and advances all chains with
+one ``searchsorted`` per round: one round per survivor of the longest
+cluster, and no table beyond the stream. Drift and the analyzer meet in the
+one Stokes component that each photon's port reads,
+A cos a + B sin a + C (1 - cos a), with (A, B, C) from tables of Rodrigues
+terms built once per call. Photons are decided in
 cache-sized slices; only their slot indices span the run. The drift angle is
 monotone, so each of the 16 pass probabilities is bounded from a slice's
 first and last angle; the bounds decide most photons' Malus test by two
@@ -129,11 +130,14 @@ def dead_time_filter(times: np.ndarray, dead_time: float) -> np.ndarray:
     survivor is the first j > i with ``times[j] >= times[i] + dead_time``.
     A cluster head, an event at least ``dead_time`` after its predecessor,
     survives whatever came before it, and no survivor's successor lies past
-    the next head. So the walk starts one survivor chain at every head and
-    advances all open chains together, one ``searchsorted`` of the frontier
-    per round, until every chain has reached a head. That costs one round
-    per survivor of the longest cluster and no table beyond the stream: the
-    head and survivor masks and the open frontier.
+    the next head. So the walk starts one survivor chain at every head whose
+    next event is not a head (a head followed by a head has its next
+    survivor there already) and advances all open chains together, one
+    ``searchsorted`` of the frontier per round, until every chain has
+    reached a head. That costs one round per survivor of the longest cluster
+    and no table beyond the stream: the head and survivor masks and the open
+    frontier. At a light load most events are heads followed by heads, and
+    they cost no search.
     """
     n = len(times)
     if n == 0:
@@ -142,8 +146,9 @@ def dead_time_filter(times: np.ndarray, dead_time: float) -> np.ndarray:
     head = np.empty(n + 1, dtype=bool)
     head[0] = head[n] = True
     np.greater_equal(times[1:], times[:-1] + dead_time, out=head[1:n])
+    # one stream-length temporary at a time: the chains' starts before alive
+    chain = np.flatnonzero(head[:n] > head[1:])
     alive = head[:n].copy()
-    chain = np.flatnonzero(alive)
     while chain.size:
         # Each step moves strictly forward or lands on a head, so the walk
         # ends. If dead_time vanishes against times[i] in floating point, the
@@ -313,13 +318,12 @@ def _malus_clicks(u, column, terms, drift_rate: float, idx, slot: float,
 
 
 def expected_events(n: int, src: SourceParams, ch: ChannelParams, det: DetectorParams,
-                    bg: BackgroundBudget, start_time: float = 0.0) -> float:
+                    bg: BackgroundBudget) -> float:
     """Expected detector events (signal photons plus background arrivals) of
-    an n-slot run that starts ``start_time`` after the session origin.
+    an n-slot run.
 
-    Raises ``ValidationError`` for a run that ``simulate_clicks`` cannot hold:
-    one over ``MAX_EXPECTED_EVENTS``, naming its larger term, or one whose last
-    slot time or drift angle overflows a float (the rotation would be nan).
+    Raises ``ValidationError``, naming its larger term, for a run over
+    ``MAX_EXPECTED_EVENTS``, which ``simulate_clicks`` cannot hold.
     """
     slot = 1.0 / src.symbol_rate
     q = click_probability(src, ch, det)
@@ -334,8 +338,15 @@ def expected_events(n: int, src: SourceParams, ch: ChannelParams, det: DetectorP
             f"({bg.total_rate:.3g} cts/s) in one run, over the memory budget of "
             f"{MAX_EXPECTED_EVENTS:.0e} detector events; lower {remedy} or the symbols "
             "per run (session.symbols_per_block or sweep.symbols_per_point)")
+    return events
+
+
+def check_time_axis(n: int, src: SourceParams, ch: ChannelParams, start_time: float) -> None:
+    """Raise ``ValidationError`` for an n-slot run, ``start_time`` after the
+    session origin, whose last slot time or drift angle overflows a float:
+    its times or its rotation would be nan."""
     # simulate_clicks times slot i at start_time + (i + 0.5) * slot
-    last = (n - 0.5) * slot + start_time
+    last = (n - 0.5) * (1.0 / src.symbol_rate) + start_time
     if not math.isfinite(last):
         raise ValidationError(
             f"session.block_duration_s: a run that starts {start_time:.3g} s from the "
@@ -345,7 +356,6 @@ def expected_events(n: int, src: SourceParams, ch: ChannelParams, det: DetectorP
             f"channel.drift_rate: {ch.drift_rate:.3g} rad/s over {last:.3g} s from the "
             "session origin overflows the drift angle; lower channel.drift_rate or "
             "session.block_duration_s")
-    return events
 
 
 def simulate_clicks(
@@ -374,13 +384,14 @@ def simulate_clicks(
     dead time is enforced on the merged event stream. While the photons are
     decided, a slice at a time, only their slot indices span the run, and
     they are freed before the clicks meet the background. A call that
-    ``expected_events`` refuses raises its ``ValidationError`` before
-    anything is allocated.
+    ``expected_events`` or ``check_time_axis`` refuses raises its
+    ``ValidationError`` before anything is allocated.
     """
     if not 0.0 <= intrinsic_error <= 0.5:
         raise ValidationError(f"intrinsic_error must be in [0, 0.5], got {intrinsic_error}")
     n = len(symbols)
-    expected_events(n, src, ch, det, bg, start_time)
+    expected_events(n, src, ch, det, bg)
+    check_time_axis(n, src, ch, start_time)
     slot = 1.0 / src.symbol_rate
     q = click_probability(src, ch, det)
     rng = rng_from(rng_seed)
@@ -422,7 +433,8 @@ def _merged_survivors(sig_idx, sig_gate, background, dead_time: float, slot: flo
     The clicks are in time order already, so the merge inserts each arrival
     after every click at or before its time: the order a stable sort of the
     clicks followed by the arrivals gives. Each column is gathered for the
-    survivors alone, from the clicks' and the arrivals' own arrays.
+    survivors alone, from the clicks' and the arrivals' own arrays: one take
+    by click rank for all survivors, then the surviving arrivals' values.
     """
     bg_idx, bg_times, bg_gate = background
     times = _slot_times(sig_idx, slot, start_time)
@@ -436,23 +448,23 @@ def _merged_survivors(sig_idx, sig_gate, background, dead_time: float, slot: flo
     times = times.take(survivors)
     k = np.searchsorted(pos, survivors)
     is_signal = pos.take(k) != survivors
-    sig_rank, bg_rank = (survivors - k)[is_signal], k[~is_signal]
-    slots = _interleave(is_signal, sig_idx.take(sig_rank), bg_idx.take(bg_rank))
+    bg_at = np.flatnonzero(~is_signal)
+    bg_rank = k.take(bg_at)
+    rank = np.subtract(survivors, k, out=k)  # in 0..len(sig_idx) for every survivor
+    columns = []
+    for signal, arrivals in ((sig_idx, bg_idx), (sig_gate, bg_gate)):
+        # Every survivor is gathered as a click, the arrivals' ranks clipped
+        # into range; then the arrivals (on the defaults about 1 % of the
+        # survivors) are overwritten.
+        column = signal.take(rank, mode="clip") if len(signal) \
+            else np.empty(len(rank), dtype=signal.dtype)
+        column[bg_at] = arrivals.take(bg_rank)
+        columns.append(column)
+    slots, gate = columns
     # The port hash is a pure function of the slot, so survivors are hashed by
     # their slots alone.
     port = two_bit_codes(schedule_seed, slots)
-    return ClickStream(times, slots, port >> 1, port & 1,
-                       _interleave(is_signal, sig_gate.take(sig_rank), bg_gate.take(bg_rank)),
-                       is_signal)
-
-
-def _interleave(is_signal, signal, background) -> np.ndarray:
-    """One survivor column from its signal and its background values, each in
-    stream order."""
-    column = np.empty(len(is_signal), dtype=signal.dtype)
-    column[is_signal] = signal
-    column[~is_signal] = background
-    return column
+    return ClickStream(times, slots, port >> 1, port & 1, gate, is_signal)
 
 
 def _background_events(rng, rate: float, n: int, slot: float, start_time: float,

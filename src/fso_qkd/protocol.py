@@ -14,14 +14,17 @@ same values at the same indices.
 
 Each sweep point and session block is a ``Run`` that ``run_block`` turns
 into one ``BlockStats``; this module owns the runs' seeds, saturation and
-worker count.
+worker count, and forks the workers itself: each child runs its share of the
+runs and pickles its results back once over a pipe.
 """
 from __future__ import annotations
 
 import math
 import os
+import pickle
 import sys
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -30,6 +33,7 @@ from .errors import ValidationError
 from .linkmodel import (
     ClickStream,
     MAX_EXPECTED_EVENTS,
+    check_time_axis,
     detector_load,
     expected_events,
     random_unit_vector,
@@ -44,13 +48,14 @@ from .seeding import mix64, rng_from, two_bit_codes
 _SESSION_TAGS, _SWEEP_TAGS, _TAG_AXIS = (11, 13, 17), (101, 103, 107), 19
 
 # Expected detector events, over all runs of a command, from which run_map
-# starts a process pool by default. Serial work is about 140 ns per event, so
-# 2e6 events are about 0.3 s; well below that, forking the workers and
-# pickling each run cost more than the second core saves. On a 2-vCPU Linux
-# host (Python 3.11, fork) a two-worker OM4 session broke even between 5e5
-# and 1e6 events. A spawned or forkserver worker imports numpy and fso_qkd
-# again (about 0.25 s each), a cost this number was not measured with, so the
-# default pool is used only where ``_fork_context`` can fork the workers.
+# forks workers by default. Serial work is about 140 ns per event, so 2e6
+# events are about 0.3 s; well below that, forking the workers and their
+# copy-on-write page faults cost more than the second core saves. On a
+# 2-vCPU Linux host (Python 3.11) a two-worker OM4 session broke even
+# between 5e5 and 1e6 events through a process pool, which cost more to
+# start than the direct forks of _forked_map. A worker that is not forked
+# imports numpy and fso_qkd again (about 0.25 s each), so run_map uses
+# workers only where ``_can_fork``.
 PARALLEL_MIN_EVENTS = 2e6
 
 # Serial cost model of a whole command: about 140 ns per expected detector
@@ -250,14 +255,10 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _fork_context():
-    """The fork context whatever the default start method (forkserver on Linux
-    since 3.14); None without fork, or on macOS, whose libraries may not survive one."""
-    import multiprocessing
-
-    if sys.platform == "darwin" or "fork" not in multiprocessing.get_all_start_methods():
-        return None
-    return multiprocessing.get_context("fork")
+def _can_fork() -> bool:
+    """Whether ``run_map`` forks its workers: where ``os.fork`` exists, except
+    on macOS, whose system libraries may not survive a fork."""
+    return hasattr(os, "fork") and sys.platform != "darwin"
 
 
 def _auto_workers(events: list[float]) -> int:
@@ -266,20 +267,21 @@ def _auto_workers(events: list[float]) -> int:
     workers would not fork, else every usable core, but never more runs at
     a time than fit together in one run's budget of ``MAX_EXPECTED_EVENTS``.
     """
-    if sum(events) < PARALLEL_MIN_EVENTS or _fork_context() is None:
+    if sum(events) < PARALLEL_MIN_EVENTS or not _can_fork():
         return 1
     # every run was checked to be within the budget, so this is at least 1
     return min(_usable_cores(), int(MAX_EXPECTED_EVENTS // max(events)))
 
 
-def _check_cost(key: str, runs: int, events: float) -> None:
+def _check_cost(key: str, runs: int, events: float = 0.0) -> None:
     """Refuse, naming ``key``, a command of ``runs`` runs that expect
     ``events`` detector events in total if its serial cost estimate is over
     ``MAX_COMMAND_SECONDS``."""
     seconds = runs * SECONDS_PER_RUN + events * SECONDS_PER_EVENT
     if seconds > MAX_COMMAND_SECONDS:
+        expecting = f" expecting {events:.3g} detector events" if events else ""
         raise ValidationError(
-            f"{key}: {runs} runs expecting {events:.3g} detector events would take "
+            f"{key}: {runs} runs{expecting} would take "
             f"about {seconds:.3g} s on one core, over the cap of "
             f"{MAX_COMMAND_SECONDS:.0f} s; lower {key} or the symbols per run")
 
@@ -290,31 +292,107 @@ def run_map(config: ScenarioConfig, runs: list[Run],
 
     Every run is checked here before any is simulated, with the
     ``ValidationError`` that ``simulate_clicks`` would raise, so a refused
-    command starts no worker. A saturated run is not simulated, so it
-    expects no events and is never refused. The runs then go to ``workers``
-    processes, at most one per run, forked where ``_fork_context`` can fork
-    them and started by the default method elsewhere. With ``workers`` None,
-    ``_auto_workers`` chooses the count. Each run's seeds depend on its index
-    and tags alone, so the results do not depend on the worker count.
+    command forks no worker. A saturated run is not simulated, so it expects
+    no events and is never refused for the memory budget, but its time axis
+    is checked like any other. The runs then go to ``workers`` forked
+    processes, at most one per run (see ``_forked_map``); where
+    ``_can_fork`` is false they all run in this process, whatever
+    ``workers`` says. With ``workers`` None, ``_auto_workers`` chooses the
+    count. Each run's seeds depend on its index and tags alone, so the
+    results do not depend on the worker count.
     """
-    events = [0.0 if run.saturated else expected_events(
-        run.symbols, config.source, run.channel, config.detector, run.bg, run.start_time)
-        for run in runs]
+    events = []
+    for run in runs:
+        events.append(0.0 if run.saturated else expected_events(
+            run.symbols, config.source, run.channel, config.detector, run.bg))
+        check_time_axis(run.symbols, config.source, run.channel, run.start_time)
     if workers is None:
         workers = _auto_workers(events)
     workers = min(workers, len(runs))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers, mp_context=_fork_context()) as pool:
-            return list(pool.map(run_block, [config] * len(runs), runs))
+    if workers > 1 and _can_fork():
+        return _forked_map(config, runs, workers)
     return [run_block(config, run) for run in runs]
+
+
+def _forked_map(config: ScenarioConfig, runs: list[Run], workers: int) -> list[BlockStats]:
+    """``run_block`` over ``runs`` on ``workers`` forked children, in run order.
+
+    Child k runs ``runs[k::workers]`` and pickles back, over its own pipe,
+    either its list of ``BlockStats`` or the index and exception of its
+    first failing run; this process runs no block. The exception of the
+    lowest-indexed failing run is raised, as the serial loop would raise it.
+    A child that sends nothing (killed, or its message would not pickle) is
+    a ``ChildProcessError`` naming the worker and its exit status, which the
+    CLI reports as a runtime error. Every child is reaped before this returns
+    or raises, and killed first if this process is interrupted before every
+    child has sent its message.
+    """
+    children = []  # (pid, read end of its pipe)
+    messages = None
+    try:
+        for k in range(workers):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read)
+                _run_share(config, runs, k, workers, write)
+            os.close(write)
+            children.append((pid, os.fdopen(read, "rb")))
+        messages = [pipe.read() for _, pipe in children]
+    finally:
+        statuses = []
+        for pid, pipe in children:
+            pipe.close()
+            if messages is None:
+                import signal  # here alone: a command that is not interrupted never loads it
+
+                os.kill(pid, signal.SIGKILL)
+            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    failures = []
+    results = [None] * len(runs)
+    for k, (message, status) in enumerate(zip(messages, statuses)):
+        if status:  # a child exits 0 only once its whole message is written
+            raise ChildProcessError(
+                f"worker {k} of {workers} (pid {children[k][0]}) ended with exit status "
+                f"{status} before sending its results")
+        failed, payload = pickle.loads(message)
+        if failed is None:
+            results[k::workers] = payload
+        else:
+            failures.append((failed, payload))
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return results
+
+
+def _run_share(config: ScenarioConfig, runs: list[Run], first: int, step: int,
+               fd: int) -> NoReturn:
+    """A forked child's whole life: ``run_block`` over ``runs[first::step]``
+    until the first failure, one pickled message to ``fd``, then ``os._exit``
+    whatever happens, so the child never runs its parent's code."""
+    code = 1
+    try:
+        results = []
+        try:
+            for index in range(first, len(runs), step):
+                results.append(run_block(config, runs[index]))
+            message = None, results
+        except Exception as exc:  # handed to the parent, which raises it
+            message = index, exc
+        data = pickle.dumps(message)  # before the pipe: nothing or all of it is sent
+        with os.fdopen(fd, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def run_sweep(config: ScenarioConfig, workers: int | None = None) -> list[BlockStats]:
     """One run per excess loss in ``config.sweep_el_db``, on ``workers``
-    processes (see ``run_map``); a sweep over the cost cap is refused first."""
+    processes (see ``run_map``); a sweep over the cost cap is refused first,
+    on its per-run cost alone before any channel is built."""
     n = config.sweep_symbols_per_point
+    _check_cost("sweep.el_db", len(config.sweep_el_db))
     channels = [config.channel.with_excess_loss(el) for el in config.sweep_el_db]
     _check_cost("sweep.el_db", len(channels), sum(
         expected_events(n, config.source, ch, config.detector, config.background)

@@ -169,6 +169,39 @@ class TestDeadTimeFilterExact:
         assert dead_time_filter(np.array(times), dead_time).tolist() == list(range(5000))
         assert_matches_greedy(times, dead_time)
 
+    @pytest.mark.parametrize("pattern", ["all-heads", "no-heads", "alternating",
+                                         "equal-times"])
+    def test_head_patterns_match_greedy(self, monkeypatch, pattern):
+        """A chain starts only at a head whose next event is not a head, so a
+        stream of heads alone searches nothing. Every event a head, none but
+        event 0, one-event clusters alternating with many-event ones, and
+        clusters of equal timestamps all keep the greedy survivors."""
+        searched = []
+        searchsorted = np.searchsorted
+
+        def counting(a, v, *args, **kwargs):
+            searched.append(len(v))
+            return searchsorted(a, v, *args, **kwargs)
+
+        monkeypatch.setattr(linkmodel.np, "searchsorted", counting)
+        rng = np.random.default_rng(29)
+        if pattern == "all-heads":
+            times = np.arange(1000) * 2.5
+        elif pattern == "no-heads":
+            times = np.arange(1000) * 0.3
+        elif pattern == "alternating":
+            sizes = [1 if c % 2 == 0 else 2 + c % 7 for c in range(200)]
+            gaps = [[1.5] + [0.4] * (size - 1) for size in sizes]
+            times = np.cumsum(np.concatenate(gaps))
+        else:
+            starts = np.cumsum(rng.choice([0.2, 0.7, 1.0, 1.6], size=300))
+            times = np.repeat(starts, rng.integers(1, 6, size=300))
+        assert_matches_greedy(times, 1.0)
+        if pattern == "all-heads":
+            assert searched == []
+        else:
+            assert sum(searched) > 0
+
     @given(st.lists(st.floats(min_value=0.0, max_value=100.0), max_size=200),
            st.floats(min_value=0.0, max_value=20.0))
     def test_random_streams_match_greedy(self, raw_times, dead_time):

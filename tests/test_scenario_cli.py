@@ -1,75 +1,68 @@
 """Config resolution, CLI subcommands, reproducibility, exit codes."""
-import concurrent.futures
-import functools
 import json
-import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.stats import linregress
 
+from fso_qkd import protocol
 from fso_qkd.cli import cmd_coexist, cmd_plan_spectrum, cmd_stability, cmd_sweep_el, main
 from fso_qkd.coexistence import ClassicalParams
 from fso_qkd.errors import ValidationError
-from fso_qkd.linkparams import DetectorParams, SourceParams
-from fso_qkd.protocol import Run, _auto_workers, run_map
+from fso_qkd.linkparams import ChannelParams, DetectorParams, SourceParams
+from fso_qkd.protocol import Run, run_map
 from fso_qkd.scenario import _KEYS, default_flat_config, resolve_config
 from fso_qkd.spectrum import SpectralTable, dump_spectrum, load_default_spectrum
 
 UNREADABLE = ["missing", "directory", "not-utf8"]
 
 
-class SerialPool:
-    """In-process stand-in for ``ProcessPoolExecutor`` that hands each pool's
-    ``max_workers`` and ``mp_context`` to ``record``."""
-
-    def __init__(self, record, max_workers, mp_context=None):
-        record(max_workers, mp_context)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
-
-
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """Replace the process pool by an in-process map; returns the list of
-    ``max_workers`` of every pool started."""
+    """Run every forked map in this process instead; returns the worker count
+    of every map that would have forked."""
     started = []
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        functools.partial(SerialPool, lambda workers, _: started.append(workers)))
+
+    def serial(config, runs, workers):
+        started.append(workers)
+        return [protocol.run_block(config, run) for run in runs]
+
+    monkeypatch.setattr("fso_qkd.protocol._forked_map", serial)
     return started
 
 
 @pytest.fixture
 def no_pool(monkeypatch):
-    """Fail the test if a process pool is constructed."""
+    """Fail the test if run_map forks workers."""
     def refuse(*args, **kwargs):
-        pytest.fail("a process pool was started")
+        pytest.fail("workers were forked")
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr("fso_qkd.protocol._forked_map", refuse)
 
 
 @pytest.fixture
-def start_method(monkeypatch):
-    """Make ``method`` the one start method the platform offers, by calling
-    the fixture; fork until then."""
-    def use(method):
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: [method])
+def platform(monkeypatch):
+    """Make this a platform that run_map forks on (Linux, with ``os.fork``),
+    or, by calling the fixture, one it does not fork on: "no-fork" (no
+    ``os.fork``) or "macOS". Use with ``pool_sizes`` or ``no_pool``: nothing
+    is forked for real."""
+    def use(kind):
+        monkeypatch.setattr(sys, "platform", "darwin" if kind == "macOS" else "linux")
+        if kind == "no-fork":
+            monkeypatch.delattr(os, "fork", raising=False)
+        else:
+            monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"), raising=False)
 
-    use("fork")
+    use("linux")
     return use
 
 
@@ -101,6 +94,14 @@ def big_runs(symbols, count=8):
     config = resolve_config({"source.mu_q": 100})
     return config, [Run(i, (101, 103, 107), symbols, config.channel, config.background)
                     for i in range(count)]
+
+
+def run_python(script: str) -> subprocess.CompletedProcess:
+    """Run ``script`` in a fresh interpreter that imports this fso_qkd."""
+    src = str(Path(protocol.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
 
 
 def unreadable_path(tmp_path, kind) -> Path:
@@ -313,8 +314,8 @@ class TestCliCommands:
         assert (tmp_path / "w1/sweep_el.csv").read_bytes() == \
                (tmp_path / "w2/sweep_el.csv").read_bytes()
 
-    def test_sweep_workers_capped_at_point_count(self, tmp_path, pool_sizes):
-        """A pool never starts more workers than there are sweep points."""
+    def test_sweep_workers_capped_at_point_count(self, tmp_path, pool_sizes, platform):
+        """run_map never forks more workers than there are sweep points."""
         assert main(["sweep-el", "--workers", "64", "--out", str(tmp_path),
                      "--set", "sweep.el_db=[0.0, 4.0]",
                      "--set", "sweep.symbols_per_point=100000"]) == 0
@@ -352,7 +353,7 @@ class TestCliCommands:
 
     @pytest.mark.parametrize("cores, expected", [(2, [2]), (8, [3])])
     def test_auto_workers_use_every_core_over_threshold(self, tmp_path, monkeypatch,
-                                                        pool_sizes, start_method,
+                                                        pool_sizes, platform,
                                                         cores, expected):
         """Three OM4 blocks expect about 2.6e6 detector events, over
         PARALLEL_MIN_EVENTS: the automatic choice is min(usable cores, blocks)."""
@@ -365,7 +366,7 @@ class TestCliCommands:
         (100_000_000, [5]), (150_000_000, [3]), (200_000_000, [2]), (500_000_000, []),
     ])
     def test_auto_workers_hold_one_run_budget_at_a_time(self, monkeypatch, pool_sizes,
-                                                       start_method, index_runs,
+                                                       platform, index_runs,
                                                        symbols, expected):
         """On 8 cores, the runs held at once expect at most MAX_EXPECTED_EVENTS
         (2e7) detector events together: 3.5e6 per run allows 5 workers, 7e6
@@ -375,52 +376,43 @@ class TestCliCommands:
         assert run_map(config, runs) == list(range(8))
         assert pool_sizes == expected
 
-    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
-    def test_auto_workers_only_where_workers_fork(self, monkeypatch, no_pool, start_method,
-                                                  index_runs, method):
+    @pytest.mark.parametrize("kind", ["no-fork", "macOS"])
+    def test_auto_workers_only_where_workers_fork(self, monkeypatch, no_pool, platform,
+                                                  index_runs, kind):
         """A worker that is not forked imports numpy again, so on a platform
-        without fork the automatic choice stays in this process however many
-        events the runs expect."""
-        start_method(method)
+        without fork, or on macOS, the automatic choice stays in this process
+        however many events the runs expect."""
+        platform(kind)
         monkeypatch.setattr("fso_qkd.protocol._usable_cores", lambda: 8)
         config, runs = big_runs(100_000_000)
         assert run_map(config, runs) == list(range(8))
 
-    def test_explicit_workers_honoured_at_any_start_method(self, pool_sizes, start_method,
-                                                           index_runs):
-        start_method("spawn")
+    @pytest.mark.parametrize("kind", ["no-fork", "macOS"])
+    def test_explicit_workers_stay_in_one_process_without_fork(self, no_pool, platform,
+                                                               index_runs, kind):
+        """Where run_map does not fork, an explicit worker count runs every
+        run in this process too."""
+        platform(kind)
         config, runs = big_runs(1_000_000, count=3)
         assert run_map(config, runs, workers=2) == [0, 1, 2]
-        assert pool_sizes == [2]
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="Linux workers fork")
-    def test_auto_workers_fork_whatever_the_default_start_method(self, monkeypatch):
-        """Python 3.14 makes forkserver Linux's default start method; the pool
-        forks its own workers, so the automatic choice still uses the cores."""
-        monkeypatch.setattr(multiprocessing, "get_start_method", lambda *a, **k: "forkserver")
-        monkeypatch.setattr("fso_qkd.protocol._usable_cores", lambda: 8)
-        assert _auto_workers([3.5e6] * 8) == 5
-
-    @pytest.mark.skipif(not sys.platform.startswith("linux"),
-                        reason="Linux workers fork; reads /proc/self/status")
-    def test_pool_gets_a_fork_context_from_one_thread(self, monkeypatch, index_runs):
-        """The pool is built from a fork context under any default start
-        method, in a process that runs one thread (numpy's OpenBLAS starts
-        none of its own with OPENBLAS_NUM_THREADS=1, which the CLI and
-        tests/conftest.py set), so no fork warns of a multi-threaded parent."""
-        pools = []
-
-        def record(workers, context):
-            threads = re.search(r"^Threads:\s+(\d+)", Path("/proc/self/status").read_text(),
-                                re.M)
-            pools.append((workers, context.get_start_method(), int(threads.group(1))))
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            functools.partial(SerialPool, record))
-        monkeypatch.setattr(multiprocessing, "get_start_method", lambda *a, **k: "forkserver")
-        config, runs = big_runs(1_000_000, count=3)
-        assert run_map(config, runs, workers=2) == [0, 1, 2]
-        assert pools == [(2, "fork", 1)]
+    def test_auto_workers_fork_whatever_the_default_start_method(self, tmp_path):
+        """Python 3.14 makes forkserver Linux's default start method. run_map
+        forks its workers itself and never imports multiprocessing, so no
+        start method is involved: a two-worker sweep in a fresh interpreter
+        leaves neither multiprocessing nor concurrent.futures imported."""
+        script = "\n".join([
+            "import sys",
+            "from fso_qkd.cli import main",
+            "assert main(['sweep-el', '--workers', '2', '--set', 'sweep.el_db=[0.0, 5.0]',",
+            "             '--set', 'sweep.symbols_per_point=1000000',",
+            f"             '--out', {str(tmp_path / 'sweep')!r}]) == 0",
+            "loaded = [m for m in sys.modules if m.startswith(('multiprocessing', 'concurrent'))]",
+            "assert not loaded, loaded",
+        ])
+        proc = run_python(script)
+        assert proc.returncode == 0, proc.stderr
 
     def test_stability_blocks(self, tmp_path):
         cfg = resolve_config(small_sweep_overrides(**{
@@ -492,6 +484,110 @@ class TestCliCommands:
         assert [row["channel_nm"] for row in ranking] == [1390.0, 1410.0, 1430.0]
         payload = json.loads((tmp_path / "channel_ranking.json").read_text())
         assert payload["ranking"] == ranking
+
+
+def thread_count() -> int:
+    status = Path("/proc/self/status").read_text()
+    return int(re.search(r"^Threads:\s+(\d+)", status, re.M).group(1))
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not protocol._can_fork(), reason="run_map forks only where it can")
+class TestForkedMap:
+    """run_map on real forked workers."""
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("kind", ["sweep", "session"])
+    def test_equals_serial(self, kind, workers):
+        """Child k runs every workers-th run; the results come back in run
+        order, saturated session blocks included."""
+        config = resolve_config(small_sweep_overrides())
+        n = 2_000_000
+        if kind == "sweep":
+            runs = [Run(i, (101, 103, 107), n, config.channel.with_excess_loss(el),
+                        config.background) for i, el in enumerate([0.0, 2.0, 4.0, 8.0])]
+        else:
+            axis = np.array([0.0, 0.6, 0.8])
+            runs = [Run(i, (11, 13, 17), n, config.channel, config.background, 45.0 * i,
+                        axis, kappa=i % 2 == 1, saturated=i == 3) for i in range(5)]
+        serial = run_map(config, runs, workers=1)
+        assert run_map(config, runs, workers=workers) == serial
+        assert [stats.flag for stats in serial].count("saturated") == (kind == "session")
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("failing, raised", [({1, 2}, 1), ({2, 3}, 2)])
+    def test_lowest_failing_run_is_raised(self, monkeypatch, failing, raised):
+        """Child 0 runs runs 0, 2, 4 and child 1 runs 1, 3; each stops at its
+        first failure, and the lowest-indexed failing run's error is raised,
+        as the serial loop raises it."""
+        def fail_some(config, run):
+            if run.index in failing:
+                raise ValidationError(f"run {run.index} failed")
+            return run.index
+
+        monkeypatch.setattr("fso_qkd.protocol.run_block", fail_some)
+        config, runs = big_runs(1_000_000, count=5)
+        with pytest.raises(ValidationError, match=f"^run {raised} failed$"):
+            run_map(config, runs, workers=2)
+        assert_no_child_left()
+
+    def test_child_that_sends_nothing_is_named(self, monkeypatch):
+        def exit_at_run_1(config, run):
+            if run.index == 1:
+                os._exit(1)
+            return run.index
+
+        monkeypatch.setattr("fso_qkd.protocol.run_block", exit_at_run_1)
+        config, runs = big_runs(1_000_000, count=4)
+        with pytest.raises(ChildProcessError, match=r"^worker 1 of 2 \(pid \d+\) ended "
+                                                    r"with exit status 1 "):
+            run_map(config, runs, workers=2)
+        assert_no_child_left()
+
+    def test_interrupted_parent_kills_its_children(self, monkeypatch):
+        """A parent interrupted while its children still run kills and reaps
+        them before the interruption propagates."""
+        class Interrupted(Exception):
+            pass
+
+        def interrupt(signum, frame):
+            raise Interrupted
+
+        monkeypatch.setattr("fso_qkd.protocol.run_block", lambda config, run: time.sleep(60))
+        config, runs = big_runs(1_000_000, count=2)
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        start = time.perf_counter()
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.5)  # not inherited by the children
+            with pytest.raises(Interrupted):
+                run_map(config, runs, workers=2)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.perf_counter() - start < 30.0
+        assert_no_child_left()
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+    def test_workers_fork_from_one_thread(self, monkeypatch, index_runs):
+        """Every worker is forked from a process that runs one thread (numpy's
+        OpenBLAS starts none of its own with OPENBLAS_NUM_THREADS=1, which the
+        CLI and tests/conftest.py set), so no fork warns of a multi-threaded
+        parent."""
+        threads = []
+        fork = os.fork
+
+        def counting_fork():
+            threads.append(thread_count())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        config, runs = big_runs(1_000_000, count=3)
+        assert run_map(config, runs, workers=2) == [0, 1, 2]
+        assert threads == [1, 1]
 
 
 class TestMainEntry:
@@ -643,6 +739,30 @@ class TestMainEntry:
         assert err.startswith("validation error: session.block_duration_s: ")
         assert not (tmp_path / "o").exists()
 
+    def test_saturated_block_at_non_finite_start_exit_two(self, tmp_path, capsys, no_pool):
+        """At mu_q = 100 every block saturates and is not simulated, but block
+        2 still starts at 2e308 s: its time axis is refused like any other."""
+        assert main(["stability", "--set", "source.mu_q=100",
+                     "--set", "session.block_duration_s=1e308", "--set", "session.blocks=3",
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: session.block_duration_s: ")
+        assert not (tmp_path / "o").exists()
+
+    def test_long_sweep_refused_before_any_channel(self, tmp_path, capsys, monkeypatch):
+        """200,000 sweep points cost 48 s at 0.24 ms per run alone, over the
+        cap: refused before the first channel is built."""
+        built = []
+        with_excess_loss = ChannelParams.with_excess_loss
+        monkeypatch.setattr(ChannelParams, "with_excess_loss",
+                            lambda self, el: built.append(el) or with_excess_loss(self, el))
+        config = tmp_path / "long.json"
+        config.write_text(json.dumps({"sweep.el_db": [i / 1e4 for i in range(200_000)]}))
+        assert main(["sweep-el", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("validation error: sweep.el_db: ")
+        assert built == []
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command, key, dbm", [
         (["coexist"], "launch_power_dbm", 3100),
         (["stability", "--set", "classical.enabled=true"], "launch_power_dbm", 3100),
@@ -707,8 +827,6 @@ class TestMainEntry:
 
 def test_runtime_imports_without_scipy(tmp_path):
     """The CLI runs with scipy unimportable: the runtime needs numpy only."""
-    import fso_qkd
-
     script = "\n".join([
         "import sys",
         "sys.modules['scipy'] = None",
@@ -718,10 +836,7 @@ def test_runtime_imports_without_scipy(tmp_path):
         "             '--set', 'session.symbols_per_block=100000000',",
         f"             '--out', {str(tmp_path / 'coexist')!r}]) == 0",
     ])
-    src = str(Path(fso_qkd.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+    proc = run_python(script)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "coexist" / "coexist_summary.json").is_file()
 
