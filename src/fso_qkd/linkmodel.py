@@ -138,6 +138,14 @@ def dead_time_filter(times: np.ndarray, dead_time: float) -> np.ndarray:
     and no table beyond the stream: the head and survivor masks and the open
     frontier. At a light load most events are heads followed by heads, and
     they cost no search.
+
+    An arrival exactly one dead time after a survivor is kept when its time
+    compares at least ``times[i] + dead_time`` in floating point. Slot times
+    are ``start + (i + 0.5) * slot``, so when the dead time is a whole number
+    of slots such a tie falls by rounding, and with the block's start time:
+    at 5 and 12,500 slots 94 % of them were kept at start 0 and 88 % at 45 s,
+    at 20 slots 76 % and 53 %. On the defaults that moves 0-4 of about
+    116,800 survivors per OM4 block.
     """
     n = len(times)
     if n == 0:
@@ -343,10 +351,14 @@ def expected_events(n: int, src: SourceParams, ch: ChannelParams, det: DetectorP
 
 def check_time_axis(n: int, src: SourceParams, ch: ChannelParams, start_time: float) -> None:
     """Raise ``ValidationError`` for an n-slot run, ``start_time`` after the
-    session origin, whose last slot time or drift angle overflows a float:
-    its times or its rotation would be nan."""
+    session origin, whose last slot time or drift angle overflows a float
+    (its times or its rotation would be nan), or whose last slot time is so
+    large that neighbouring floats lie more than a sixteenth of a slot apart
+    (its slot times would collapse onto shared values, and dead time would
+    no longer see the true gaps; at 0.5 GBd that is from 2**20 s on)."""
     # simulate_clicks times slot i at start_time + (i + 0.5) * slot
-    last = (n - 0.5) * (1.0 / src.symbol_rate) + start_time
+    slot = 1.0 / src.symbol_rate
+    last = (n - 0.5) * slot + start_time
     if not math.isfinite(last):
         raise ValidationError(
             f"session.block_duration_s: a run that starts {start_time:.3g} s from the "
@@ -356,6 +368,12 @@ def check_time_axis(n: int, src: SourceParams, ch: ChannelParams, start_time: fl
             f"channel.drift_rate: {ch.drift_rate:.3g} rad/s over {last:.3g} s from the "
             "session origin overflows the drift angle; lower channel.drift_rate or "
             "session.block_duration_s")
+    if math.ulp(last) > slot / 16:
+        raise ValidationError(
+            f"session.block_duration_s: a run that ends {last:.3g} s from the session "
+            f"origin resolves its slot times only to {math.ulp(last):.3g} s, over a "
+            f"sixteenth of the {slot:.3g} s slot; lower session.block_duration_s or the "
+            "symbols per run")
 
 
 def simulate_clicks(

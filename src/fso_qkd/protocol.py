@@ -13,9 +13,9 @@ being materialized, and the Monte Carlo and the sifting dialogue read the
 same values at the same indices.
 
 Each sweep point and session block is a ``Run`` that ``run_block`` turns
-into one ``BlockStats``; this module owns the runs' seeds, saturation and
-worker count, and forks the workers itself: each child runs its share of the
-runs and pickles its results back once over a pipe.
+into one ``BlockStats``; this module owns the runs' seeds, saturation, cost
+and worker count, and forks the workers itself: each child runs its share of
+the runs and pickles its results back once over a pipe.
 """
 from __future__ import annotations
 
@@ -61,9 +61,10 @@ PARALLEL_MIN_EVENTS = 2e6
 # Serial cost model of a whole command: about 140 ns per expected detector
 # event (the figure PARALLEL_MIN_EVENTS rests on) plus about 0.24 ms per run
 # (200 and 2,000 session blocks of 1e3 symbols took 0.40 and 0.83 s on the
-# host above). A command estimated over MAX_COMMAND_SECONDS is refused before
-# it builds its runs; no golden, acceptance or benchmark run estimates over
-# 1.3 s.
+# host above). run_map refuses a command estimated over MAX_COMMAND_SECONDS
+# before it simulates any run, and its caller refuses one whose per-run term
+# alone is over it before it builds any; no golden, acceptance or benchmark
+# run estimates over 1.3 s.
 SECONDS_PER_EVENT, SECONDS_PER_RUN, MAX_COMMAND_SECONDS = 140e-9, 0.24e-3, 30.0
 
 
@@ -286,25 +287,26 @@ def _check_cost(key: str, runs: int, events: float = 0.0) -> None:
             f"{MAX_COMMAND_SECONDS:.0f} s; lower {key} or the symbols per run")
 
 
-def run_map(config: ScenarioConfig, runs: list[Run],
+def run_map(config: ScenarioConfig, runs: list[Run], key: str,
             workers: int | None = None) -> list[BlockStats]:
-    """``run_block(config, run)`` for each run, in run order.
+    """``run_block(config, run)`` for each run, in run order; the one place
+    that prices and checks a command's runs.
 
-    Every run is checked here before any is simulated, with the
-    ``ValidationError`` that ``simulate_clicks`` would raise, so a refused
-    command forks no worker. A saturated run is not simulated, so it expects
-    no events and is never refused for the memory budget, but its time axis
-    is checked like any other. The runs then go to ``workers`` forked
-    processes, at most one per run (see ``_forked_map``); where
-    ``_can_fork`` is false they all run in this process, whatever
-    ``workers`` says. With ``workers`` None, ``_auto_workers`` chooses the
-    count. Each run's seeds depend on its index and tags alone, so the
-    results do not depend on the worker count.
+    Before any run is simulated or any worker forked, each run's expected
+    detector events are computed once (none for a saturated run, which is
+    not simulated, so it is never refused for the memory budget). That one
+    list meets the budget, then the cost cap (refused naming ``key``), and,
+    once every run's time axis has passed ``check_time_axis``, sets the
+    worker count. The runs then go to ``workers`` forked processes, at most
+    one per run (see ``_forked_map``); where ``_can_fork`` is false they all
+    run in this process, whatever ``workers`` says. With ``workers`` None,
+    ``_auto_workers`` chooses the count. Each run's seeds depend on its index
+    and tags alone, so the results do not depend on the worker count.
     """
-    events = []
+    events = [0.0 if run.saturated else expected_events(
+        run.symbols, config.source, run.channel, config.detector, run.bg) for run in runs]
+    _check_cost(key, len(runs), sum(events))
     for run in runs:
-        events.append(0.0 if run.saturated else expected_events(
-            run.symbols, config.source, run.channel, config.detector, run.bg))
         check_time_axis(run.symbols, config.source, run.channel, run.start_time)
     if workers is None:
         workers = _auto_workers(events)
@@ -389,16 +391,13 @@ def _run_share(config: ScenarioConfig, runs: list[Run], first: int, step: int,
 
 def run_sweep(config: ScenarioConfig, workers: int | None = None) -> list[BlockStats]:
     """One run per excess loss in ``config.sweep_el_db``, on ``workers``
-    processes (see ``run_map``); a sweep over the cost cap is refused first,
-    on its per-run cost alone before any channel is built."""
+    processes; a sweep whose per-run cost alone is over the cap is refused
+    before any channel is built, and ``run_map`` prices the rest."""
     n = config.sweep_symbols_per_point
     _check_cost("sweep.el_db", len(config.sweep_el_db))
-    channels = [config.channel.with_excess_loss(el) for el in config.sweep_el_db]
-    _check_cost("sweep.el_db", len(channels), sum(
-        expected_events(n, config.source, ch, config.detector, config.background)
-        for ch in channels))
-    return run_map(config, [Run(i, _SWEEP_TAGS, n, ch, config.background)
-                            for i, ch in enumerate(channels)], workers)
+    runs = [Run(i, _SWEEP_TAGS, n, config.channel.with_excess_loss(el), config.background)
+            for i, el in enumerate(config.sweep_el_db)]
+    return run_map(config, runs, "sweep.el_db", workers)
 
 
 def run_session(config: ScenarioConfig) -> list[BlockStats]:
@@ -411,31 +410,24 @@ def run_session(config: ScenarioConfig) -> list[BlockStats]:
     block (first block off), adding its crosstalk to the background.
     A block whose expected detector load exceeds 10 counts per dead time is
     a saturated ``Run``, which ``run_block`` flags without simulating it;
-    every block goes through ``run_map``. A session over the cost cap is
-    refused before any block is set up: its blocks come in at most two kinds
-    (data channel off and on), so the estimate does not grow with
-    ``session.blocks``.
+    every block goes through ``run_map``, which prices the session. Only a
+    session whose per-run cost alone is over the cap is refused before any
+    block is set up. The background and saturation are worked out once per
+    block kind (data channel off and on).
     """
     axis = random_unit_vector(rng_from(mix64(config.rng_seed, _TAG_AXIS)))
     n = config.symbols_per_block
-    kappa_on = config.blocks // 2 if config.classical.enabled else 0
+    _check_cost("session.blocks", config.blocks)
     kinds = {}  # kappa -> (background, saturated) of every block of that kind
-    events = 0.0
-    for kappa, count in ((False, config.blocks - kappa_on), (True, kappa_on)):
-        if count:
-            xtalk = crosstalk_background(config.classical) if kappa else 0.0
-            bg = config.background.with_crosstalk(xtalk)
-            saturated = detector_load(config.source, config.channel, config.detector,
-                                      bg) * config.detector.dead_time > 10.0
-            if not saturated:
-                events += count * expected_events(n, config.source, config.channel,
-                                                  config.detector, bg)
-            kinds[kappa] = bg, saturated
-    _check_cost("session.blocks", config.blocks, events)
     runs = []
     for block in range(config.blocks):
         kappa = config.classical.enabled and block % 2 == 1
+        if kappa not in kinds:
+            bg = config.background.with_crosstalk(
+                crosstalk_background(config.classical) if kappa else 0.0)
+            kinds[kappa] = bg, detector_load(config.source, config.channel, config.detector,
+                                             bg) * config.detector.dead_time > 10.0
         bg, saturated = kinds[kappa]
         runs.append(Run(block, _SESSION_TAGS, n, config.channel, bg,
                         block * config.block_duration_s, axis, kappa, saturated))
-    return run_map(config, runs)
+    return run_map(config, runs, "session.blocks")

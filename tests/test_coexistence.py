@@ -68,7 +68,7 @@ class TestCrosstalk:
         has only with the data channel enabled; every other block runs on the
         configured background."""
         runs = []
-        monkeypatch.setattr(protocol, "run_map", lambda config, blocks: runs.extend(blocks))
+        monkeypatch.setattr(protocol, "run_map", lambda config, blocks, key: runs.extend(blocks))
         for enabled in (False, True):
             runs.clear()
             config = resolve_config({"classical.enabled": enabled, "session.blocks": 4})

@@ -784,6 +784,26 @@ class TestMonteCarlo:
             simulate_clicks(alice_generate(n, 1), src, quiet_channel(fso_loss_db=float("inf")),
                             DetectorParams(), BackgroundBudget(solar_rate=solar), rng_seed=2)
 
+    @pytest.mark.parametrize("start_time, refusal", [
+        (2.0**20 - 1.0, None),
+        (2.0**20, "resolves its slot times only to 2.33e-10 s"),
+        (float("inf"), "has no finite slot times"),
+    ], ids=["below-2**20-s", "at-2**20-s", "inf"])
+    def test_collapsed_time_axis_refused(self, start_time, refusal):
+        """At 0.5 GBd (a 2 ns slot) floats lie 2**-33 s, 0.058 slot, apart just
+        below 2**20 s and 2**-32 s, 0.116 slot, from there on. A one-slot run
+        whose slot time lies where floats are over a sixteenth of a slot apart
+        is refused before anything is drawn, and so is one with no finite slot
+        time; one a second before 2**20 s runs."""
+        args = (alice_generate(1, 1), SourceParams(), quiet_channel(), DetectorParams(),
+                BackgroundBudget())
+        if refusal:
+            with pytest.raises(ValidationError, match=f"^session.block_duration_s: .*{refusal}"):
+                simulate_clicks(*args, rng_seed=2, start_time=start_time)
+        else:
+            clicks = simulate_clicks(*args, rng_seed=2, start_time=start_time)
+            assert clicks.timestamps.size <= 1
+
     def test_empty_symbols_empty_stream(self):
         clicks = simulate_clicks(alice_generate(0, 1), SourceParams(),
                                  quiet_channel(), DetectorParams(),

@@ -373,7 +373,7 @@ class TestCliCommands:
         allows 2, and 1.8e7 runs one at a time in this process."""
         monkeypatch.setattr("fso_qkd.protocol._usable_cores", lambda: 8)
         config, runs = big_runs(symbols)
-        assert run_map(config, runs) == list(range(8))
+        assert run_map(config, runs, "sweep.el_db") == list(range(8))
         assert pool_sizes == expected
 
     @pytest.mark.parametrize("kind", ["no-fork", "macOS"])
@@ -385,7 +385,7 @@ class TestCliCommands:
         platform(kind)
         monkeypatch.setattr("fso_qkd.protocol._usable_cores", lambda: 8)
         config, runs = big_runs(100_000_000)
-        assert run_map(config, runs) == list(range(8))
+        assert run_map(config, runs, "sweep.el_db") == list(range(8))
 
     @pytest.mark.parametrize("kind", ["no-fork", "macOS"])
     def test_explicit_workers_stay_in_one_process_without_fork(self, no_pool, platform,
@@ -394,7 +394,7 @@ class TestCliCommands:
         run in this process too."""
         platform(kind)
         config, runs = big_runs(1_000_000, count=3)
-        assert run_map(config, runs, workers=2) == [0, 1, 2]
+        assert run_map(config, runs, "sweep.el_db", workers=2) == [0, 1, 2]
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="Linux workers fork")
     def test_auto_workers_fork_whatever_the_default_start_method(self, tmp_path):
@@ -496,6 +496,36 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+class TestPreflight:
+    """run_map prices and checks a command's runs once, in the parent."""
+
+    @pytest.mark.parametrize("overrides, flags", [
+        ({}, None),
+        # kappa-on blocks saturate and expect no events
+        ({"classical.enabled": True, "classical.launch_power_dbm": 40,
+          "session.blocks": 4, "session.symbols_per_block": 100_000_000},
+         [False, True, False, True]),
+    ], ids=["sweep", "coexist-saturated"])
+    def test_expected_events_once_per_unsaturated_run(self, monkeypatch, no_pool,
+                                                      index_runs, overrides, flags):
+        calls = []
+        expected_events = protocol.expected_events
+        monkeypatch.setattr("fso_qkd.protocol.expected_events",
+                            lambda *args: calls.append(args) or expected_events(*args))
+        runs = []
+        run_map = protocol.run_map
+        monkeypatch.setattr("fso_qkd.protocol.run_map",
+                            lambda config, blocks, *args: runs.extend(blocks)
+                            or run_map(config, blocks, *args))
+        config = resolve_config(overrides)
+        if flags is None:
+            assert protocol.run_sweep(config) == list(range(len(config.sweep_el_db)))
+        else:
+            assert protocol.run_session(config) == list(range(4))
+            assert [run.saturated for run in runs] == flags
+        assert len(calls) == sum(not run.saturated for run in runs) > 0
+
+
 @pytest.mark.skipif(not protocol._can_fork(), reason="run_map forks only where it can")
 class TestForkedMap:
     """run_map on real forked workers."""
@@ -514,8 +544,9 @@ class TestForkedMap:
             axis = np.array([0.0, 0.6, 0.8])
             runs = [Run(i, (11, 13, 17), n, config.channel, config.background, 45.0 * i,
                         axis, kappa=i % 2 == 1, saturated=i == 3) for i in range(5)]
-        serial = run_map(config, runs, workers=1)
-        assert run_map(config, runs, workers=workers) == serial
+        key = "sweep.el_db" if kind == "sweep" else "session.blocks"
+        serial = run_map(config, runs, key, workers=1)
+        assert run_map(config, runs, key, workers=workers) == serial
         assert [stats.flag for stats in serial].count("saturated") == (kind == "session")
         assert_no_child_left()
 
@@ -532,7 +563,7 @@ class TestForkedMap:
         monkeypatch.setattr("fso_qkd.protocol.run_block", fail_some)
         config, runs = big_runs(1_000_000, count=5)
         with pytest.raises(ValidationError, match=f"^run {raised} failed$"):
-            run_map(config, runs, workers=2)
+            run_map(config, runs, "sweep.el_db", workers=2)
         assert_no_child_left()
 
     def test_child_that_sends_nothing_is_named(self, monkeypatch):
@@ -545,7 +576,7 @@ class TestForkedMap:
         config, runs = big_runs(1_000_000, count=4)
         with pytest.raises(ChildProcessError, match=r"^worker 1 of 2 \(pid \d+\) ended "
                                                     r"with exit status 1 "):
-            run_map(config, runs, workers=2)
+            run_map(config, runs, "sweep.el_db", workers=2)
         assert_no_child_left()
 
     def test_interrupted_parent_kills_its_children(self, monkeypatch):
@@ -564,7 +595,7 @@ class TestForkedMap:
         try:
             signal.setitimer(signal.ITIMER_REAL, 0.5)  # not inherited by the children
             with pytest.raises(Interrupted):
-                run_map(config, runs, workers=2)
+                run_map(config, runs, "sweep.el_db", workers=2)
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
@@ -586,7 +617,7 @@ class TestForkedMap:
 
         monkeypatch.setattr(os, "fork", counting_fork)
         config, runs = big_runs(1_000_000, count=3)
-        assert run_map(config, runs, workers=2) == [0, 1, 2]
+        assert run_map(config, runs, "sweep.el_db", workers=2) == [0, 1, 2]
         assert threads == [1, 1]
 
 
@@ -702,10 +733,14 @@ class TestMainEntry:
         ("stability", ["session.blocks=1000000000"], "session.blocks"),
         # mu_q = 4 at 2e9 symbols: ~2.9e6 events per run, ~40 s for 100 runs
         ("coexist", ["session.blocks=100", "source.mu_q=4"], "session.blocks"),
+        # the same session with its last block at an infinite start: the cost
+        # cap is checked before any time axis
+        ("coexist", ["session.blocks=100", "source.mu_q=4",
+                     "session.block_duration_s=1.9e306"], "session.blocks"),
         ("sweep-el", ["sweep.symbols_per_point=2000000000", "source.mu_q=4",
                       f"sweep.el_db={json.dumps([i / 100 for i in range(100)])}"],
          "sweep.el_db"),
-    ], ids=["stability-runs", "coexist-events", "sweep-events"])
+    ], ids=["stability-runs", "coexist-events", "coexist-events-inf-start", "sweep-events"])
     def test_over_command_cap_exit_two(self, tmp_path, capsys, no_pool, command,
                                        settings, key):
         args = [command, "--out", str(tmp_path / "o")]
@@ -713,7 +748,9 @@ class TestMainEntry:
             args += ["--set", setting]
         start = time.perf_counter()
         assert main(args) == 2
-        assert time.perf_counter() - start < 1.0  # refused before any run is built
+        # refused before any run is simulated: on its per-run term alone before
+        # any run is built, or on its events once run_map has priced the runs
+        assert time.perf_counter() - start < 1.0
         err = capsys.readouterr().err
         assert err.startswith(f"validation error: {key}: ")
         assert not (tmp_path / "o").exists()
@@ -730,13 +767,28 @@ class TestMainEntry:
 
     def test_non_finite_block_start_exit_two(self, tmp_path, capsys, no_pool):
         # block 2 starts at 2e308 s, past the largest float: its slot times and
-        # drift angles (0 * inf) would be nan
+        # drift angles (0 * inf) would be nan. Block 1, at 1e308 s, is refused
+        # first: its slot times collapse (test_collapsed_block_start_exit_two).
         assert main(["stability", "--set", "channel.drift_rate=0",
                      "--set", "session.block_duration_s=1e308", "--set", "session.blocks=3",
                      "--set", "session.symbols_per_block=1000000",
                      "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("validation error: session.block_duration_s: ")
+        assert not (tmp_path / "o").exists()
+
+    def test_collapsed_block_start_exit_two(self, tmp_path, capsys, no_pool):
+        """Block 1 starts at 1e308 s, a finite time where floats lie about
+        2e292 s apart: every slot time would round to one value, and dead
+        time would pass every event. It is refused, naming the key."""
+        assert main(["stability", "--set", "channel.drift_rate=0",
+                     "--set", "channel.fiber_kind=OM4",
+                     "--set", "session.block_duration_s=1e308", "--set", "session.blocks=2",
+                     "--set", "session.symbols_per_block=100000000",
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: session.block_duration_s: a run that ends "
+                              "1e+308 s from the session origin resolves its slot times")
         assert not (tmp_path / "o").exists()
 
     def test_saturated_block_at_non_finite_start_exit_two(self, tmp_path, capsys, no_pool):
