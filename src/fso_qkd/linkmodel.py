@@ -355,7 +355,12 @@ def check_time_axis(n: int, src: SourceParams, ch: ChannelParams, start_time: fl
     (its times or its rotation would be nan), or whose last slot time is so
     large that neighbouring floats lie more than a sixteenth of a slot apart
     (its slot times would collapse onto shared values, and dead time would
-    no longer see the true gaps; at 0.5 GBd that is from 2**20 s on)."""
+    no longer see the true gaps; at 0.5 GBd that is from 2**20 s on).
+
+    No session block reaches the non-finite check: an earlier block of the
+    session is refused first. The check serves a direct caller with a
+    non-finite start; math.ulp(nan) > slot / 16 is false, so it alone
+    refuses a nan start."""
     # simulate_clicks times slot i at start_time + (i + 0.5) * slot
     slot = 1.0 / src.symbol_rate
     last = (n - 0.5) * slot + start_time
@@ -418,29 +423,37 @@ def simulate_clicks(
     if schedule_seed is None:
         schedule_seed = mix64(rng_seed, 0xA11A)
 
-    idx = _sample_detection_indices(rng, n, q)
     terms = _malus_terms(stokes_overlap(intrinsic_error, ch.depol_p), axis)
-    # All gaps precede any u, and random(a) then random(b) draws random(a + b),
-    # so the slices click what one whole-run pass would. Each slice's clicked
-    # slots go back to the front of idx, which never passes the slice being
-    # read; j ends as a copy, so no view keeps idx alive past the loop.
-    n_sig = 0
-    for start in range(0, len(idx), _EXACT_SLICE):
-        j = idx[start:start + _EXACT_SLICE]
-        column = _port_columns(symbols.codes_at(j), two_bit_codes(schedule_seed, j))
-        j = j.take(_malus_clicks(rng.random(len(j)), column, terms, ch.drift_rate, j, slot,
-                                 start_time))
-        idx[n_sig:n_sig + len(j)] = j
-        n_sig += len(j)
-    sig_idx = idx[:n_sig].copy()
-    del idx
-    sig_gate = np.ones(n_sig, dtype=bool) if det.signal_gate_acceptance >= 1.0 \
-        else rng.random(n_sig) < det.signal_gate_acceptance
-
+    sig_idx = _decided_clicks(_sample_detection_indices(rng, n, q), symbols, schedule_seed,
+                              terms, rng, ch.drift_rate, slot, start_time)
+    sig_gate = np.ones(len(sig_idx), dtype=bool) if det.signal_gate_acceptance >= 1.0 \
+        else rng.random(len(sig_idx)) < det.signal_gate_acceptance
     return _merged_survivors(
         sig_idx, sig_gate,
         _background_events(rng, bg.total_rate, n, slot, start_time, det.gate_fraction),
         det.dead_time, slot, start_time, schedule_seed)
+
+
+def _decided_clicks(idx, symbols, schedule_seed: int, terms, rng, drift_rate: float,
+                    slot: float, start_time: float) -> np.ndarray:
+    """Slots of the photons at slots ``idx`` (increasing) that pass their
+    analyzer port, decided ``_EXACT_SLICE`` at a time by ``_malus_clicks``
+    on one uniform draw each.
+
+    All gaps precede any u, and random(a) then random(b) draws random(a + b),
+    so the slices click what one whole-run pass would. Each slice's clicked
+    slots go back to the front of ``idx``, which never passes the slice
+    being read; j ends as a copy, so only the returned copy outlives ``idx``.
+    """
+    n_sig = 0
+    for start in range(0, len(idx), _EXACT_SLICE):
+        j = idx[start:start + _EXACT_SLICE]
+        column = _port_columns(symbols.codes_at(j), two_bit_codes(schedule_seed, j))
+        j = j.take(_malus_clicks(rng.random(len(j)), column, terms, drift_rate, j, slot,
+                                 start_time))
+        idx[n_sig:n_sig + len(j)] = j
+        n_sig += len(j)
+    return idx[:n_sig].copy()
 
 
 def _merged_survivors(sig_idx, sig_gate, background, dead_time: float, slot: float,

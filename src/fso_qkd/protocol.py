@@ -4,8 +4,7 @@ and the runs that the CLI maps over workers.
 Alice and Bob exchange exactly two messages per block: Bob announces the
 (symbol index, analyzer basis) of his gated clicks, Alice answers with the
 subset whose bases match, and the block keeps only the counts of kept bits and
-of errors. The helpers below implement those flows as pure value exchanges so
-the session could later be split across a transport.
+of errors.
 
 Alice's random symbols are a counter-based stream: symbol i is a pure
 function of (seed, i), so gigasymbol sequences are addressable without
@@ -13,9 +12,10 @@ being materialized, and the Monte Carlo and the sifting dialogue read the
 same values at the same indices.
 
 Each sweep point and session block is a ``Run`` that ``run_block`` turns
-into one ``BlockStats``; this module owns the runs' seeds, saturation, cost
-and worker count, and forks the workers itself: each child runs its share of
-the runs and pickles its results back once over a pipe.
+into its counts, one ``BlockStats``, which works out the raw-key rate, QBER
+and flag from them. This module owns the runs' seeds, saturation, cost and
+worker count, and forks the workers itself: each child runs its share of the
+runs and pickles its results back once over a pipe.
 """
 from __future__ import annotations
 
@@ -109,79 +109,57 @@ class SiftResult:
     mismatches: int
 
 
-def bob_announce(clicks: ClickStream) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Bob's sifting message: (index, basis code) of gated clicks.
+def sift(alice: SymbolSequence, clicks: ClickStream) -> SiftResult:
+    """Run the two-message sifting dialogue and count the kept bits and errors.
 
-    His measured bits stay local. Duplicate clicks on one symbol keep the
-    earliest (the dead time should make duplicates impossible; their
-    presence would indicate a harness bug, not physics).
+    Bob announces the (index, basis code) of his gated clicks and keeps his
+    bits; of duplicate clicks on one symbol, which dead time rules out (one
+    would be a harness bug, not physics), the earliest counts. Alice looks up
+    each announced symbol once, which also fetches her bits for the kept subset.
     """
     usable = np.flatnonzero(clicks.in_gate)
     # click streams are time ordered, so unique() keeps the earliest
     indices, first = np.unique(clicks.symbol_indices.take(usable), return_index=True)
     at = usable.take(first)
-    return indices, clicks.analyzer_basis_codes.take(at), clicks.analyzer_bits.take(at)
-
-
-def sift(alice: SymbolSequence, clicks: ClickStream) -> SiftResult:
-    """Run the two-message sifting dialogue and count the kept bits and errors.
-
-    Alice looks up each announced symbol once: the same fetch that answers
-    the basis comparison already holds her bits for the kept subset.
-    """
-    indices, bases, bob_bits = bob_announce(clicks)
     alice_bases, alice_bits = alice.symbols_at(indices)
-    match = alice_bases == bases
-    return SiftResult(kept=int(np.count_nonzero(match)),
-                      mismatches=int(np.count_nonzero(match & (alice_bits != bob_bits))))
+    match = alice_bases == clicks.analyzer_basis_codes.take(at)
+    errors = match & (alice_bits != clicks.analyzer_bits.take(at))
+    return SiftResult(int(np.count_nonzero(match)), int(np.count_nonzero(errors)))
 
 
 @dataclass(frozen=True)
 class BlockStats:
-    """Per-block raw-key and error statistics."""
+    """One block's counts, from which its raw-key rate, QBER and flag follow:
+    a block with no kept bits has qber 0 and is flagged ``insufficient_data``,
+    and a ``saturated`` block was not simulated and counts nothing."""
 
     block_start: float
     block_duration: float
-    raw_key_rate: float
-    qber: float
-    gated_clicks: int
+    gated_clicks: int = 0
     kept_bits: int = 0
+    mismatches: int = 0
     kappa: bool = False
-    flag: str = "ok"
+    saturated: bool = False
 
     def __post_init__(self):
         if self.block_duration <= 0:
             raise ValidationError("block duration must be > 0")
-        if not 0.0 <= self.qber <= 1.0:
-            raise ValidationError(f"qber must be in [0, 1], got {self.qber}")
+        if not 0 <= self.mismatches <= self.kept_bits:
+            raise ValidationError(f"mismatches {self.mismatches} not in [0, {self.kept_bits}]")
 
+    @property
+    def raw_key_rate(self) -> float:
+        return self.kept_bits / self.block_duration
 
-def estimate_block_stats(
-    sifted: SiftResult,
-    duration: float,
-    gated_clicks: int,
-    block_start: float = 0.0,
-    kappa: bool = False,
-) -> BlockStats:
-    """Raw-key rate and QBER for one block of sifted bits.
+    @property
+    def qber(self) -> float:
+        return self.mismatches / self.kept_bits if self.kept_bits else 0.0
 
-    A block with no kept bits cannot estimate a QBER and is flagged
-    ``insufficient_data`` with qber 0.
-    """
-    if duration <= 0:
-        raise ValidationError(f"duration must be > 0, got {duration}")
-    kept = sifted.kept
-    qber = sifted.mismatches / kept if kept else 0.0
-    return BlockStats(
-        block_start=block_start,
-        block_duration=duration,
-        raw_key_rate=kept / duration,
-        qber=qber,
-        gated_clicks=gated_clicks,
-        kept_bits=kept,
-        kappa=kappa,
-        flag="ok" if kept else "insufficient_data",
-    )
+    @property
+    def flag(self) -> str:
+        if self.saturated:
+            return "saturated"
+        return "ok" if self.kept_bits else "insufficient_data"
 
 
 def binary_entropy(x: float) -> float:
@@ -225,15 +203,12 @@ class Run:
 
 
 def run_block(config: ScenarioConfig, run: Run) -> BlockStats:
-    """Simulate, sift and summarize one sweep point or session block; the
-    one function every worker runs and the one that builds every block's
-    ``BlockStats``. A saturated run draws nothing and is flagged
-    ``saturated`` with zero rates."""
+    """Simulate and sift one sweep point or session block into its counts: the
+    one function every worker runs, and the one that builds every block's
+    ``BlockStats``. A saturated run draws nothing and counts nothing."""
     duration = run.symbols / config.source.symbol_rate
     if run.saturated:
-        return BlockStats(block_start=run.start_time, block_duration=duration,
-                          raw_key_rate=0.0, qber=0.0, gated_clicks=0,
-                          kappa=run.kappa, flag="saturated")
+        return BlockStats(run.start_time, duration, kappa=run.kappa, saturated=True)
     tag_alice, tag_schedule, tag_clicks = run.tags
     alice = alice_generate(run.symbols, mix64(config.rng_seed, run.index, tag_alice))
     clicks = simulate_clicks(
@@ -244,9 +219,9 @@ def run_block(config: ScenarioConfig, run: Run) -> BlockStats:
         start_time=run.start_time,
         drift_axis=run.drift_axis,
     )
-    return estimate_block_stats(sift(alice, clicks), duration,
-                                int(np.count_nonzero(clicks.in_gate)),
-                                block_start=run.start_time, kappa=run.kappa)
+    sifted = sift(alice, clicks)
+    return BlockStats(run.start_time, duration, int(np.count_nonzero(clicks.in_gate)),
+                      sifted.kept, sifted.mismatches, run.kappa)
 
 
 def _usable_cores() -> int:
@@ -334,7 +309,12 @@ def _forked_map(config: ScenarioConfig, runs: list[Run], workers: int) -> list[B
     try:
         for k in range(workers):
             read, write = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except BaseException:  # no child holds this pipe: close it here
+                os.close(read)
+                os.close(write)
+                raise
             if pid == 0:
                 os.close(read)
                 _run_share(config, runs, k, workers, write)

@@ -20,10 +20,9 @@ from fso_qkd.linkparams import (
 )
 from fso_qkd.polarization import Basis
 from fso_qkd.protocol import (
+    BlockStats,
     Run,
-    SiftResult,
     alice_generate,
-    estimate_block_stats,
     run_block,
     run_session,
     secure_fraction,
@@ -156,26 +155,30 @@ class TestSift:
 
 class TestBlockStats:
     def test_operating_point_numbers(self):
-        sifted = SiftResult(kept=1000, mismatches=79)
-        stats = estimate_block_stats(sifted, duration=0.27, gated_clicks=2000)
+        stats = BlockStats(0.0, 0.27, gated_clicks=2000, kept_bits=1000, mismatches=79)
         assert stats.qber == pytest.approx(0.079, abs=1e-12)
         assert stats.raw_key_rate == pytest.approx(1000 / 0.27, rel=1e-12)
         assert (stats.kept_bits, stats.gated_clicks) == (1000, 2000)
 
     def test_zero_mismatches(self):
-        assert estimate_block_stats(SiftResult(10, 0), 1.0, 10).qber == 0.0
+        assert BlockStats(0.0, 1.0, 10, kept_bits=10, mismatches=0).qber == 0.0
 
     def test_all_mismatched(self):
-        assert estimate_block_stats(SiftResult(10, 10), 1.0, 10).qber == 1.0
+        assert BlockStats(0.0, 1.0, 10, kept_bits=10, mismatches=10).qber == 1.0
 
     def test_empty_block_flagged(self):
-        stats = estimate_block_stats(SiftResult(0, 0), 1.0, 0)
+        stats = BlockStats(0.0, 1.0, 0, kept_bits=0, mismatches=0)
         assert stats.flag == "insufficient_data"
         assert stats.raw_key_rate == 0.0
 
     def test_bad_duration(self):
         with pytest.raises(ValidationError):
-            estimate_block_stats(SiftResult(1, 0), 0.0, 1)
+            BlockStats(0.0, 0.0, 1, kept_bits=1, mismatches=0)
+
+    @pytest.mark.parametrize("mismatches", [11, -1], ids=["over-kept", "negative"])
+    def test_mismatches_outside_kept_bits_refused(self, mismatches):
+        with pytest.raises(ValidationError, match=f"mismatches {mismatches} not in"):
+            BlockStats(0.0, 1.0, 10, kept_bits=10, mismatches=mismatches)
 
 
 class TestSecureFraction:
@@ -275,6 +278,7 @@ class TestEndToEnd:
         })
         stats = run_session(cfg)
         assert stats[0].flag == "saturated"
+        assert (stats[0].qber, stats[0].raw_key_rate, stats[0].gated_clicks) == (0.0, 0.0, 0)
 
     def test_session_block_is_pure_function_of_index_and_axis(self):
         """Each session block equals a standalone run_block call for its index,

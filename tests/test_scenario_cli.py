@@ -620,6 +620,28 @@ class TestForkedMap:
         assert run_map(config, runs, "sweep.el_db", workers=2) == [0, 1, 2]
         assert threads == [1, 1]
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/fd")
+    def test_failed_fork_closes_its_pipe(self, monkeypatch, index_runs):
+        """A fork that fails (say EAGAIN at a process limit) leaves no pipe
+        open: the error propagates once worker 0 is reaped and both ends of
+        worker 1's pipe are closed."""
+        fork = os.fork
+        forks = []
+
+        def second_fork_fails():
+            forks.append(None)
+            if len(forks) == 2:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", second_fork_fails)
+        config, runs = big_runs(1_000_000, count=3)
+        before = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(BlockingIOError):
+            run_map(config, runs, "sweep.el_db", workers=2)
+        assert len(os.listdir("/proc/self/fd")) == before
+        assert_no_child_left()
+
 
 class TestMainEntry:
     def test_success_exit_zero(self, tmp_path, capsys):
