@@ -8,6 +8,11 @@ rule and the worker count; this module adds the closed-form model, formats
 the rows and writes the files. Every CSV row carries the resolved-config
 hash for audit.
 
+Only the commands that run the Monte Carlo import it (``protocol`` and
+``linkmodel``, and through them ``polarization`` and ``seeding``), before any
+worker forks. Config resolution, its exit-2 refusals and ``plan-spectrum``
+load none of it.
+
 Exit codes: 0 success, 2 validation error, 3 runtime error.
 
 This module sets up the process's native runtime; forked workers inherit it.
@@ -27,16 +32,18 @@ import ctypes
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .coexistence import link_margin, ook_ber
 from .errors import ValidationError
-from .linkmodel import expected_rates
-from .linkparams import RatePrediction
-from .protocol import BlockStats, run_session, run_sweep, secure_fraction
 from .scenario import ScenarioConfig, load_config_file, resolve_config
 from . import spectrum as spectrum_mod
+
+if TYPE_CHECKING:
+    from .linkparams import RatePrediction
+    from .protocol import BlockStats
 
 QBER_THRESHOLD = 0.11
 
@@ -107,6 +114,9 @@ def threshold_crossing(el_values, qber_values, threshold: float = QBER_THRESHOLD
 
 def cmd_sweep_el(config: ScenarioConfig, out_dir: Path, workers: int | None = None) -> dict:
     """Model + Monte Carlo QKD performance over the excess-loss sweep."""
+    from .linkmodel import expected_rates
+    from .protocol import run_sweep, secure_fraction
+
     if not config.sweep_el_db:
         raise ValidationError("sweep.el_db: sweep list must be non-empty")
     chash = config.config_hash
@@ -153,6 +163,8 @@ def _run_session(config: ScenarioConfig, out_dir: Path,
     """Run the session, write ``<command>_blocks.csv`` (with a ``kappa`` column
     for coexist only) and return the block stats with the summary fields both
     session commands share."""
+    from .protocol import run_session
+
     stats = run_session(config)
     chash = config.config_hash
     kappa = command == "coexist"

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 
 from .calibration import CALIBRATION
 from .errors import ValidationError
@@ -58,6 +57,8 @@ def ook_ber(received_power_dbm: float, params: ClassicalParams) -> float:
     Q-factor proportional to linear power, anchored so that
     ber(sensitivity) equals the FEC-threshold BER exactly.
     """
+    from statistics import NormalDist  # here, so resolving a config does not load it
+
     if not math.isfinite(received_power_dbm):
         raise ValidationError("received power must be finite")
     # -inv_cdf(p), not inv_cdf(1 - p): the tail stays exact at small p

@@ -1,6 +1,7 @@
 """The CLI's native runtime: one BLAS thread unless the user exports a count,
-and a heap kept across blocks. Import-time checks run in fresh interpreters,
-because this test process has loaded numpy already."""
+a heap kept across blocks, and no Monte Carlo import where a command runs
+none. Import-time checks run in fresh interpreters, because this test process
+has loaded numpy and the Monte Carlo already."""
 import ctypes
 import os
 import subprocess
@@ -36,6 +37,43 @@ def test_cli_import_starts_no_blas_threads():
         "print(next(line.split()[1] for line in open('/proc/self/status')\n"
         "           if line.startswith('Threads:')))")
     assert threads == "1"
+
+
+MONTE_CARLO = ("fso_qkd.protocol", "fso_qkd.linkmodel", "fso_qkd.polarization",
+               "fso_qkd.seeding", "statistics")
+
+
+def monte_carlo_loaded(code: str) -> set[str]:
+    """The ``MONTE_CARLO`` modules that a fresh interpreter holds after ``code``."""
+    out = run_python(f"import sys\n{code}\n"
+                     f"print('loaded:', *(m for m in {MONTE_CARLO!r} if m in sys.modules))")
+    return set(out.rsplit("loaded:", 1)[1].split())
+
+
+def main_exits(rc: int, *argv: str) -> str:
+    return f"from fso_qkd import cli\nassert cli.main({list(argv)!r}) == {rc}"
+
+
+@pytest.mark.parametrize("case", ["resolve", "plan-spectrum", "refused"])
+def test_config_path_loads_no_monte_carlo(tmp_path, case):
+    out = str(tmp_path / "out")
+    code = {
+        "resolve": "import fso_qkd.cli\nfrom fso_qkd.scenario import resolve_config\n"
+                   "resolve_config({'channel.fiber_kind': 'OM4', 'session.blocks': 2})",
+        "plan-spectrum": main_exits(0, "plan-spectrum", "--out", out),
+        "refused": main_exits(2, "sweep-el", "--set", "source.mu_q=null", "--out", out),
+    }[case]
+    assert monte_carlo_loaded(code) == set()
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["sweep-el", "--set", "sweep.el_db=[0.0]", "--set", "sweep.symbols_per_point=1000000"],
+     {"fso_qkd.protocol", "fso_qkd.linkmodel"}),
+    (["coexist", "--set", "session.blocks=2", "--set", "session.symbols_per_block=1000000"],
+     {"statistics"}),
+])
+def test_monte_carlo_commands_load_it(tmp_path, argv, loaded):
+    assert monte_carlo_loaded(main_exits(0, *argv, "--out", str(tmp_path))) >= loaded
 
 
 def test_user_blas_thread_count_kept():
