@@ -225,15 +225,18 @@ def cmd_coexist(config: ScenarioConfig, out_dir: Path) -> dict:
 
 def cmd_plan_spectrum(spectrum_path: str | None, config: ScenarioConfig,
                       out_dir: Path) -> dict:
-    """Rank the CWDM channels by in-band background for a given spectrum."""
-    table = (spectrum_mod.load_default_spectrum() if spectrum_path is None
-             else spectrum_mod.load_spectrum(spectrum_path))
-    channels = [spectrum_mod.CwdmChannel(nm) for nm in spectrum_mod.CWDM_GRID_NM]
-    report = spectrum_mod.ranking_report(table, channels, config.detector)
+    """Rank the CWDM channels by in-band background for the config's spectrum.
+    A ``spectrum_path`` sets ``background.spectrum_path``: the config is resolved
+    again with it, its solar rate derived anew, so the hash says what ranks."""
+    if spectrum_path is not None:
+        flat = {k: v for k, v in config.resolved.items() if k != "background.solar_rate"}
+        config = resolve_config({**flat, "background.spectrum_path": spectrum_path})
+    path = config.resolved["background.spectrum_path"]
+    report = spectrum_mod.ranking_report(spectrum_mod.load_spectrum(path), config.detector)
     summary = {
         "command": "plan-spectrum",
         "config_hash": config.config_hash,
-        "spectrum": spectrum_path or "packaged-default",
+        "spectrum": "packaged-default" if path is None else path,
         "dark_rate_cts_s": config.detector.dark_rate,
         "ranking": report,
     }
@@ -278,7 +281,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="worker processes over sweep points (default: one per "
                                 "usable core for a large sweep, else 1)")
         if name == "plan-spectrum":
-            p.add_argument("--spectrum", help="spectrum CSV (default: packaged)")
+            p.add_argument("--spectrum", help="spectrum CSV; sets background.spectrum_path")
     return parser
 
 

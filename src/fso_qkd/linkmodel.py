@@ -349,13 +349,16 @@ def expected_events(n: int, src: SourceParams, ch: ChannelParams, det: DetectorP
     return events
 
 
-def check_time_axis(n: int, src: SourceParams, ch: ChannelParams, start_time: float) -> None:
+def check_time_axis(n: int, src: SourceParams, ch: ChannelParams, start_time: float,
+                    symbols_key: str) -> None:
     """Raise ``ValidationError`` for an n-slot run, ``start_time`` after the
     session origin, whose last slot time or drift angle overflows a float
     (its times or its rotation would be nan), or whose last slot time is so
     large that neighbouring floats lie more than a sixteenth of a slot apart
     (its slot times would collapse onto shared values, and dead time would
-    no longer see the true gaps; at 0.5 GBd that is from 2**20 s on).
+    no longer see the true gaps; at 0.5 GBd that is from 2**20 s on). A run
+    too long at any start names ``symbols_key``, the key that sets n; the rest
+    name ``session.block_duration_s``.
 
     No session block reaches the non-finite check: an earlier block of the
     session is refused first. The check serves a direct caller with a
@@ -363,7 +366,8 @@ def check_time_axis(n: int, src: SourceParams, ch: ChannelParams, start_time: fl
     refuses a nan start."""
     # simulate_clicks times slot i at start_time + (i + 0.5) * slot
     slot = 1.0 / src.symbol_rate
-    last = (n - 0.5) * slot + start_time
+    span = (n - 0.5) * slot
+    last = span + start_time
     if not math.isfinite(last):
         raise ValidationError(
             f"session.block_duration_s: a run that starts {start_time:.3g} s from the "
@@ -373,12 +377,14 @@ def check_time_axis(n: int, src: SourceParams, ch: ChannelParams, start_time: fl
             f"channel.drift_rate: {ch.drift_rate:.3g} rad/s over {last:.3g} s from the "
             "session origin overflows the drift angle; lower channel.drift_rate or "
             "session.block_duration_s")
-    if math.ulp(last) > slot / 16:
-        raise ValidationError(
-            f"session.block_duration_s: a run that ends {last:.3g} s from the session "
-            f"origin resolves its slot times only to {math.ulp(last):.3g} s, over a "
-            f"sixteenth of the {slot:.3g} s slot; lower session.block_duration_s or the "
-            "symbols per run")
+    for end, key, origin, remedy in ((span, symbols_key, "its own start", symbols_key),
+                                     (last, "session.block_duration_s", "the session origin",
+                                      "session.block_duration_s or the symbols per run")):
+        if math.ulp(end) > slot / 16:
+            raise ValidationError(
+                f"{key}: a run that ends {end:.3g} s from {origin} resolves its slot "
+                f"times only to {math.ulp(end):.3g} s, over a sixteenth of the "
+                f"{slot:.3g} s slot; lower {remedy}")
 
 
 def simulate_clicks(
@@ -414,7 +420,7 @@ def simulate_clicks(
         raise ValidationError(f"intrinsic_error must be in [0, 0.5], got {intrinsic_error}")
     n = len(symbols)
     expected_events(n, src, ch, det, bg)
-    check_time_axis(n, src, ch, start_time)
+    check_time_axis(n, src, ch, start_time, "symbols")
     slot = 1.0 / src.symbol_rate
     q = click_probability(src, ch, det)
     rng = rng_from(rng_seed)

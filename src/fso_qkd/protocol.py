@@ -113,9 +113,11 @@ def sift(alice: SymbolSequence, clicks: ClickStream) -> SiftResult:
     """Run the two-message sifting dialogue and count the kept bits and errors.
 
     Bob announces the (index, basis code) of his gated clicks and keeps his
-    bits; of duplicate clicks on one symbol, which dead time rules out (one
-    would be a harness bug, not physics), the earliest counts. Alice looks up
-    each announced symbol once, which also fetches her bits for the kept subset.
+    bits. Two gated clicks on one symbol lie within one gate (``gate_fraction``
+    of a slot), so both survive only a shorter dead time: at 0, a photon click
+    and background arrivals can share a slot. Of such duplicates the earliest
+    counts. Alice looks up each announced symbol once, which also fetches her
+    bits for the kept subset.
     """
     usable = np.flatnonzero(clicks.in_gate)
     # click streams are time ordered, so unique() keeps the earliest
@@ -271,18 +273,21 @@ def run_map(config: ScenarioConfig, runs: list[Run], key: str,
     detector events are computed once (none for a saturated run, which is
     not simulated, so it is never refused for the memory budget). That one
     list meets the budget, then the cost cap (refused naming ``key``), and,
-    once every run's time axis has passed ``check_time_axis``, sets the
-    worker count. The runs then go to ``workers`` forked processes, at most
-    one per run (see ``_forked_map``); where ``_can_fork`` is false they all
-    run in this process, whatever ``workers`` says. With ``workers`` None,
+    once every run's time axis has passed ``check_time_axis`` (which names the
+    key of the runs' symbols for a run too long at any start), sets the worker
+    count. The runs then go to ``workers`` forked processes, at most one per
+    run (see ``_forked_map``); where ``_can_fork`` is false they all run in
+    this process, whatever ``workers`` says. With ``workers`` None,
     ``_auto_workers`` chooses the count. Each run's seeds depend on its index
     and tags alone, so the results do not depend on the worker count.
     """
     events = [0.0 if run.saturated else expected_events(
         run.symbols, config.source, run.channel, config.detector, run.bg) for run in runs]
     _check_cost(key, len(runs), sum(events))
+    symbols_key = ("sweep.symbols_per_point" if key == "sweep.el_db"
+                   else "session.symbols_per_block")
     for run in runs:
-        check_time_axis(run.symbols, config.source, run.channel, run.start_time)
+        check_time_axis(run.symbols, config.source, run.channel, run.start_time, symbols_key)
     if workers is None:
         workers = _auto_workers(events)
     workers = min(workers, len(runs))

@@ -251,8 +251,7 @@ def resolve_config(overrides: dict | None = None) -> ScenarioConfig:
 
 def _solar_from_spectrum(path: str | None, wavelength_nm: float) -> float:
     try:
-        table = (spectrum_mod.load_default_spectrum() if path is None
-                 else spectrum_mod.load_spectrum(path))
+        table = spectrum_mod.load_spectrum(path)
     except ValidationError as exc:
         raise ValidationError(f"background.spectrum_path: {exc}") from None
     try:

@@ -31,7 +31,8 @@ CSV_HEADER = "wavelength_nm,psd_db_hz_per_nm"
 # segments integrate to <1e-4 relative error.
 _MESH_NM = 0.05
 
-CWDM_GRID_NM = (1390.0, 1410.0, 1430.0)
+# The CWDM grid's channel centres, and the passband of each channel's add/drop filter
+CWDM_GRID_NM, CWDM_PASSBAND_NM = (1390.0, 1410.0, 1430.0), 13.0
 
 
 @dataclass(frozen=True)
@@ -91,20 +92,12 @@ class CwdmChannel:
     """One quantum channel on the CWDM grid used by the link."""
 
     center_nm: float
-    passband_nm: float = 13.0
 
     def __post_init__(self):
         if self.center_nm not in CWDM_GRID_NM:
             raise ValidationError(
                 f"channel center {self.center_nm} nm not on the CWDM grid {CWDM_GRID_NM}"
             )
-        if self.passband_nm <= 0:
-            raise ValidationError("passband must be positive")
-
-    @property
-    def edges_nm(self) -> tuple[float, float]:
-        half = self.passband_nm / 2.0
-        return (self.center_nm - half, self.center_nm + half)
 
 
 def default_filters(channel: CwdmChannel) -> list[FilterSpec]:
@@ -116,7 +109,7 @@ def default_filters(channel: CwdmChannel) -> list[FilterSpec]:
     return [
         FilterSpec(center_nm=1410.0, width_nm=50.0,
                    in_band_transmission=0.79, out_of_band_suppression_db=40.0),
-        FilterSpec(center_nm=channel.center_nm, width_nm=channel.passband_nm,
+        FilterSpec(center_nm=channel.center_nm, width_nm=CWDM_PASSBAND_NM,
                    in_band_transmission=0.71, out_of_band_suppression_db=30.0),
     ]
 
@@ -134,7 +127,8 @@ def integrate_background(
     edge and filter edge. The table is normalized to detected counts, so no
     detector efficiency enters the integral.
     """
-    lo, hi = channel.edges_nm
+    lo, hi = (channel.center_nm - CWDM_PASSBAND_NM / 2.0,
+              channel.center_nm + CWDM_PASSBAND_NM / 2.0)
     knots = [lo, hi]
     knots.extend(w for w in spectrum.wavelengths_nm if lo < w < hi)
     for f in filters:
@@ -153,28 +147,19 @@ def integrate_background(
 def rank_channels(
     spectrum: SpectralTable,
     channels: list[CwdmChannel],
-    filters: list[FilterSpec] | None,
 ) -> list[tuple[CwdmChannel, float]]:
-    """Channels ordered by ascending background; ties go to shorter wavelength.
-
-    ``filters=None`` applies each channel's default cascade.
-    """
+    """Channels ordered by ascending background behind each one's
+    ``default_filters``; ties go to shorter wavelength."""
     if not channels:
         raise ValidationError("at least one channel is required")
-    rates = []
-    for ch in channels:
-        cascade = default_filters(ch) if filters is None else filters
-        rates.append((ch, integrate_background(spectrum, ch, cascade)))
+    rates = [(ch, integrate_background(spectrum, ch, default_filters(ch))) for ch in channels]
     return sorted(rates, key=lambda item: (item[1], item[0].center_nm))
 
 
-def ranking_report(
-    spectrum: SpectralTable,
-    channels: list[CwdmChannel],
-    detector: DetectorParams,
-) -> list[dict]:
-    """JSON-ready ranking rows with dark-level flags and total floors."""
-    ranked = rank_channels(spectrum, channels, None)
+def ranking_report(spectrum: SpectralTable, detector: DetectorParams) -> list[dict]:
+    """JSON-ready ranking rows of the CWDM grid with dark-level flags and total
+    floors."""
+    ranked = rank_channels(spectrum, [CwdmChannel(nm) for nm in CWDM_GRID_NM])
     return [
         {
             "channel_nm": ch.center_nm,
@@ -186,9 +171,10 @@ def ranking_report(
     ]
 
 
-def load_spectrum(path: str | Path) -> SpectralTable:
-    """Parse a spectrum CSV; malformed rows are reported with line numbers."""
-    path = Path(path)
+def load_spectrum(path: str | Path | None = None) -> SpectralTable:
+    """Parse a spectrum CSV, the packaged table when ``path`` is None;
+    malformed rows are reported with line numbers."""
+    path = default_spectrum_path() if path is None else Path(path)
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
     except (OSError, UnicodeDecodeError) as exc:
@@ -233,7 +219,3 @@ def dump_spectrum(table: SpectralTable, path: str | Path) -> None:
 def default_spectrum_path() -> Path:
     """Location of the packaged daylight spectrum."""
     return Path(importlib.resources.files("fso_qkd") / "data" / "solar_spectrum_default.csv")
-
-
-def load_default_spectrum() -> SpectralTable:
-    return load_spectrum(default_spectrum_path())

@@ -142,6 +142,30 @@ class TestSift:
         assert result.kept == 1
         assert result.mismatches == int(bit != 0)  # Bob's bit 0, from the earlier click
 
+    def test_no_dead_time_duplicates_count_once(self):
+        """With no dead time, background arrivals share gated slots with clicks
+        and with each other; each announced symbol is still sifted once, from
+        its earliest gated click."""
+        alice = alice_generate(1_000_000, 41)
+        clicks = simulate_clicks(alice, SourceParams(), quiet_channel(),
+                                 DetectorParams(dead_time=0.0, dark_rate=0.0),
+                                 BackgroundBudget(solar_rate=3e7, dark_rate=0.0), rng_seed=43)
+        at = np.flatnonzero(clicks.in_gate)
+        gated = clicks.symbol_indices[at]
+        assert len(gated) - len(np.unique(gated)) > 100  # duplicates exist
+        earliest = {}
+        for i, k in zip(gated.tolist(), at.tolist()):
+            earliest.setdefault(i, k)
+        first = np.array(list(earliest.values()))
+        bases, bits = alice.symbols_at(np.array(list(earliest)))
+        match = clicks.analyzer_basis_codes[first] == bases
+        errors = match & (clicks.analyzer_bits[first] != bits)
+        result = sift(alice, clicks)
+        assert (result.kept, result.mismatches) == (match.sum(), errors.sum())
+        # counted with its duplicates, more would be kept
+        assert result.kept < np.count_nonzero(
+            clicks.analyzer_basis_codes[at] == alice.symbols_at(gated)[0])
+
     def test_kept_fraction_is_half(self):
         src = SourceParams()
         alice = alice_generate(4_000_000, 8)

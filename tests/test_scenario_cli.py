@@ -21,7 +21,7 @@ from fso_qkd.errors import ValidationError
 from fso_qkd.linkparams import ChannelParams, DetectorParams, SourceParams
 from fso_qkd.protocol import Run, run_map
 from fso_qkd.scenario import _KEYS, default_flat_config, resolve_config
-from fso_qkd.spectrum import SpectralTable, dump_spectrum, load_default_spectrum
+from fso_qkd.spectrum import SpectralTable, default_spectrum_path, dump_spectrum, load_spectrum
 
 UNREADABLE = ["missing", "directory", "not-utf8"]
 
@@ -247,7 +247,7 @@ def test_every_key_acts(tmp_path, key):
     section built without its keys, would leave the key hashed but unread."""
     base = {"background.mode": "explicit"} if key == "background.solar_rate" else {}
     if key == "background.spectrum_path":
-        table = load_default_spectrum()
+        table = load_spectrum()
         value = str(tmp_path / "shifted.csv")
         dump_spectrum(SpectralTable(table.wavelengths_nm, table.psd_db + 3.0), value)
     else:
@@ -813,6 +813,24 @@ class TestMainEntry:
                               "1e+308 s from the session origin resolves its slot times")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command, key", [
+        (["sweep-el"], "sweep.symbols_per_point"),
+        (["stability", "--set", "session.blocks=1"], "session.symbols_per_block"),
+    ], ids=["sweep-el", "stability"])
+    def test_run_too_long_on_its_own_exit_two(self, tmp_path, capsys, no_pool, command,
+                                              key):
+        """A run of 1e15 slots, expecting no event, ends 2e6 s after its own
+        start, where floats lie 2.33e-10 s apart. No start mends that, so it is
+        refused naming the key that sets its length, not one it does not read."""
+        assert main(command + ["--set", "background.mode=explicit",
+                               "--set", "detector.dark_rate=0", "--set", "source.mu_q=0",
+                               "--set", f"{key}=1000000000000000",
+                               "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"validation error: {key}: a run that ends 2e+06 s from its own start "
+            "resolves its slot times only to 2.33e-10 s")
+        assert not (tmp_path / "o").exists()
+
     def test_saturated_block_at_non_finite_start_exit_two(self, tmp_path, capsys, no_pool):
         """At mu_q = 100 every block saturates and is not simulated, but block
         2 still starts at 2e308 s: its time axis is refused like any other."""
@@ -877,6 +895,38 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("validation error") and str(path) in err
         assert not (tmp_path / "o").exists()
+
+    def test_plan_spectrum_flag_is_the_config_key(self, tmp_path):
+        """--spectrum X sets background.spectrum_path=X: both write the same
+        bytes, which rank X (here the packaged table 10 dB brighter) and hash it."""
+        table = load_spectrum()
+        bright = tmp_path / "bright.csv"
+        dump_spectrum(SpectralTable(table.wavelengths_nm, table.psd_db + 10.0), bright)
+        for name, args in (("flag", ["--spectrum", str(bright)]),
+                           ("key", ["--set", f"background.spectrum_path={bright}"]),
+                           ("packaged", [])):
+            assert main(["plan-spectrum", "--out", str(tmp_path / name)] + args) == 0
+        assert read_tree(tmp_path / "flag") == read_tree(tmp_path / "key")
+        ranked, packaged = (json.loads((tmp_path / name / "channel_ranking.json").read_text())
+                            for name in ("flag", "packaged"))
+        assert ranked["spectrum"] == str(bright)
+        assert ranked["config_hash"] != packaged["config_hash"]
+        assert ranked["config_hash"] == resolve_config(
+            {"background.spectrum_path": str(bright)}).config_hash
+        packaged_rates = {r["channel_nm"]: r["background_cts_s"] for r in packaged["ranking"]}
+        assert len(ranked["ranking"]) == 3
+        for row in ranked["ranking"]:
+            assert row["background_cts_s"] == pytest.approx(
+                10.0 * packaged_rates[row["channel_nm"]], rel=1e-9)
+
+    def test_plan_spectrum_flag_in_explicit_mode_exit_two(self, tmp_path, capsys):
+        """Explicit mode reads no spectrum, so --spectrum is refused like the key."""
+        out = tmp_path / "o"
+        assert main(["plan-spectrum", "--spectrum", str(default_spectrum_path()),
+                     "--set", "background.mode=explicit", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "validation error: background.spectrum_path: ")
+        assert not out.exists()
 
     def test_plan_spectrum_non_finite_psd_exit_two(self, tmp_path):
         """A nan PSD would reach channel_ranking.json as NaN, which is not JSON."""

@@ -12,7 +12,6 @@ from fso_qkd.spectrum import (
     default_filters,
     dump_spectrum,
     integrate_background,
-    load_default_spectrum,
     load_spectrum,
     rank_channels,
     ranking_report,
@@ -38,7 +37,7 @@ class TestIntegration:
         assert rate == pytest.approx(0.0, abs=1e-30)
 
     def test_default_spectrum_reproduces_channel_floors(self):
-        table = load_default_spectrum()
+        table = load_spectrum()
         ch = CwdmChannel(1430.0)
         solar = integrate_background(table, ch, default_filters(ch))
         assert solar == pytest.approx(290.0, abs=5.0)
@@ -49,7 +48,7 @@ class TestIntegration:
             assert low < DET.dark_rate
 
     def test_linearity_in_linear_psd(self):
-        table = load_default_spectrum()
+        table = load_spectrum()
         doubled = SpectralTable(table.wavelengths_nm,
                                 table.psd_db + 10.0 * np.log10(2.0))
         ch = CwdmChannel(1410.0)
@@ -58,7 +57,7 @@ class TestIntegration:
         assert r2 == pytest.approx(2.0 * r1, rel=1e-9)
 
     def test_extra_filter_never_increases_rate(self):
-        table = load_default_spectrum()
+        table = load_spectrum()
         rng = np.random.default_rng(2)
         ch = CwdmChannel(1430.0)
         base = integrate_background(table, ch, default_filters(ch))
@@ -83,33 +82,35 @@ class TestIntegration:
 
 class TestRanking:
     def test_default_spectrum_prefers_shorter_channels(self):
-        table = load_default_spectrum()
+        table = load_spectrum()
         channels = [CwdmChannel(nm) for nm in CWDM_GRID_NM]
-        ranked = rank_channels(table, channels, None)
+        ranked = rank_channels(table, channels)
         assert [c.center_nm for c, _ in ranked] == [1390.0, 1410.0, 1430.0]
         assert ranked[0][1] < ranked[2][1]
 
     def test_flat_spectrum_ties_break_by_wavelength(self):
+        # 10**-400 underflows, so every channel integrates to exactly 0.0: a true
+        # tie, which a flat table at a finite level does not give bit for bit
         channels = [CwdmChannel(nm) for nm in (1430.0, 1390.0, 1410.0)]
-        ranked = rank_channels(flat_table(10.0), channels, UNITY)
+        ranked = rank_channels(flat_table(-4000.0), channels)
+        assert [rate for _, rate in ranked] == [0.0, 0.0, 0.0]
         assert [c.center_nm for c, _ in ranked] == [1390.0, 1410.0, 1430.0]
 
     def test_single_channel(self):
-        ranked = rank_channels(flat_table(10.0), [CwdmChannel(1410.0)], UNITY)
+        ranked = rank_channels(flat_table(10.0), [CwdmChannel(1410.0)])
         assert len(ranked) == 1
 
     def test_output_is_permutation(self):
         channels = [CwdmChannel(nm) for nm in CWDM_GRID_NM]
-        ranked = rank_channels(load_default_spectrum(), channels, None)
+        ranked = rank_channels(load_spectrum(), channels)
         assert sorted(c.center_nm for c, _ in ranked) == sorted(CWDM_GRID_NM)
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
-            rank_channels(flat_table(0.0), [], UNITY)
+            rank_channels(flat_table(0.0), [])
 
     def test_report_flags(self):
-        report = ranking_report(load_default_spectrum(),
-                                [CwdmChannel(nm) for nm in CWDM_GRID_NM], DET)
+        report = ranking_report(load_spectrum(), DET)
         by_nm = {row["channel_nm"]: row for row in report}
         assert by_nm[1390.0]["below_dark"] and by_nm[1410.0]["below_dark"]
         assert by_nm[1430.0]["total_floor_cts_s"] == pytest.approx(590.0, abs=5.0)
@@ -154,7 +155,7 @@ class TestCsv:
             load_spectrum(p)
 
     def test_default_spectrum_round_trips(self, tmp_path):
-        table = load_default_spectrum()
+        table = load_spectrum()
         out = tmp_path / "copy.csv"
         dump_spectrum(table, out)
         again = load_spectrum(out)
