@@ -10,8 +10,6 @@ receiver input (detector efficiency folded in, receiver filters excluded).
 
 Run from the repository root:  python scripts/generate_default_spectrum.py
 """
-import numpy as np
-
 from fso_qkd.calibration import ANCHOR_SOLAR_1430, CALIBRATION, brentq
 from fso_qkd.spectrum import (
     CwdmChannel,
@@ -37,7 +35,7 @@ def build(notch_db: float, slope_db_per_nm: float) -> SpectralTable:
         knots.append((wl, min(34.0, notch_db + slope_db_per_nm * (wl - 1420.0))))
     knots += [(1456.0, 34.5), (1470.0, 35.0), (1520.0, 35.0), (1580.0, 35.0)]
     wavelengths, psd = zip(*knots)
-    return SpectralTable(np.array(wavelengths), np.array(psd))
+    return SpectralTable(wavelengths, psd)
 
 
 def solar(table: SpectralTable, nm: float) -> float:

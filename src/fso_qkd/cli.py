@@ -9,9 +9,10 @@ the rows and writes the files. Every CSV row carries the resolved-config
 hash for audit.
 
 Only the commands that run the Monte Carlo import it (``protocol`` and
-``linkmodel``, and through them ``polarization`` and ``seeding``), before any
-worker forks. Config resolution, its exit-2 refusals and ``plan-spectrum``
-load none of it.
+``linkmodel``, and through them ``polarization``, ``seeding`` and numpy),
+before any worker forks. Config resolution, its exit-2 refusals and
+``plan-spectrum`` load none of it, numpy included: the spectrum integral is
+pure Python.
 
 Exit codes: 0 success, 2 validation error, 3 runtime error.
 
@@ -33,8 +34,6 @@ import json
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from .coexistence import link_margin, ook_ber
 from .errors import ValidationError
@@ -72,7 +71,7 @@ def _keep_heap() -> None:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
@@ -92,6 +91,8 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _agreement_z(model: RatePrediction, point: BlockStats) -> tuple[float, float]:
     """(z_qber, z_rawkey) of the MC against the model for one sweep point."""
+    import numpy as np
+
     kept_expected = model.sifted_key_rate * point.block_duration
     z_raw = ((point.kept_bits - kept_expected) / np.sqrt(kept_expected)
              if kept_expected > 0 else 0.0)
@@ -114,11 +115,11 @@ def threshold_crossing(el_values, qber_values, threshold: float = QBER_THRESHOLD
 
 def cmd_sweep_el(config: ScenarioConfig, out_dir: Path, workers: int | None = None) -> dict:
     """Model + Monte Carlo QKD performance over the excess-loss sweep."""
+    if not config.sweep_el_db:
+        raise ValidationError("sweep.el_db: sweep list must be non-empty")
     from .linkmodel import expected_rates
     from .protocol import run_sweep, secure_fraction
 
-    if not config.sweep_el_db:
-        raise ValidationError("sweep.el_db: sweep list must be non-empty")
     chash = config.config_hash
     rows, zs = [], []
     for el, pt in zip(config.sweep_el_db, run_sweep(config, workers)):
@@ -179,6 +180,13 @@ def _run_session(config: ScenarioConfig, out_dir: Path,
                    "artifacts": {"csv": csv_path.name}}
 
 
+def _mean(values: list[float]) -> float | None:
+    """numpy's mean (its pairwise sum over the count), None for no values."""
+    import numpy as np  # loaded already by the Monte Carlo that made the values
+
+    return float(np.mean(values)) if values else None
+
+
 def cmd_stability(config: ScenarioConfig, out_dir: Path) -> dict:
     """Block-wise session with polarization drift enabled."""
     if config.blocks < 1:
@@ -188,9 +196,9 @@ def cmd_stability(config: ScenarioConfig, out_dir: Path) -> dict:
     rates = [s.raw_key_rate for s in stats if s.flag == "ok"]
     summary.update({
         "blocks": len(stats),
-        "qber_mean": float(np.mean(qbers)) if qbers else None,
+        "qber_mean": _mean(qbers),
         "qber_max": max(qbers) if qbers else None,
-        "rawkey_mean": float(np.mean(rates)) if rates else None,
+        "rawkey_mean": _mean(rates),
         "all_blocks_below_threshold": bool(qbers) and max(qbers) < QBER_THRESHOLD,
     })
     _write_json(out_dir / "stability_summary.json", summary)
@@ -209,9 +217,9 @@ def cmd_coexist(config: ScenarioConfig, out_dir: Path) -> dict:
     loss = config.classical_total_loss_db
     received_dbm = config.classical.launch_power_dbm - loss
     summary.update({
-        "qber_mean_kappa_on": float(np.mean(on)) if on else None,
-        "qber_mean_kappa_off": float(np.mean(off)) if off else None,
-        "qber_penalty": float(np.mean(on) - np.mean(off)) if on and off else None,
+        "qber_mean_kappa_on": _mean(on),
+        "qber_mean_kappa_off": _mean(off),
+        "qber_penalty": _mean(on) - _mean(off) if on and off else None,
         "classical": {
             "total_loss_db": loss,
             "received_power_dbm": received_dbm,
@@ -232,7 +240,11 @@ def cmd_plan_spectrum(spectrum_path: str | None, config: ScenarioConfig,
         flat = {k: v for k, v in config.resolved.items() if k != "background.solar_rate"}
         config = resolve_config({**flat, "background.spectrum_path": spectrum_path})
     path = config.resolved["background.spectrum_path"]
-    report = spectrum_mod.ranking_report(spectrum_mod.load_spectrum(path), config.detector)
+    try:  # resolution integrated one channel; a table may miss another's passband
+        report = spectrum_mod.ranking_report(spectrum_mod.load_spectrum(path),
+                                             config.detector)
+    except ValidationError as exc:
+        raise ValidationError(f"background.spectrum_path: {exc}") from None
     summary = {
         "command": "plan-spectrum",
         "config_hash": config.config_hash,
@@ -253,7 +265,7 @@ def _parse_set(pairs: list[str]) -> dict:
         key, raw = pair.split("=", 1)
         try:
             overrides[key] = json.loads(raw)
-        except json.JSONDecodeError:
+        except ValueError:  # not JSON (a bare string), or an int of over 4300 digits
             overrides[key] = raw
     return overrides
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -93,7 +94,14 @@ def _coerce(key: str, value, kind: str):
             # is_integer is False for nan and +-inf, which int() cannot take
             if isinstance(value, float) and not value.is_integer():
                 raise TypeError
-            return int(value)
+            out = int(value)
+            # a count meets float arithmetic (event budgets, costs); the seed is
+            # masked to 64 bits and never does
+            if key != "rng_seed" and abs(out) > sys.float_info.max:
+                raise ValidationError(
+                    f"{key}: must be at most {sys.float_info.max!r}, "
+                    f"got an int of {out.bit_length()} bits")
+            return out
         if kind == "bool":
             if not isinstance(value, bool):
                 raise TypeError
@@ -260,18 +268,21 @@ def _solar_from_spectrum(path: str | None, wavelength_nm: float) -> float:
         raise ValidationError(
             f"source.wavelength_nm: {wavelength_nm} nm is not a CWDM channel; "
             "use background.mode='explicit' for off-grid wavelengths") from None
-    return spectrum_mod.integrate_background(
-        table, channel, spectrum_mod.default_filters(channel))
+    try:  # a table that misses the channel's passband
+        return spectrum_mod.integrate_background(
+            table, channel, spectrum_mod.default_filters(channel))
+    except ValidationError as exc:
+        raise ValidationError(f"background.spectrum_path: {exc}") from None
 
 
 def load_config_file(path: str | Path) -> dict:
     """Read a flat JSON config file; top level must be an object."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"config file {path}: invalid JSON ({exc})") from None
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"config file {path}: cannot read ({exc})") from None
+    except ValueError as exc:  # bad JSON, or an int of more digits than str() converts
+        raise ValidationError(f"config file {path}: invalid JSON ({exc})") from None
     if not isinstance(data, dict):
         raise ValidationError(f"config file {path}: top level must be an object")
     return data

@@ -12,15 +12,20 @@ calibration artifact, not a measurement: it is normalized to detected
 counts at the QKD receiver input (detector efficiency folded in, receiver
 filters *not* included) and shaped so the water-vapor notch floor and the
 1430-nm shoulder reproduce the measured in-band noise floors.
+
+The module is pure Python, so config resolution and ``plan-spectrum`` load no
+numpy. Its arithmetic is numpy's, operation for operation: ``np.interp``'s
+formula, ``np.arange``'s mesh and ``np.add.reduce``'s pairwise order. The one
+difference is ``10.0 ** x``, which here is the C library's ``pow`` on every
+host, where numpy's SIMD power loop can differ from it in the last ulp.
 """
 from __future__ import annotations
 
+import bisect
 import importlib.resources
 import math
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from .errors import SpectrumFormatError, ValidationError
 from .linkparams import DetectorParams
@@ -39,28 +44,42 @@ CWDM_GRID_NM, CWDM_PASSBAND_NM = (1390.0, 1410.0, 1430.0), 13.0
 class SpectralTable:
     """Wavelength-resolved background PSD, dB re 1 count/s/nm."""
 
-    wavelengths_nm: np.ndarray
-    psd_db: np.ndarray
+    wavelengths_nm: tuple[float, ...]
+    psd_db: tuple[float, ...]
 
     def __post_init__(self):
-        wl = np.asarray(self.wavelengths_nm, dtype=float)
-        db = np.asarray(self.psd_db, dtype=float)
-        if wl.ndim != 1 or wl.shape != db.shape or len(wl) < 2:
+        wl = tuple(float(w) for w in self.wavelengths_nm)
+        db = tuple(float(d) for d in self.psd_db)
+        if len(wl) != len(db) or len(wl) < 2:
             raise ValidationError("spectral table needs matching 1-D arrays of length >= 2")
-        if not np.all(np.diff(wl) > 0):
+        if not all(a < b for a, b in zip(wl, wl[1:])):
             raise ValidationError("wavelengths must be strictly increasing")
         object.__setattr__(self, "wavelengths_nm", wl)
         object.__setattr__(self, "psd_db", db)
 
-    def psd_db_at(self, wavelengths_nm: np.ndarray) -> np.ndarray:
-        """dB-linear interpolation; queries outside the domain are rejected."""
-        wl = np.asarray(wavelengths_nm, dtype=float)
-        lo, hi = self.wavelengths_nm[0], self.wavelengths_nm[-1]
-        if np.any(wl < lo) or np.any(wl > hi):
-            raise ValidationError(
-                f"wavelength query outside spectrum domain [{lo}, {hi}] nm"
-            )
-        return np.interp(wl, self.wavelengths_nm, self.psd_db)
+    def psd_db_at(self, wavelengths_nm) -> list[float]:
+        """dB-linear interpolation, ``np.interp``'s to the bit; queries outside
+        the domain are rejected."""
+        xp, fp = self.wavelengths_nm, self.psd_db
+        lo, hi = xp[0], xp[-1]
+        out = []
+        for x in wavelengths_nm:
+            if not lo <= x <= hi:
+                raise ValidationError(
+                    f"wavelength query outside spectrum domain [{lo}, {hi}] nm"
+                )
+            j = bisect.bisect_right(xp, x) - 1
+            if j == len(xp) - 1 or xp[j] == x:
+                out.append(fp[j])
+                continue
+            slope = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j])
+            y = slope * (x - xp[j]) + fp[j]
+            if math.isnan(y):  # numpy's fallback: from the right knot, then flat
+                y = slope * (x - xp[j + 1]) + fp[j + 1]
+                if math.isnan(y) and fp[j] == fp[j + 1]:
+                    y = fp[j]
+            out.append(y)
+        return out
 
 
 @dataclass(frozen=True)
@@ -80,11 +99,10 @@ class FilterSpec:
         if self.width_nm <= 0:
             raise ValidationError("filter width must be positive")
 
-    def transmission(self, wavelengths_nm: np.ndarray) -> np.ndarray:
-        wl = np.asarray(wavelengths_nm, dtype=float)
-        in_band = np.abs(wl - self.center_nm) <= self.width_nm / 2.0
+    def transmission(self, wavelengths_nm) -> list[float]:
         t_out = self.in_band_transmission * 10.0 ** (-self.out_of_band_suppression_db / 10.0)
-        return np.where(in_band, self.in_band_transmission, t_out)
+        return [self.in_band_transmission if abs(w - self.center_nm) <= self.width_nm / 2.0
+                else t_out for w in wavelengths_nm]
 
 
 @dataclass(frozen=True)
@@ -136,12 +154,48 @@ def integrate_background(
             if lo < edge < hi:
                 # straddle each discontinuity so the mesh sees both sides
                 knots.extend((edge - 1e-9, edge + 1e-9))
-    # sorted set, not np.union1d: that loads numpy.ma (about 16 ms a process)
-    mesh = np.array(sorted(set(knots).union(np.arange(lo, hi, _MESH_NM).tolist())))
-    psd_lin = 10.0 ** (spectrum.psd_db_at(mesh) / 10.0)
+    # np.arange(lo, hi, _MESH_NM): its length, and each point from its index
+    step = (lo + _MESH_NM) - lo
+    grid = (lo + i * step for i in range(math.ceil((hi - lo) / _MESH_NM)))
+    mesh = sorted(set(knots).union(grid))
+    psd_lin = [_linear(db) for db in spectrum.psd_db_at(mesh)]
     for f in filters:
-        psd_lin = psd_lin * f.transmission(mesh)
-    return float(np.trapezoid(psd_lin, mesh))
+        psd_lin = [p * t for p, t in zip(psd_lin, f.transmission(mesh))]
+    # np.trapezoid: each trapezoid as it computes one, summed in its order
+    return pairwise_sum([(x1 - x0) * (y1 + y0) / 2.0 for x0, x1, y0, y1
+                         in zip(mesh, mesh[1:], psd_lin, psd_lin[1:])])
+
+
+def _linear(db: float) -> float:
+    """10**(db/10), inf where it overflows a float, as numpy's power gives it."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        return math.inf
+
+
+def pairwise_sum(values: list[float]) -> float:
+    """``values`` summed as ``np.add.reduce`` sums them, to the bit: in
+    sequence below 8 values, in 8 interleaved accumulators up to 128, and
+    above that as two halves, split at a multiple of 8. Every sum starts from
+    0.0, numpy's identity, so a zero total is +0.0 as numpy's is."""
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+    if n <= 128:
+        acc = [0.0] * 8
+        whole = n - n % 8
+        for i in range(0, whole, 8):
+            acc = [a + v for a, v in zip(acc, values[i:i + 8])]
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+        for v in values[whole:]:
+            total += v
+        return total
+    half = n // 2 - (n // 2) % 8
+    return pairwise_sum(values[:half]) + pairwise_sum(values[half:])
 
 
 def rank_channels(
@@ -201,7 +255,7 @@ def load_spectrum(path: str | Path | None = None) -> SpectralTable:
         wavelengths.append(wl)
         psd.append(db)
     try:
-        return SpectralTable(np.asarray(wavelengths), np.asarray(psd))
+        return SpectralTable(wavelengths, psd)
     except ValidationError as exc:
         raise SpectrumFormatError(str(exc)) from exc
 
@@ -211,7 +265,7 @@ def dump_spectrum(table: SpectralTable, path: str | Path) -> None:
     path = Path(path)
     rows = [CSV_HEADER]
     rows.extend(
-        f"{float(wl)!r},{float(db)!r}" for wl, db in zip(table.wavelengths_nm, table.psd_db)
+        f"{wl!r},{db!r}" for wl, db in zip(table.wavelengths_nm, table.psd_db)
     )
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
 

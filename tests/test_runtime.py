@@ -1,7 +1,7 @@
 """The CLI's native runtime: one BLAS thread unless the user exports a count,
-a heap kept across blocks, and no Monte Carlo import where a command runs
-none. Import-time checks run in fresh interpreters, because this test process
-has loaded numpy and the Monte Carlo already."""
+a heap kept across blocks, and neither the Monte Carlo nor numpy imported where
+a command runs no Monte Carlo. Import-time checks run in fresh interpreters,
+because this test process has loaded numpy and the Monte Carlo already."""
 import ctypes
 import os
 import subprocess
@@ -13,6 +13,8 @@ import pytest
 from fso_qkd import cli
 
 SRC = str(Path(cli.__file__).resolve().parents[1])
+TINY_SWEEP = ["sweep-el", "--set", "sweep.el_db=[0.0]", "--set",
+              "sweep.symbols_per_point=1000000"]
 
 
 def run_python(code: str, **env) -> str:
@@ -31,22 +33,25 @@ def test_package_root_loads_no_numpy():
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
-def test_cli_import_starts_no_blas_threads():
+def test_cli_import_starts_no_blas_threads(tmp_path):
+    """Importing the CLI loads no numpy, so count once a sweep has loaded it."""
     threads = run_python(
-        "import fso_qkd.cli\n"
+        "import sys\nfrom fso_qkd import cli\n"
+        f"assert cli.main({TINY_SWEEP + ['--out', str(tmp_path)]!r}) == 0\n"
+        "assert 'numpy' in sys.modules\n"
         "print(next(line.split()[1] for line in open('/proc/self/status')\n"
         "           if line.startswith('Threads:')))")
-    assert threads == "1"
+    assert threads.splitlines()[-1] == "1"
 
 
 MONTE_CARLO = ("fso_qkd.protocol", "fso_qkd.linkmodel", "fso_qkd.polarization",
                "fso_qkd.seeding", "statistics")
 
 
-def monte_carlo_loaded(code: str) -> set[str]:
-    """The ``MONTE_CARLO`` modules that a fresh interpreter holds after ``code``."""
+def modules_loaded(code: str, modules: tuple[str, ...] = MONTE_CARLO) -> set[str]:
+    """The ``modules`` that a fresh interpreter holds after ``code``."""
     out = run_python(f"import sys\n{code}\n"
-                     f"print('loaded:', *(m for m in {MONTE_CARLO!r} if m in sys.modules))")
+                     f"print('loaded:', *(m for m in {modules!r} if m in sys.modules))")
     return set(out.rsplit("loaded:", 1)[1].split())
 
 
@@ -54,26 +59,34 @@ def main_exits(rc: int, *argv: str) -> str:
     return f"from fso_qkd import cli\nassert cli.main({list(argv)!r}) == {rc}"
 
 
-@pytest.mark.parametrize("case", ["resolve", "plan-spectrum", "refused"])
-def test_config_path_loads_no_monte_carlo(tmp_path, case):
-    out = str(tmp_path / "out")
-    code = {
+def config_path(case: str, out: str) -> str:
+    """Code that resolves a config, plans the spectrum, or is refused with exit 2."""
+    return {
         "resolve": "import fso_qkd.cli\nfrom fso_qkd.scenario import resolve_config\n"
                    "resolve_config({'channel.fiber_kind': 'OM4', 'session.blocks': 2})",
         "plan-spectrum": main_exits(0, "plan-spectrum", "--out", out),
         "refused": main_exits(2, "sweep-el", "--set", "source.mu_q=null", "--out", out),
     }[case]
-    assert monte_carlo_loaded(code) == set()
+
+
+@pytest.mark.parametrize("case", ["resolve", "plan-spectrum", "refused"])
+def test_config_path_loads_no_monte_carlo(tmp_path, case):
+    assert modules_loaded(config_path(case, str(tmp_path / "out"))) == set()
+
+
+@pytest.mark.parametrize("case", ["resolve", "plan-spectrum", "refused"])
+def test_config_path_loads_no_numpy(tmp_path, case):
+    """The spectrum integral is pure Python, so only the Monte Carlo needs numpy."""
+    assert modules_loaded(config_path(case, str(tmp_path / "out")), ("numpy",)) == set()
 
 
 @pytest.mark.parametrize("argv, loaded", [
-    (["sweep-el", "--set", "sweep.el_db=[0.0]", "--set", "sweep.symbols_per_point=1000000"],
-     {"fso_qkd.protocol", "fso_qkd.linkmodel"}),
+    (TINY_SWEEP, {"fso_qkd.protocol", "fso_qkd.linkmodel"}),
     (["coexist", "--set", "session.blocks=2", "--set", "session.symbols_per_block=1000000"],
      {"statistics"}),
 ])
 def test_monte_carlo_commands_load_it(tmp_path, argv, loaded):
-    assert monte_carlo_loaded(main_exits(0, *argv, "--out", str(tmp_path))) >= loaded
+    assert modules_loaded(main_exits(0, *argv, "--out", str(tmp_path))) >= loaded
 
 
 def test_user_blas_thread_count_kept():

@@ -249,7 +249,8 @@ def test_every_key_acts(tmp_path, key):
     if key == "background.spectrum_path":
         table = load_spectrum()
         value = str(tmp_path / "shifted.csv")
-        dump_spectrum(SpectralTable(table.wavelengths_nm, table.psd_db + 3.0), value)
+        dump_spectrum(SpectralTable(table.wavelengths_nm, [db + 3.0 for db in table.psd_db]),
+                      value)
     else:
         value = NON_DEFAULT[key]
     assert resolve_config({**base, key: value}) != resolve_config(base)
@@ -700,6 +701,44 @@ class TestMainEntry:
         assert err.startswith("validation error") and key in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, key", [
+        ("sweep-el", "sweep.symbols_per_point"),
+        ("stability", "session.blocks"),
+        ("stability", "session.symbols_per_block"),
+    ])
+    def test_integer_key_beyond_float_exit_two(self, tmp_path, capsys, no_pool, command,
+                                               key):
+        """A count meets float arithmetic (the event budget, the cost cap), so one
+        past the largest float is refused naming it, not an OverflowError."""
+        out = tmp_path / "out"
+        assert main([command, "--set", f"{key}={10**400}", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"validation error: {key}: must be at most 1.7976931348623157e+308, "
+            "got an int of 1329 bits")
+        assert not out.exists()
+
+    def test_seed_beyond_float_kept(self):
+        """The seed is masked to 64 bits, never made a float, so any int is one."""
+        assert resolve_config({"rng_seed": 10**400}).rng_seed == 10**400
+
+    @pytest.mark.parametrize("via", ["--set", "--config"])
+    def test_integer_beyond_str_limit_exit_two(self, tmp_path, capsys, via):
+        """json refuses an int of more digits than int() converts with a ValueError
+        that is not a JSONDecodeError; it is still a refused value, not a traceback."""
+        digits = "1" + "0" * 5000
+        if via == "--set":
+            args = ["--set", f"session.blocks={digits}"]
+        else:
+            config = tmp_path / "cfg.json"
+            config.write_text(f'{{"session.blocks": {digits}}}')
+            args = ["--config", str(config)]
+        out = tmp_path / "out"
+        assert main(["stability", "--out", str(out)] + args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: "
+                              + ("session.blocks: " if via == "--set" else "config file "))
+        assert not out.exists()
+
     def test_empty_sweep_exit_two(self, tmp_path):
         assert main(["sweep-el", "--out", str(tmp_path),
                      "--set", "sweep.el_db=[]"]) == 2
@@ -901,7 +940,8 @@ class TestMainEntry:
         bytes, which rank X (here the packaged table 10 dB brighter) and hash it."""
         table = load_spectrum()
         bright = tmp_path / "bright.csv"
-        dump_spectrum(SpectralTable(table.wavelengths_nm, table.psd_db + 10.0), bright)
+        dump_spectrum(SpectralTable(table.wavelengths_nm, [db + 10.0 for db in table.psd_db]),
+                      bright)
         for name, args in (("flag", ["--spectrum", str(bright)]),
                            ("key", ["--set", f"background.spectrum_path={bright}"]),
                            ("packaged", [])):
@@ -935,6 +975,24 @@ class TestMainEntry:
         assert main(["plan-spectrum", "--spectrum", str(bad),
                      "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o" / "channel_ranking.json").exists()
+
+    @pytest.mark.parametrize("command, span, missed", [
+        # resolution integrates 1410 nm, from 1403.5 to 1416.5 nm
+        ("sweep-el", (1300.0, 1400.0), "1410"),
+        # resolution passes; the ranking integrates 1430 nm, from 1423.5 nm
+        ("plan-spectrum", (1380.0, 1420.0), "1430"),
+    ], ids=["resolution-misses-1410", "ranking-misses-1430"])
+    def test_spectrum_missing_a_passband_exit_two(self, tmp_path, capsys, command, span,
+                                                  missed):
+        table = tmp_path / "short.csv"
+        dump_spectrum(SpectralTable(span, (10.0, 20.0)), table)
+        out = tmp_path / "o"
+        assert main([command, "--set", f"background.spectrum_path={table}",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "validation error: background.spectrum_path: wavelength query outside "
+            f"spectrum domain [{span[0]}, {span[1]}] nm\n")
+        assert not out.exists()
 
     def test_cli_seed_changes_mc_not_model(self, tmp_path):
         for seed in ("1", "2"):

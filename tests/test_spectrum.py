@@ -1,6 +1,9 @@
 """Spectral planner: integration, ranking, CSV ingestion."""
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fso_qkd.errors import SpectrumFormatError, ValidationError
 from fso_qkd.linkparams import DetectorParams
@@ -13,6 +16,7 @@ from fso_qkd.spectrum import (
     dump_spectrum,
     integrate_background,
     load_spectrum,
+    pairwise_sum,
     rank_channels,
     ranking_report,
 )
@@ -78,6 +82,55 @@ class TestIntegration:
     def test_off_grid_channel_rejected(self):
         with pytest.raises(ValidationError):
             CwdmChannel(1550.0)
+
+
+def bits(values) -> list[bytes]:
+    """Each float's IEEE bytes, so that -0.0 differs from 0.0 and nan equals nan."""
+    return [struct.pack("<d", v) for v in values]
+
+
+class TestNumpyArithmetic:
+    """The module is pure Python; its arithmetic is numpy's to the bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(0, 600), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1.0, 1e-300, 1e300, 1e308]))
+    @example(n=300, seed=1, scale=float("inf"))
+    def test_pairwise_sum_is_add_reduce(self, n, seed, scale):
+        rng = np.random.default_rng(seed)
+        with np.errstate(all="ignore"):  # inf - inf is nan in both sums
+            values = (rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n) * scale).tolist()
+            expected = float(np.add.reduce(np.array(values)))
+        assert bits([pairwise_sum(values)]) == bits([expected])
+
+    @pytest.mark.parametrize("n", [1, 8, 200])
+    def test_zero_total_is_numpys_identity(self, n):
+        """numpy adds the sum to 0.0, so all -0.0 sums to +0.0."""
+        assert bits([pairwise_sum([-0.0] * n)]) == bits([float(np.add.reduce(np.full(n, -0.0)))])
+
+    @settings(max_examples=300, deadline=None)
+    @given(knots=st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                                    st.floats(allow_nan=False, allow_infinity=False)),
+                          min_size=2, max_size=30, unique_by=lambda k: k[0]),
+           fractions=st.lists(st.floats(0.0, 1.0), max_size=30))
+    # a span of inf: 0 * inf from the left knot, so numpy's fallback from the right
+    @example(knots=[(-1e308, 0.0), (1e308, 1.0)], fractions=[0.95])
+    def test_psd_db_at_is_interp(self, knots, fractions):
+        knots.sort()
+        table = SpectralTable([k[0] for k in knots], [k[1] for k in knots])
+        lo, hi = table.wavelengths_nm[0], table.wavelengths_nm[-1]
+        # every knot, both end points and points between them
+        queries = list(table.wavelengths_nm) + [min(hi, max(lo, (1.0 - f) * lo + f * hi))
+                                                for f in fractions]
+        with np.errstate(all="ignore"):
+            expected = np.interp(queries, table.wavelengths_nm, table.psd_db).tolist()
+        assert bits(table.psd_db_at(queries)) == bits(expected)
+
+    def test_packaged_channel_rates_pinned(self):
+        table = load_spectrum()
+        rates = [integrate_background(table, ch, default_filters(ch))
+                 for ch in map(CwdmChannel, CWDM_GRID_NM)]
+        assert rates == [4.248586908765296, 4.76473544765002, 290.0026806443522]
 
 
 class TestRanking:
