@@ -21,6 +21,16 @@ numpy's OpenBLAS starts one spinning thread per core when numpy loads, and
 nothing here calls BLAS on more than a 4x3 matrix, so the process that forks
 the workers runs one thread unless the user exports ``OPENBLAS_NUM_THREADS``. ``main`` keeps the
 heap across blocks (``_keep_heap``). Neither changes a value.
+
+``run`` is the process entry point (``python -m fso_qkd.cli`` and the
+``fso-qkd`` script). Once ``main`` returns and stdout and stderr are flushed,
+it leaves by ``os._exit``, skipping the interpreter's teardown: a full cyclic
+collection and the clearing of every module, about 6 ms after importing the
+CLI and 10-11 ms once numpy's random module is loaded. ``atexit`` callbacks and
+finalizers do not run; the package registers none, and every output file is
+closed and every worker reaped before ``main`` returns. An exception out of
+``main`` (argparse's exit included) or a failed flush exits as usual.
+``main`` itself returns its code, for callers in the same process.
 """
 from __future__ import annotations
 
@@ -33,7 +43,7 @@ import ctypes
 import json
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 from .coexistence import link_margin, ook_ber
 from .errors import ValidationError
@@ -334,5 +344,16 @@ def main(argv=None) -> int:
     return 0
 
 
+def run() -> NoReturn:
+    """Run ``main`` as the whole process: flush, then exit without teardown."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):  # a closed pipe or stream: report it as before
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

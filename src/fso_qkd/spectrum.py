@@ -143,7 +143,8 @@ def integrate_background(
     transmissions pointwise, and integrates over the channel passband with
     the trapezoidal rule on a mesh containing every sample point, channel
     edge and filter edge. The table is normalized to detected counts, so no
-    detector efficiency enters the integral.
+    detector efficiency enters the integral. A rate that is not finite, from a
+    table too bright for floats, is refused.
     """
     lo, hi = (channel.center_nm - CWDM_PASSBAND_NM / 2.0,
               channel.center_nm + CWDM_PASSBAND_NM / 2.0)
@@ -162,8 +163,13 @@ def integrate_background(
     for f in filters:
         psd_lin = [p * t for p, t in zip(psd_lin, f.transmission(mesh))]
     # np.trapezoid: each trapezoid as it computes one, summed in its order
-    return pairwise_sum([(x1 - x0) * (y1 + y0) / 2.0 for x0, x1, y0, y1
+    rate = pairwise_sum([(x1 - x0) * (y1 + y0) / 2.0 for x0, x1, y0, y1
                          in zip(mesh, mesh[1:], psd_lin, psd_lin[1:])])
+    if not math.isfinite(rate):  # a PSD or its integral past a float's range
+        raise ValidationError(
+            f"in-band background of the {channel.center_nm} nm channel is {rate!r} cts/s, "
+            "not finite: the spectrum is too bright to integrate in floats")
+    return rate
 
 
 def _linear(db: float) -> float:

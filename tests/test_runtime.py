@@ -1,7 +1,8 @@
 """The CLI's native runtime: one BLAS thread unless the user exports a count,
-a heap kept across blocks, and neither the Monte Carlo nor numpy imported where
-a command runs no Monte Carlo. Import-time checks run in fresh interpreters,
-because this test process has loaded numpy and the Monte Carlo already."""
+a heap kept across blocks, neither the Monte Carlo nor numpy imported where
+a command runs no Monte Carlo, and a process exit that skips the interpreter's
+teardown. Import-time and exit checks run in fresh interpreters, because this
+test process has loaded numpy and the Monte Carlo already."""
 import ctypes
 import os
 import subprocess
@@ -17,13 +18,18 @@ TINY_SWEEP = ["sweep-el", "--set", "sweep.el_db=[0.0]", "--set",
               "sweep.symbols_per_point=1000000"]
 
 
+def python_env(*unset: str) -> dict[str, str]:
+    """This process's environment with ``src`` on the path and ``unset`` removed."""
+    env = {k: v for k, v in os.environ.items() if k not in unset}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return env
+
+
 def run_python(code: str, **env) -> str:
     """Standard output of ``python -c code`` with ``src`` on the path and
     ``OPENBLAS_NUM_THREADS`` unset unless given in ``env``."""
-    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    path = os.pathsep.join(p for p in (SRC, base.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=60, env={**base, "PYTHONPATH": path, **env})
+                          timeout=60, env={**python_env("OPENBLAS_NUM_THREADS"), **env})
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
 
@@ -140,3 +146,95 @@ def test_main_keeps_heap(monkeypatch, tmp_path):
     use_libc(monkeypatch, libc)
     assert cli.main(["plan-spectrum", "--out", str(tmp_path)]) == 0
     assert len(libc.calls) == 2
+
+
+def cli_process(args: list[str], cwd: Path, **kwargs) -> subprocess.CompletedProcess:
+    """``python -m fso_qkd.cli args`` in a fresh interpreter whose piped stdout
+    is block-buffered, so output that ``run`` does not flush is lost."""
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run([sys.executable, "-m", "fso_qkd.cli", *args], cwd=cwd,
+                          env=python_env("PYTHONUNBUFFERED"), stderr=subprocess.PIPE,
+                          timeout=120, **kwargs)
+
+
+def read_files(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("args, rc", [
+    (["sweep-el", "--set", "sweep.el_db=[0.0]", "--out", "out"], 0),
+    (["sweep-el", "--set", "source.mu_q=-1", "--out", "out"], 2),
+    (["sweep-el", "--set", "sweep.el_db=[0.0]", "--out", "a-file/out"], 3),
+], ids=["exit-0", "exit-2", "exit-3"])
+def test_entry_point_writes_what_main_writes(tmp_path, monkeypatch, capfdbinary, args, rc):
+    """Through ``python -m fso_qkd.cli``, each exit leaves the same stdout,
+    stderr, exit code and files as ``main`` in this process."""
+    for name in ("process", "in-process"):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "a-file").write_bytes(b"")
+    monkeypatch.chdir(tmp_path / "in-process")
+    assert cli.main(args) == rc
+    expected = tuple(capfdbinary.readouterr())
+    proc = cli_process(args, tmp_path / "process")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (rc, *expected)
+    assert bool(proc.stdout) == (rc == 0)
+    assert read_files(tmp_path / "process") == read_files(tmp_path / "in-process")
+
+
+@pytest.mark.parametrize("args, rc", [(["--help"], 0), (["sweep-el", "--nope"], 2)],
+                         ids=["help", "unknown-flag"])
+def test_argparse_exits_keep_their_text(tmp_path, monkeypatch, capfdbinary, args, rc):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help at the terminal width
+    with pytest.raises(SystemExit) as exited:
+        cli.main(args)
+    assert exited.value.code == rc
+    expected = tuple(capfdbinary.readouterr())
+    proc = cli_process(args, tmp_path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (rc, *expected)
+
+
+def test_closed_stdout_pipe_exits_as_before(tmp_path):
+    """A failed flush falls back to the interpreter's exit, which reports the
+    unwritable stdout and exits 120, as it did before ``run`` existed and as
+    any Python program's exit does."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = cli_process(["plan-spectrum", "--out", "plan"], tmp_path, stdout=write_end)
+        plain = subprocess.run([sys.executable, "-c", "print('x')"], stdout=write_end,
+                               stderr=subprocess.PIPE, timeout=60,
+                               env=python_env("PYTHONUNBUFFERED"))
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (120, plain.stderr)
+    assert proc.stderr.startswith(b"Exception ignored")
+    assert proc.stderr.endswith(b"BrokenPipeError: [Errno 32] Broken pipe\n")
+    assert (tmp_path / "plan" / "channel_ranking.json").exists()
+
+
+@pytest.mark.parametrize("args, rc, teardown", [
+    (["plan-spectrum", "--out", "plan"], 0, False),
+    (["sweep-el", "--set", "source.mu_q=-1"], 2, False),
+    (["--help"], 0, True),
+], ids=["exit-0", "exit-2", "help"])
+def test_main_block_skips_teardown_on_return(tmp_path, args, rc, teardown):
+    """Run as ``__main__``, the module leaves by ``os._exit`` when ``main``
+    returns, so an ``atexit`` callback does not run; argparse's exit keeps it."""
+    code = ("import atexit, runpy, sys\n"
+            "atexit.register(print, 'teardown', file=sys.stderr)\n"
+            f"sys.argv = ['fso-qkd', *{args!r}]\n"
+            "runpy.run_module('fso_qkd.cli', run_name='__main__', alter_sys=True)")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=python_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == rc
+    assert proc.stderr.endswith("teardown\n") is teardown
+
+
+def test_console_script_is_run():
+    """The installed ``fso-qkd`` goes through ``run``. Read as text: Python
+    3.10 has no tomllib."""
+    pyproject = Path(SRC).parent / "pyproject.toml"
+    section = pyproject.read_text(encoding="utf-8").split("[project.scripts]")[1]
+    scripts = section.split("\n[")[0].strip().splitlines()
+    assert scripts == ['fso-qkd = "fso_qkd.cli:run"']

@@ -994,6 +994,25 @@ class TestMainEntry:
             f"spectrum domain [{span[0]}, {span[1]}] nm\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("args", [
+        ["plan-spectrum", "--spectrum", "{}"],
+        ["sweep-el", "--set", "background.spectrum_path={}"],
+    ], ids=["plan-spectrum", "sweep-el"])
+    @pytest.mark.parametrize("psd_db", [4000.0, 3080.0], ids=["psd-overflows", "sum-overflows"])
+    def test_spectrum_too_bright_for_floats_exit_two(self, tmp_path, capsys, args, psd_db):
+        """A rate of inf would reach channel_ranking.json as Infinity, which is
+        not JSON, or be refused naming background.solar_rate, a key not set.
+        At 3080 dB every sample is finite and only the integral overflows."""
+        hot = tmp_path / "hot.csv"
+        dump_spectrum(SpectralTable((1260.0, 1630.0), (psd_db, psd_db)), hot)
+        out = tmp_path / "o"
+        assert main([a.format(hot) for a in args] + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "validation error: background.spectrum_path: in-band background of the "
+            "1410.0 nm channel is inf cts/s, not finite: the spectrum is too bright "
+            "to integrate in floats\n")
+        assert not out.exists()
+
     def test_cli_seed_changes_mc_not_model(self, tmp_path):
         for seed in ("1", "2"):
             main(["sweep-el", "--out", str(tmp_path / seed), "--seed", seed,
