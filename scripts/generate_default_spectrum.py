@@ -12,15 +12,12 @@ Run from the repository root:  python scripts/generate_default_spectrum.py
 """
 from fso_qkd.calibration import ANCHOR_SOLAR_1430, CALIBRATION, brentq
 from fso_qkd.spectrum import (
-    CwdmChannel,
+    CWDM_GRID_NM,
     SpectralTable,
-    default_filters,
     default_spectrum_path,
     dump_spectrum,
     integrate_background,
 )
-
-CHANNELS = {nm: CwdmChannel(nm) for nm in (1390.0, 1410.0, 1430.0)}
 
 
 def build(notch_db: float, slope_db_per_nm: float) -> SpectralTable:
@@ -38,23 +35,18 @@ def build(notch_db: float, slope_db_per_nm: float) -> SpectralTable:
     return SpectralTable(wavelengths, psd)
 
 
-def solar(table: SpectralTable, nm: float) -> float:
-    channel = CHANNELS[nm]
-    return integrate_background(table, channel, default_filters(channel))
-
-
 def main() -> None:
     notch = brentq(
-        lambda a: solar(build(a, 1.6), 1410.0) - CALIBRATION.solar_1410,
+        lambda a: integrate_background(build(a, 1.6), 1410.0) - CALIBRATION.solar_1410,
         -20.0, 15.0, xtol=1e-10)
     slope = brentq(
-        lambda s: solar(build(notch, s), 1430.0) - ANCHOR_SOLAR_1430,
+        lambda s: integrate_background(build(notch, s), 1430.0) - ANCHOR_SOLAR_1430,
         0.3, 2.4, xtol=1e-12)
     table = build(round(notch, 4), round(slope, 6))
 
     print(f"notch floor {notch:.4f} dB, shoulder slope {slope:.6f} dB/nm")
-    for nm in (1390.0, 1410.0, 1430.0):
-        print(f"  in-band solar {nm:.0f} nm: {solar(table, nm):.3f} cts/s")
+    for nm in CWDM_GRID_NM:
+        print(f"  in-band solar {nm:.0f} nm: {integrate_background(table, nm):.3f} cts/s")
     out = default_spectrum_path()
     dump_spectrum(table, out)
     print(f"wrote {out}")

@@ -12,7 +12,9 @@ Only the commands that run the Monte Carlo import it (``protocol`` and
 ``linkmodel``, and through them ``polarization``, ``seeding`` and numpy),
 before any worker forks. Config resolution, its exit-2 refusals and
 ``plan-spectrum`` load none of it, numpy included: the spectrum integral is
-pure Python.
+pure Python. This module imports no numpy either: its means sum in numpy's
+pairwise order (``spectrum.pairwise_sum``) and its z-scores use ``math.sqrt``,
+so every summary holds the bits ``np.mean`` and ``np.sqrt`` gave.
 
 Exit codes: 0 success, 2 validation error, 3 runtime error.
 
@@ -41,13 +43,14 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before numpy loads
 import argparse
 import ctypes
 import json
+import math
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, NoReturn
 
 from .coexistence import link_margin, ook_ber
 from .errors import ValidationError
-from .scenario import ScenarioConfig, load_config_file, resolve_config
+from .scenario import ScenarioConfig, from_spectrum, load_config_file, resolve_config
 from . import spectrum as spectrum_mod
 
 if TYPE_CHECKING:
@@ -101,13 +104,11 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _agreement_z(model: RatePrediction, point: BlockStats) -> tuple[float, float]:
     """(z_qber, z_rawkey) of the MC against the model for one sweep point."""
-    import numpy as np
-
     kept_expected = model.sifted_key_rate * point.block_duration
-    z_raw = ((point.kept_bits - kept_expected) / np.sqrt(kept_expected)
+    z_raw = ((point.kept_bits - kept_expected) / math.sqrt(kept_expected)
              if kept_expected > 0 else 0.0)
     if point.kept_bits > 0:
-        sigma = np.sqrt(model.qber * (1.0 - model.qber) / point.kept_bits)
+        sigma = math.sqrt(model.qber * (1.0 - model.qber) / point.kept_bits)
         z_q = (point.qber - model.qber) / sigma if sigma > 0 else 0.0
     else:
         z_q = 0.0
@@ -192,9 +193,7 @@ def _run_session(config: ScenarioConfig, out_dir: Path,
 
 def _mean(values: list[float]) -> float | None:
     """numpy's mean (its pairwise sum over the count), None for no values."""
-    import numpy as np  # loaded already by the Monte Carlo that made the values
-
-    return float(np.mean(values)) if values else None
+    return float(spectrum_mod.pairwise_sum(values) / len(values)) if values else None
 
 
 def cmd_stability(config: ScenarioConfig, out_dir: Path) -> dict:
@@ -250,11 +249,9 @@ def cmd_plan_spectrum(spectrum_path: str | None, config: ScenarioConfig,
         flat = {k: v for k, v in config.resolved.items() if k != "background.solar_rate"}
         config = resolve_config({**flat, "background.spectrum_path": spectrum_path})
     path = config.resolved["background.spectrum_path"]
-    try:  # resolution integrated one channel; a table may miss another's passband
-        report = spectrum_mod.ranking_report(spectrum_mod.load_spectrum(path),
-                                             config.detector)
-    except ValidationError as exc:
-        raise ValidationError(f"background.spectrum_path: {exc}") from None
+    # resolution integrated one channel; a table may miss another's passband
+    report = from_spectrum(path, lambda table: spectrum_mod.ranking_report(
+        table, config.detector))
     summary = {
         "command": "plan-spectrum",
         "config_hash": config.config_hash,

@@ -81,27 +81,26 @@ def default_flat_config() -> dict:
 
 def _coerce(key: str, value, kind: str):
     try:
-        if kind == "float":
+        if kind in ("float", "int"):
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise TypeError
+            # a number meets float arithmetic (rates, event budgets, costs); the
+            # seed is masked to 64 bits and never does
+            if (isinstance(value, int) and key != "rng_seed"
+                    and abs(value) > sys.float_info.max):
+                raise ValidationError(
+                    f"{key}: must be at most {sys.float_info.max!r}, "
+                    f"got an int of {value.bit_length()} bits")
+        if kind == "float":
             out = float(value)
             if not math.isfinite(out):
                 raise TypeError
             return out
         if kind == "int":
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise TypeError
             # is_integer is False for nan and +-inf, which int() cannot take
             if isinstance(value, float) and not value.is_integer():
                 raise TypeError
-            out = int(value)
-            # a count meets float arithmetic (event budgets, costs); the seed is
-            # masked to 64 bits and never does
-            if key != "rng_seed" and abs(out) > sys.float_info.max:
-                raise ValidationError(
-                    f"{key}: must be at most {sys.float_info.max!r}, "
-                    f"got an int of {out.bit_length()} bits")
-            return out
+            return int(value)
         if kind == "bool":
             if not isinstance(value, bool):
                 raise TypeError
@@ -164,13 +163,15 @@ def resolve_config(overrides: dict | None = None) -> ScenarioConfig:
 
     def build(section, factory, **named):
         """``factory`` with each field read from its ``section.field`` key,
-        unless ``named`` gives it; a field with neither keeps its default."""
+        unless ``named`` gives it; a field with neither keeps its default. A
+        failed check, whose message starts with its field, names that key."""
         keyed = {f.name: flat[key] for f in fields(factory)
                  if (key := f"{section}.{f.name}") in flat}
         try:
             return factory(**{**keyed, **named})
         except ValidationError as exc:
-            raise ValidationError(f"{section}: {exc}") from None
+            name, _, rest = str(exc).partition(" ")
+            raise ValidationError(f"{section}.{name}: {rest}") from None
 
     source = build("source", SourceParams)
 
@@ -258,19 +259,21 @@ def resolve_config(overrides: dict | None = None) -> ScenarioConfig:
 
 
 def _solar_from_spectrum(path: str | None, wavelength_nm: float) -> float:
-    try:
-        table = spectrum_mod.load_spectrum(path)
-    except ValidationError as exc:
-        raise ValidationError(f"background.spectrum_path: {exc}") from None
-    try:
-        channel = spectrum_mod.CwdmChannel(center_nm=float(round(wavelength_nm)))
-    except ValidationError:
+    center_nm = float(round(wavelength_nm))
+    if center_nm not in spectrum_mod.CWDM_GRID_NM:
         raise ValidationError(
             f"source.wavelength_nm: {wavelength_nm} nm is not a CWDM channel; "
-            "use background.mode='explicit' for off-grid wavelengths") from None
-    try:  # a table that misses the channel's passband
-        return spectrum_mod.integrate_background(
-            table, channel, spectrum_mod.default_filters(channel))
+            "use background.mode='explicit' for off-grid wavelengths")
+    return from_spectrum(
+        path, lambda table: spectrum_mod.integrate_background(table, center_nm))
+
+
+def from_spectrum(path: str | None, use):
+    """``use`` applied to the spectrum table at ``path`` (the packaged one when
+    None). A table that cannot be read, misses a passband or is too bright to
+    integrate is refused naming ``background.spectrum_path``."""
+    try:
+        return use(spectrum_mod.load_spectrum(path))
     except ValidationError as exc:
         raise ValidationError(f"background.spectrum_path: {exc}") from None
 

@@ -2,10 +2,10 @@
 
 A measured daylight spectrum is represented as sampled power spectral
 density in dB relative to 1 count/s/nm, interpolated linearly in dB between
-samples. The planner pushes that spectrum through the receiver filter
-cascade (wide free-space bandpass plus per-channel CWDM add/drop), integrates
-over each channel passband, and ranks channels by the resulting in-band
-background rate.
+samples. The planner pushes that spectrum through the one receiver filter
+cascade (the wide free-space bandpass plus the channel's CWDM add/drop),
+integrates over each passband of the 1390/1410/1430-nm grid, and ranks the
+channels by the resulting in-band background rate.
 
 The packaged default table (``data/solar_spectrum_default.csv``) is a
 calibration artifact, not a measurement: it is normalized to detected
@@ -38,6 +38,15 @@ _MESH_NM = 0.05
 
 # The CWDM grid's channel centres, and the passband of each channel's add/drop filter
 CWDM_GRID_NM, CWDM_PASSBAND_NM = (1390.0, 1410.0, 1430.0), 13.0
+
+# The receiver cascade, declared calibration values (the deployed filters'
+# exact curves are not catalogued). The 50-nm free-space bandpass passes 0.79
+# in band and 40 dB less outside. The channel's add/drop filter passes 0.71
+# across the passband integrated, so its 30-dB floor never enters.
+BANDPASS_CENTER_NM, BANDPASS_HALF_WIDTH_NM = 1410.0, 25.0
+BANDPASS_IN_BAND = 0.79
+BANDPASS_FLOOR = BANDPASS_IN_BAND * 10.0 ** (-40.0 / 10.0)
+ADD_DROP_IN_BAND = 0.71
 
 
 @dataclass(frozen=True)
@@ -82,92 +91,43 @@ class SpectralTable:
         return out
 
 
-@dataclass(frozen=True)
-class FilterSpec:
-    """Idealized filter: flat in-band transmission, flat out-of-band floor."""
-
-    center_nm: float
-    width_nm: float
-    in_band_transmission: float
-    out_of_band_suppression_db: float
-
-    def __post_init__(self):
-        if not 0.0 < self.in_band_transmission <= 1.0:
-            raise ValidationError("in-band transmission must be in (0, 1]")
-        if self.out_of_band_suppression_db < 0:
-            raise ValidationError("out-of-band suppression must be >= 0 dB")
-        if self.width_nm <= 0:
-            raise ValidationError("filter width must be positive")
-
-    def transmission(self, wavelengths_nm) -> list[float]:
-        t_out = self.in_band_transmission * 10.0 ** (-self.out_of_band_suppression_db / 10.0)
-        return [self.in_band_transmission if abs(w - self.center_nm) <= self.width_nm / 2.0
-                else t_out for w in wavelengths_nm]
-
-
-@dataclass(frozen=True)
-class CwdmChannel:
-    """One quantum channel on the CWDM grid used by the link."""
-
-    center_nm: float
-
-    def __post_init__(self):
-        if self.center_nm not in CWDM_GRID_NM:
-            raise ValidationError(
-                f"channel center {self.center_nm} nm not on the CWDM grid {CWDM_GRID_NM}"
-            )
-
-
-def default_filters(channel: CwdmChannel) -> list[FilterSpec]:
-    """Receiver cascade: 50-nm free-space BPF plus the channel's add/drop filter.
-
-    Transmissions and suppressions are declared calibration values (the
-    deployed filters' exact curves are not catalogued).
-    """
-    return [
-        FilterSpec(center_nm=1410.0, width_nm=50.0,
-                   in_band_transmission=0.79, out_of_band_suppression_db=40.0),
-        FilterSpec(center_nm=channel.center_nm, width_nm=CWDM_PASSBAND_NM,
-                   in_band_transmission=0.71, out_of_band_suppression_db=30.0),
-    ]
-
-
-def integrate_background(
-    spectrum: SpectralTable,
-    channel: CwdmChannel,
-    filters: list[FilterSpec],
-) -> float:
-    """In-band background rate (counts/s) for one channel behind the cascade.
+def integrate_background(spectrum: SpectralTable, center_nm: float) -> float:
+    """In-band background rate (counts/s) of the channel at ``center_nm``,
+    which must be on the CWDM grid, behind the receiver cascade.
 
     Converts the PSD to linear counts/s/nm, multiplies the filter
     transmissions pointwise, and integrates over the channel passband with
     the trapezoidal rule on a mesh containing every sample point, channel
-    edge and filter edge. The table is normalized to detected counts, so no
+    edge and bandpass edge. The table is normalized to detected counts, so no
     detector efficiency enters the integral. A rate that is not finite, from a
     table too bright for floats, is refused.
     """
-    lo, hi = (channel.center_nm - CWDM_PASSBAND_NM / 2.0,
-              channel.center_nm + CWDM_PASSBAND_NM / 2.0)
+    if center_nm not in CWDM_GRID_NM:
+        raise ValidationError(
+            f"channel center {center_nm} nm not on the CWDM grid {CWDM_GRID_NM}")
+    lo, hi = center_nm - CWDM_PASSBAND_NM / 2.0, center_nm + CWDM_PASSBAND_NM / 2.0
     knots = [lo, hi]
     knots.extend(w for w in spectrum.wavelengths_nm if lo < w < hi)
-    for f in filters:
-        for edge in (f.center_nm - f.width_nm / 2.0, f.center_nm + f.width_nm / 2.0):
-            if lo < edge < hi:
-                # straddle each discontinuity so the mesh sees both sides
-                knots.extend((edge - 1e-9, edge + 1e-9))
+    for edge in (BANDPASS_CENTER_NM - BANDPASS_HALF_WIDTH_NM,
+                 BANDPASS_CENTER_NM + BANDPASS_HALF_WIDTH_NM):
+        if lo < edge < hi:
+            # straddle the discontinuity so the mesh sees both sides
+            knots.extend((edge - 1e-9, edge + 1e-9))
     # np.arange(lo, hi, _MESH_NM): its length, and each point from its index
     step = (lo + _MESH_NM) - lo
     grid = (lo + i * step for i in range(math.ceil((hi - lo) / _MESH_NM)))
     mesh = sorted(set(knots).union(grid))
-    psd_lin = [_linear(db) for db in spectrum.psd_db_at(mesh)]
-    for f in filters:
-        psd_lin = [p * t for p, t in zip(psd_lin, f.transmission(mesh))]
+    psd_lin = [_linear(db)
+               * (BANDPASS_IN_BAND if abs(w - BANDPASS_CENTER_NM) <= BANDPASS_HALF_WIDTH_NM
+                  else BANDPASS_FLOOR)
+               * ADD_DROP_IN_BAND
+               for w, db in zip(mesh, spectrum.psd_db_at(mesh))]
     # np.trapezoid: each trapezoid as it computes one, summed in its order
     rate = pairwise_sum([(x1 - x0) * (y1 + y0) / 2.0 for x0, x1, y0, y1
                          in zip(mesh, mesh[1:], psd_lin, psd_lin[1:])])
     if not math.isfinite(rate):  # a PSD or its integral past a float's range
         raise ValidationError(
-            f"in-band background of the {channel.center_nm} nm channel is {rate!r} cts/s, "
+            f"in-band background of the {center_nm} nm channel is {rate!r} cts/s, "
             "not finite: the spectrum is too bright to integrate in floats")
     return rate
 
@@ -204,30 +164,18 @@ def pairwise_sum(values: list[float]) -> float:
     return pairwise_sum(values[:half]) + pairwise_sum(values[half:])
 
 
-def rank_channels(
-    spectrum: SpectralTable,
-    channels: list[CwdmChannel],
-) -> list[tuple[CwdmChannel, float]]:
-    """Channels ordered by ascending background behind each one's
-    ``default_filters``; ties go to shorter wavelength."""
-    if not channels:
-        raise ValidationError("at least one channel is required")
-    rates = [(ch, integrate_background(spectrum, ch, default_filters(ch))) for ch in channels]
-    return sorted(rates, key=lambda item: (item[1], item[0].center_nm))
-
-
 def ranking_report(spectrum: SpectralTable, detector: DetectorParams) -> list[dict]:
-    """JSON-ready ranking rows of the CWDM grid with dark-level flags and total
-    floors."""
-    ranked = rank_channels(spectrum, [CwdmChannel(nm) for nm in CWDM_GRID_NM])
+    """JSON-ready rows of the CWDM grid by ascending background, ties to the
+    shorter wavelength, with dark-level flags and total floors."""
+    ranked = sorted((integrate_background(spectrum, nm), nm) for nm in CWDM_GRID_NM)
     return [
         {
-            "channel_nm": ch.center_nm,
+            "channel_nm": nm,
             "background_cts_s": rate,
             "total_floor_cts_s": rate + detector.dark_rate,
             "below_dark": bool(rate < detector.dark_rate),
         }
-        for ch, rate in ranked
+        for rate, nm in ranked
     ]
 
 

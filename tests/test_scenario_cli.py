@@ -127,16 +127,17 @@ class TestConfigResolution:
             resolve_config({"channel.mistyped": 1.0})
 
     def test_error_carries_field_path(self):
-        """A failed parameter check names the section that was being built."""
-        for overrides, section in [
-            ({"source.symbol_rate": 0}, "source"),
-            ({"channel.excess_loss_db": -3.0}, "channel"),
-            ({"detector.gate_fraction": 0.0}, "detector"),
-            ({"background.mode": "explicit", "background.solar_rate": -1}, "background"),
-            ({"classical.fec_ber": 0.6}, "classical"),
-            ({"classical.crosstalk_rate_at_0dbm": -1}, "classical"),
+        """A failed parameter check names the dotted key of its field."""
+        for overrides, section, field in [
+            ({"source.symbol_rate": 0}, "source", "symbol_rate"),
+            ({"channel.excess_loss_db": -3.0}, "channel", "excess_loss_db"),
+            ({"detector.gate_fraction": 0.0}, "detector", "gate_fraction"),
+            ({"background.mode": "explicit", "background.solar_rate": -1},
+             "background", "solar_rate"),
+            ({"classical.fec_ber": 0.6}, "classical", "fec_ber"),
+            ({"classical.crosstalk_rate_at_0dbm": -1}, "classical", "crosstalk_rate_at_0dbm"),
         ]:
-            with pytest.raises(ValidationError, match=f"^{section}: "):
+            with pytest.raises(ValidationError, match=rf"^{section}\.{field}: "):
                 resolve_config(overrides)
 
     def test_type_errors_rejected(self):
@@ -705,13 +706,18 @@ class TestMainEntry:
         ("sweep-el", "sweep.symbols_per_point"),
         ("stability", "session.blocks"),
         ("stability", "session.symbols_per_block"),
+        ("plan-spectrum", "source.mu_q"),
+        ("sweep-el", "channel.rx_insertion_db"),
+        ("sweep-el", "sweep.el_db"),
     ])
     def test_integer_key_beyond_float_exit_two(self, tmp_path, capsys, no_pool, command,
                                                key):
-        """A count meets float arithmetic (the event budget, the cost cap), so one
-        past the largest float is refused naming it, not an OverflowError."""
+        """A count meets float arithmetic (the event budget, the cost cap), and a
+        float key is made a float, so an int past the largest float is refused
+        naming its key, not an OverflowError; in a list, as any one entry."""
+        value = f"[0.0, {10**400}]" if key == "sweep.el_db" else 10**400
         out = tmp_path / "out"
-        assert main([command, "--set", f"{key}={10**400}", "--out", str(out)]) == 2
+        assert main([command, "--set", f"{key}={value}", "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(
             f"validation error: {key}: must be at most 1.7976931348623157e+308, "
             "got an int of 1329 bits")
@@ -1056,9 +1062,9 @@ def _edge_value(draw, key):
     choices = [None, draw(st.sampled_from(other_types)), 0, -1, default,
                float("inf"), float("nan")]
     if kind == "float":
-        choices.append(1e300)
+        choices += [1e300, 10**400]
     if kind == "int":
-        choices.append(10**9)
+        choices += [10**9, 10**400]
     return draw(st.sampled_from(choices))
 
 
@@ -1071,14 +1077,21 @@ def _edge_overrides(draw):
 
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(command=st.sampled_from(["sweep-el", "stability", "coexist"]),
+@given(command=st.sampled_from(["sweep-el", "stability", "coexist", "plan-spectrum"]),
        overrides=_edge_overrides())
-def test_any_edge_config_exits_cleanly(tmp_path, command, overrides):
-    """Null, wrong-type, zero, negative, default, non-finite and huge values for
-    1-3 keys: the CLI succeeds, refuses with exit 2, or fails with exit 3; it
-    never raises."""
+def test_any_edge_config_exits_cleanly(tmp_path, capsys, command, overrides):
+    """Null, wrong-type, zero, negative, default, non-finite and huge values
+    (past the largest float too) for 1-3 keys: the CLI succeeds or refuses with
+    exit 2 naming a config key; it never raises."""
     small = {"sweep.el_db": [0.0, 4.0], "sweep.symbols_per_point": 100_000,
              "session.blocks": 2, "session.symbols_per_block": 100_000}
     config = tmp_path / "edge.json"
     config.write_text(json.dumps({**small, **overrides}))
-    assert main([command, "--config", str(config), "--out", str(tmp_path / "o")]) in (0, 2, 3)
+    capsys.readouterr()
+    rc = main([command, "--config", str(config), "--out", str(tmp_path / "o")])
+    assert rc in (0, 2)
+    if rc == 2:
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ")
+        key = err.removeprefix("validation error: ").partition(": ")[0]
+        assert key in _KEYS, err
