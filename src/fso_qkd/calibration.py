@@ -27,9 +27,9 @@ and ``stokes_overlap``, the one kappa of the matched-basis error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import ValidationError
+from .record import Record
 
 # Fixed instrument parameters of the testbed.
 SYMBOL_RATE = 5e8           # symbols/s
@@ -198,8 +198,7 @@ def brentq(f, a: float, b: float, xtol: float) -> float:
     raise RuntimeError("brentq did not converge in 100 iterations")
 
 
-@dataclass(frozen=True)
-class LinkCalibration:
+class LinkCalibration(Record):
     """Constants derived from the measurement anchors (see module docstring)."""
 
     rx_insertion_db: float

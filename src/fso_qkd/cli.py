@@ -21,8 +21,9 @@ Exit codes: 0 success, 2 validation error, 3 runtime error.
 This module sets up the process's native runtime; forked workers inherit it.
 numpy's OpenBLAS starts one spinning thread per core when numpy loads, and
 nothing here calls BLAS on more than a 4x3 matrix, so the process that forks
-the workers runs one thread unless the user exports ``OPENBLAS_NUM_THREADS``. ``main`` keeps the
-heap across blocks (``_keep_heap``). Neither changes a value.
+the workers runs one thread unless the user exports ``OPENBLAS_NUM_THREADS``. The
+Monte Carlo commands keep the heap across blocks (``_keep_heap``) before they
+run one, so the config path loads no ``ctypes``. Neither changes a value.
 
 ``run`` is the process entry point (``python -m fso_qkd.cli`` and the
 ``fso-qkd`` script). Once ``main`` returns and stdout and stderr are flushed,
@@ -41,7 +42,6 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before numpy loads
 
 import argparse
-import ctypes
 import json
 import math
 import sys
@@ -73,6 +73,8 @@ def _keep_heap() -> None:
     is, because on its own it turns off glibc's dynamic mmap threshold and
     costs more than the default. A no-op where ``mallopt`` is missing.
     """
+    import ctypes  # here, so a command that runs no block does not load it
+
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, TypeError, AttributeError):  # no C library handle, or no mallopt
@@ -131,6 +133,7 @@ def cmd_sweep_el(config: ScenarioConfig, out_dir: Path, workers: int | None = No
     from .linkmodel import expected_rates
     from .protocol import run_sweep, secure_fraction
 
+    _keep_heap()
     chash = config.config_hash
     rows, zs = [], []
     for el, pt in zip(config.sweep_el_db, run_sweep(config, workers)):
@@ -177,6 +180,7 @@ def _run_session(config: ScenarioConfig, out_dir: Path,
     session commands share."""
     from .protocol import run_session
 
+    _keep_heap()
     stats = run_session(config)
     chash = config.config_hash
     kappa = command == "coexist"
@@ -306,7 +310,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    _keep_heap()
     try:
         overrides = {}
         if args.config:

@@ -11,16 +11,15 @@ every ``classical.*`` key, the data channel's session switch and that rate too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .calibration import CALIBRATION
 from .errors import ValidationError
+from .record import Record
 
 MAX_ABS_DBM = 1000.0
 
 
-@dataclass(frozen=True)
-class ClassicalParams:
+class ClassicalParams(Record):
     """OOK data channel appended in the C-band, on in every second session block."""
 
     wavelength_nm: float = 1547.72

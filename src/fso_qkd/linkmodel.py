@@ -36,7 +36,6 @@ thousand a run, are sorted before they are inserted among them; each
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,6 +57,7 @@ from .linkparams import (
     SourceParams,
 )
 from .polarization import STATE_TABLE, rodrigues_terms
+from .record import Record
 from .seeding import mix64, rng_from, two_bit_codes
 
 # Expected detector events (signal photons plus background arrivals) that
@@ -110,8 +110,7 @@ def expected_rates(
         combined_polarization_error(intrinsic_error, ch.depol_p)))
 
 
-@dataclass(frozen=True)
-class ClickStream:
+class ClickStream(Record):
     """Time-ordered detection events as logged by the time tagger."""
 
     timestamps: np.ndarray            # float64, seconds from the session origin

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
 
 from .calibration import (
     CALIBRATION,
@@ -20,6 +19,7 @@ from .calibration import (
     SYMBOL_RATE,
 )
 from .errors import ValidationError
+from .record import Record
 
 
 class FiberKind(enum.Enum):
@@ -30,8 +30,7 @@ class FiberKind(enum.Enum):
     OM4 = "OM4"
 
 
-@dataclass(frozen=True)
-class SourceParams:
+class SourceParams(Record):
     """Weak-coherent transmitter settings."""
 
     mu_q: float = MU_Q
@@ -46,8 +45,7 @@ class SourceParams:
             raise ValidationError(f"symbol_rate must be > 0, got {self.symbol_rate}")
 
 
-@dataclass(frozen=True)
-class ChannelParams:
+class ChannelParams(Record):
     """Free-space segment plus coupling-fiber impairments.
 
     ``rx_insertion_db`` is the calibrated lump for everything between the
@@ -78,11 +76,10 @@ class ChannelParams:
         return self.fso_loss_db + self.excess_loss_db + self.rx_insertion_db
 
     def with_excess_loss(self, el_db: float) -> "ChannelParams":
-        return replace(self, excess_loss_db=el_db)
+        return self.replace(excess_loss_db=el_db)
 
 
-@dataclass(frozen=True)
-class DetectorParams:
+class DetectorParams(Record):
     """InGaAs SPAD behind the polarimeter."""
 
     efficiency: float = DETECTOR_EFFICIENCY
@@ -104,8 +101,7 @@ class DetectorParams:
             raise ValidationError("signal_gate_acceptance must be in [0, 1]")
 
 
-@dataclass(frozen=True)
-class BackgroundBudget:
+class BackgroundBudget(Record):
     """Detector-referred background rates; the single authority for darks.
 
     Build it with ``dark_rate`` taken from the detector in use so the dark
@@ -126,11 +122,10 @@ class BackgroundBudget:
         return self.solar_rate + self.classical_crosstalk_rate + self.dark_rate
 
     def with_crosstalk(self, rate: float) -> "BackgroundBudget":
-        return replace(self, classical_crosstalk_rate=rate)
+        return self.replace(classical_crosstalk_rate=rate)
 
 
-@dataclass(frozen=True)
-class RatePrediction:
+class RatePrediction(Record):
     """Closed-form per-detector outputs; rates are dead-time corrected.
 
     ``signal_click_rate`` counts gated signal clicks before sifting;

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
+from .record import Record
 
 _DOP_TOL = 1e-9
 
@@ -33,8 +33,7 @@ class Basis(enum.IntEnum):
     AD = 1
 
 
-@dataclass(frozen=True)
-class PolarizationState:
+class PolarizationState(Record):
     """Stokes vector of a (possibly partially depolarized) state."""
 
     s1: float

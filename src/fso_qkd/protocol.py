@@ -23,7 +23,6 @@ import math
 import os
 import pickle
 import sys
-from dataclasses import dataclass
 from typing import NoReturn
 
 import numpy as np
@@ -40,6 +39,7 @@ from .linkmodel import (
     simulate_clicks,
 )
 from .linkparams import BackgroundBudget, ChannelParams
+from .record import Record
 from .scenario import ScenarioConfig
 from .seeding import mix64, rng_from, two_bit_codes
 
@@ -101,8 +101,7 @@ def alice_generate(n: int, rng_seed: int) -> SymbolSequence:
     return SymbolSequence(n, rng_seed)
 
 
-@dataclass(frozen=True)
-class SiftResult:
+class SiftResult(Record):
     """Basis reconciliation of one block: kept bits, and errors among them."""
 
     kept: int
@@ -129,8 +128,7 @@ def sift(alice: SymbolSequence, clicks: ClickStream) -> SiftResult:
     return SiftResult(int(np.count_nonzero(match)), int(np.count_nonzero(errors)))
 
 
-@dataclass(frozen=True)
-class BlockStats:
+class BlockStats(Record):
     """One block's counts, from which its raw-key rate, QBER and flag follow:
     a block with no kept bits has qber 0 and is flagged ``insufficient_data``,
     and a ``saturated`` block was not simulated and counts nothing."""
@@ -182,8 +180,7 @@ def secure_fraction(qber: float) -> float:
     return max(0.0, 1.0 - 2.0 * binary_entropy(qber))
 
 
-@dataclass(frozen=True)
-class Run:
+class Run(Record):
     """One session block or sweep point, set up in the parent process.
 
     Alice's symbols, the analyzer ports and the click stream draw from

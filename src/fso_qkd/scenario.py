@@ -15,7 +15,6 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .calibration import CALIBRATION
@@ -29,6 +28,7 @@ from .linkparams import (
     SourceParams,
     fiber_preset,
 )
+from .record import Record
 from . import spectrum as spectrum_mod
 
 _SWEEP_DEFAULT = tuple(round(0.5 * i, 1) for i in range(21))  # 0..10 dB
@@ -118,8 +118,7 @@ def _coerce(key: str, value, kind: str):
     raise ValidationError(f"{key}: unhandled schema kind {kind}")
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(Record):
     """Fully resolved experiment description."""
 
     source: SourceParams
@@ -135,7 +134,8 @@ class ScenarioConfig:
     symbols_per_block: int
     rng_seed: int
     output_path: str
-    resolved: dict = field(compare=False, repr=False)
+    resolved: dict
+    _hidden = ("resolved",)  # the flat map, left out of ==, hash and repr
 
     @property
     def config_hash(self) -> str:
@@ -165,8 +165,8 @@ def resolve_config(overrides: dict | None = None) -> ScenarioConfig:
         """``factory`` with each field read from its ``section.field`` key,
         unless ``named`` gives it; a field with neither keeps its default. A
         failed check, whose message starts with its field, names that key."""
-        keyed = {f.name: flat[key] for f in fields(factory)
-                 if (key := f"{section}.{f.name}") in flat}
+        keyed = {name: flat[key] for name in factory.field_names
+                 if (key := f"{section}.{name}") in flat}
         try:
             return factory(**{**keyed, **named})
         except ValidationError as exc:
@@ -182,10 +182,10 @@ def resolve_config(overrides: dict | None = None) -> ScenarioConfig:
             f"channel.fiber_kind: unknown fiber {flat['channel.fiber_kind']!r}"
         ) from None
     preset = fiber_preset(kind)
-    for f in fields(ChannelParams):
-        key = f"channel.{f.name}"
+    for name in ChannelParams.field_names:
+        key = f"channel.{name}"
         if key in flat and flat[key] is None:
-            flat[key] = getattr(preset, f.name)
+            flat[key] = getattr(preset, name)
     channel = build("channel", ChannelParams, fiber_kind=kind,
                     alignment_stable=preset.alignment_stable)
     detector = build("detector", DetectorParams)

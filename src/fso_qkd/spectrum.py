@@ -24,11 +24,11 @@ from __future__ import annotations
 import bisect
 import importlib.resources
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import SpectrumFormatError, ValidationError
 from .linkparams import DetectorParams
+from .record import Record
 
 CSV_HEADER = "wavelength_nm,psd_db_hz_per_nm"
 
@@ -49,8 +49,7 @@ BANDPASS_FLOOR = BANDPASS_IN_BAND * 10.0 ** (-40.0 / 10.0)
 ADD_DROP_IN_BAND = 0.71
 
 
-@dataclass(frozen=True)
-class SpectralTable:
+class SpectralTable(Record):
     """Wavelength-resolved background PSD, dB re 1 count/s/nm."""
 
     wavelengths_nm: tuple[float, ...]

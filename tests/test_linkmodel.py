@@ -1,5 +1,4 @@
 """Rate equations, presets, and Monte Carlo vs closed-form agreement."""
-import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -277,8 +276,8 @@ CALIBRATION_HEX = {
 
 
 def test_calibration_fields_pinned():
-    got = {f.name: float.hex(getattr(CALIBRATION, f.name))
-           for f in dataclasses.fields(CALIBRATION)}
+    got = {name: float.hex(getattr(CALIBRATION, name))
+           for name in CALIBRATION.field_names}
     assert got == CALIBRATION_HEX
 
 

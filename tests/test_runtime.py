@@ -82,8 +82,11 @@ def test_config_path_loads_no_monte_carlo(tmp_path, case):
 
 @pytest.mark.parametrize("case", ["resolve", "plan-spectrum", "refused"])
 def test_config_path_loads_no_numpy(tmp_path, case):
-    """The spectrum integral is pure Python, so only the Monte Carlo needs numpy."""
-    assert modules_loaded(config_path(case, str(tmp_path / "out")), ("numpy",)) == set()
+    """The spectrum integral is pure Python, so only the Monte Carlo needs numpy.
+    The records generate no code, and only a block needs the heap kept, so
+    neither ``dataclasses`` nor ``ctypes`` loads either."""
+    assert modules_loaded(config_path(case, str(tmp_path / "out")),
+                          ("numpy", "dataclasses", "ctypes")) == set()
 
 
 @pytest.mark.parametrize("argv, loaded", [
@@ -92,7 +95,12 @@ def test_config_path_loads_no_numpy(tmp_path, case):
      {"statistics"}),
 ])
 def test_monte_carlo_commands_load_it(tmp_path, argv, loaded):
-    assert modules_loaded(main_exits(0, *argv, "--out", str(tmp_path))) >= loaded
+    """And no ``dataclasses`` beyond what numpy loads (numpy 2.4 loads none):
+    the records are built without it."""
+    got = modules_loaded(main_exits(0, *argv, "--out", str(tmp_path)),
+                         MONTE_CARLO + ("dataclasses",))
+    assert got >= loaded
+    assert "dataclasses" not in got - modules_loaded("import numpy.random", ("dataclasses",))
 
 
 def test_user_blas_thread_count_kept():
@@ -142,9 +150,12 @@ def test_keep_heap_sets_trim_only_after_mmap(monkeypatch):
 
 
 def test_main_keeps_heap(monkeypatch, tmp_path):
+    """Only a command that runs blocks sets the heap up; planning does not."""
     libc = FakeLibc(ok=1)
     use_libc(monkeypatch, libc)
-    assert cli.main(["plan-spectrum", "--out", str(tmp_path)]) == 0
+    assert cli.main(["plan-spectrum", "--out", str(tmp_path / "plan")]) == 0
+    assert libc.calls == []
+    assert cli.main(TINY_SWEEP + ["--out", str(tmp_path / "sweep")]) == 0
     assert len(libc.calls) == 2
 
 
