@@ -56,7 +56,7 @@ from .linkparams import (
     RatePrediction,
     SourceParams,
 )
-from .polarization import STATE_TABLE, rodrigues_terms
+from .polarization import PORT_STATES, SENT_STATES, port_columns, rodrigues_terms
 from .record import Record
 from .seeding import mix64, rng_from, two_bit_codes
 
@@ -113,12 +113,11 @@ def expected_rates(
 class ClickStream(Record):
     """Time-ordered detection events as logged by the time tagger."""
 
-    timestamps: np.ndarray            # float64, seconds from the session origin
-    symbol_indices: np.ndarray        # int64 slot of each event
-    analyzer_basis_codes: np.ndarray  # uint8 basis of the port it met
-    analyzer_bits: np.ndarray         # uint8 bit of that port
-    in_gate: np.ndarray               # bool: inside the temporal gate
-    is_signal: np.ndarray             # bool: a photon, not a background arrival
+    timestamps: np.ndarray      # float64, seconds from the session origin
+    symbol_indices: np.ndarray  # int64 slot of each event
+    analyzer_ports: np.ndarray  # uint8 code of the port it met (a PORT_STATES row)
+    in_gate: np.ndarray         # bool: inside the temporal gate
+    is_signal: np.ndarray       # bool: a photon, not a background arrival
 
 
 def dead_time_filter(times: np.ndarray, dead_time: float) -> np.ndarray:
@@ -147,8 +146,6 @@ def dead_time_filter(times: np.ndarray, dead_time: float) -> np.ndarray:
     116,800 survivors per OM4 block.
     """
     n = len(times)
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
     # head[n] is a sentinel that closes every chain running off the end.
     head = np.empty(n + 1, dtype=bool)
     head[0] = head[n] = True
@@ -224,27 +221,13 @@ def _slot_times(idx: np.ndarray, slot: float, start_time: float) -> np.ndarray:
     return t
 
 
-def _port_columns(sent, port) -> np.ndarray:
-    """Row 4 * sent + port of each photon in the 16-entry (sent state, port)
-    tables, from uint8 symbol and port codes, built in place in uint8 and
-    widened once, since take would otherwise convert the index to intp on
-    each call."""
-    column = sent << 2
-    column += port
-    return column.astype(np.intp)
-
-
 def _malus_terms(kappa: float, axis) -> list[np.ndarray]:
     """(A, B, C): the Rodrigues terms of each sent state ``kappa *
-    STATE_TABLE[basis, bit]`` about ``axis``, read by each port, as three
-    16-entry tables indexed by ``_port_columns``. A symbol code c sends
-    basis c & 1 and bit c >> 1, so the sent rows are STATE_TABLE in [bit,
-    basis] order; a port code c reads basis c >> 1 and bit c & 1, so the port
-    rows are STATE_TABLE in its own order. The products with the port vector
-    select one component and fold in its +-1 sign exactly."""
-    sent = STATE_TABLE.transpose(1, 0, 2).reshape(4, 3)
-    ports = STATE_TABLE.reshape(4, 3)
-    return [(t @ ports.T).ravel() for t in rodrigues_terms(sent * kappa, axis)]
+    SENT_STATES[symbol]`` about ``axis``, read by each port of
+    ``PORT_STATES``, as three 16-entry tables indexed by ``port_columns``.
+    The products with the port vector select one component and fold in its
+    +-1 sign exactly."""
+    return [(t @ PORT_STATES.T).ravel() for t in rodrigues_terms(SENT_STATES * kappa, axis)]
 
 
 def _pass_probability(column, terms, angles) -> np.ndarray:
@@ -453,7 +436,7 @@ def _decided_clicks(idx, symbols, schedule_seed: int, terms, rng, drift_rate: fl
     n_sig = 0
     for start in range(0, len(idx), _EXACT_SLICE):
         j = idx[start:start + _EXACT_SLICE]
-        column = _port_columns(symbols.codes_at(j), two_bit_codes(schedule_seed, j))
+        column = port_columns(symbols.codes_at(j), two_bit_codes(schedule_seed, j))
         j = j.take(_malus_clicks(rng.random(len(j)), column, terms, drift_rate, j, slot,
                                  start_time))
         idx[n_sig:n_sig + len(j)] = j
@@ -499,8 +482,7 @@ def _merged_survivors(sig_idx, sig_gate, background, dead_time: float, slot: flo
     slots, gate = columns
     # The port hash is a pure function of the slot, so survivors are hashed by
     # their slots alone.
-    port = two_bit_codes(schedule_seed, slots)
-    return ClickStream(times, slots, port >> 1, port & 1, gate, is_signal)
+    return ClickStream(times, slots, two_bit_codes(schedule_seed, slots), gate, is_signal)
 
 
 def _background_events(rng, rate: float, n: int, slot: float, start_time: float,

@@ -5,7 +5,8 @@ partially depolarized light is a first-class value: the degree of
 polarization (DOP) is just the vector norm. The four BB84 states are fixed
 constants, not derived at encode time; ``STATE_TABLE`` holds them by
 (basis, bit), and ``Basis`` values are the basis codes of the symbol and
-analyzer streams.
+analyzer streams. This module alone says what a two-bit symbol or port code
+means (``SENT_STATES``, ``PORT_STATES``, ``PORT_READS``).
 
 Sign conventions, fixed here and used everywhere:
   H = (+1, 0, 0)   V = (-1, 0, 0)
@@ -63,6 +64,26 @@ L = PolarizationState(0.0, 0.0, -1.0)
 
 # Stokes vectors of sent states and analyzer ports, indexed [basis, bit].
 STATE_TABLE = np.array([[R.vector, L.vector], [D.vector, A.vector]])
+# The same states by two-bit code: symbol code c sends basis c & 1 and bit
+# c >> 1, port code c reads basis c >> 1 and bit c & 1.
+SENT_STATES = np.array([STATE_TABLE[c & 1, c >> 1] for c in range(4)])
+PORT_STATES = np.array([STATE_TABLE[c >> 1, c & 1] for c in range(4)])
+# At row 4 * symbol + port: +1 where the port reads the sent state, -1 where
+# it reads its partner (same basis, other bit), 0 across bases. Summed in
+# Python: a matmul would start BLAS at import, which raised the peak RSS of a
+# two-worker sweep's parent by 0.34 MB (numpy 2.4, 2-vCPU Linux).
+PORT_READS = np.array([sum(s * p for s, p in zip(sent, port))
+                       for sent in SENT_STATES.tolist() for port in PORT_STATES.tolist()])
+
+
+def port_columns(sent, port) -> np.ndarray:
+    """Row 4 * sent + port of each photon in the 16-entry (sent state, port)
+    tables, from uint8 symbol and port codes, built in place in uint8 and
+    widened once, since take would otherwise convert the index to intp on
+    each call."""
+    column = sent << 2
+    column += port
+    return column.astype(np.intp)
 
 
 def encode_symbol(basis: Basis, bit: int) -> PolarizationState:

@@ -39,6 +39,7 @@ from .linkmodel import (
     simulate_clicks,
 )
 from .linkparams import BackgroundBudget, ChannelParams
+from .polarization import PORT_READS, port_columns
 from .record import Record
 from .scenario import ScenarioConfig
 from .seeding import mix64, rng_from, two_bit_codes
@@ -83,17 +84,12 @@ class SymbolSequence:
         return self.n
 
     def codes_at(self, indices: np.ndarray) -> np.ndarray:
-        """Symbol codes at the given indices: basis code (0=RL, 1=AD) code & 1,
-        bit code >> 1."""
+        """Symbol codes at the given indices: uint8 rows of
+        ``polarization.SENT_STATES``."""
         idx = np.asarray(indices, dtype=np.int64)
         if idx.size and (idx.min() < 0 or idx.max() >= self.n):
             raise ValidationError("symbol index out of range")
         return two_bit_codes(self.seed, idx)
-
-    def symbols_at(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Basis codes and bits at the given indices."""
-        code = self.codes_at(indices)
-        return code & 1, code >> 1
 
 
 def alice_generate(n: int, rng_seed: int) -> SymbolSequence:
@@ -111,21 +107,21 @@ class SiftResult(Record):
 def sift(alice: SymbolSequence, clicks: ClickStream) -> SiftResult:
     """Run the two-message sifting dialogue and count the kept bits and errors.
 
-    Bob announces the (index, basis code) of his gated clicks and keeps his
-    bits. Two gated clicks on one symbol lie within one gate (``gate_fraction``
-    of a slot), so both survive only a shorter dead time: at 0, a photon click
+    Bob announces the (index, basis) of his gated clicks and keeps his bits.
+    Two gated clicks on one symbol lie within one gate (``gate_fraction`` of
+    a slot), so both survive only a shorter dead time: at 0, a photon click
     and background arrivals can share a slot. Of such duplicates the earliest
-    counts. Alice looks up each announced symbol once, which also fetches her
-    bits for the kept subset.
+    counts. Alice looks up each announced symbol once; the click's entry of
+    ``PORT_READS`` at the row of her symbol code and Bob's port code, the
+    row the Malus test decided it by, is 0 across bases (not kept), +1 for a
+    kept bit that agrees and -1 for an error.
     """
     usable = np.flatnonzero(clicks.in_gate)
     # click streams are time ordered, so unique() keeps the earliest
     indices, first = np.unique(clicks.symbol_indices.take(usable), return_index=True)
-    at = usable.take(first)
-    alice_bases, alice_bits = alice.symbols_at(indices)
-    match = alice_bases == clicks.analyzer_basis_codes.take(at)
-    errors = match & (alice_bits != clicks.analyzer_bits.take(at))
-    return SiftResult(int(np.count_nonzero(match)), int(np.count_nonzero(errors)))
+    reads = PORT_READS.take(port_columns(alice.codes_at(indices),
+                                         clicks.analyzer_ports.take(usable.take(first))))
+    return SiftResult(int(np.count_nonzero(reads)), int(np.count_nonzero(reads < 0)))
 
 
 class BlockStats(Record):

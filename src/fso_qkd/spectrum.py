@@ -22,7 +22,6 @@ host, where numpy's SIMD power loop can differ from it in the last ulp.
 from __future__ import annotations
 
 import bisect
-import importlib.resources
 import math
 from pathlib import Path
 
@@ -225,4 +224,4 @@ def dump_spectrum(table: SpectralTable, path: str | Path) -> None:
 
 def default_spectrum_path() -> Path:
     """Location of the packaged daylight spectrum."""
-    return Path(importlib.resources.files("fso_qkd") / "data" / "solar_spectrum_default.csv")
+    return Path(__file__).with_name("data") / "solar_spectrum_default.csv"

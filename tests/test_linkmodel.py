@@ -14,7 +14,6 @@ from fso_qkd.linkmodel import (
     _malus_clicks,
     _malus_terms,
     _pass_probability,
-    _port_columns,
     dead_time_corrected,
     dead_time_filter,
     expected_rates,
@@ -29,7 +28,7 @@ from fso_qkd.linkparams import (
     SourceParams,
     fiber_preset,
 )
-from fso_qkd.polarization import STATE_TABLE
+from fso_qkd.polarization import STATE_TABLE, port_columns
 from fso_qkd.protocol import alice_generate, sift
 from fso_qkd.scenario import resolve_config
 from fso_qkd.seeding import hash_stream, rng_from, two_bit_codes
@@ -366,15 +365,12 @@ PHOTON_GRID = np.array([(b, bit, ab, abit) for b in (0, 1) for bit in (0, 1)
 def photon_columns(bases, bits, abasis, abit):
     """Table rows of photons given by basis and bit, through their symbol code
     bit * 2 + basis and their port code abasis * 2 + abit."""
-    return _port_columns(bits * 2 + bases, abasis * 2 + abit)
+    return port_columns(bits * 2 + bases, abasis * 2 + abit)
 
 
 def port_of_slot(schedule_seed, slots):
-    """Analyzer (basis, bit) of each slot straight from its hash word w:
-    ((w >> 1) & 1, w & 1)."""
-    w = hash_stream(schedule_seed, slots)
-    return ((w >> np.uint64(1)) & np.uint64(1)).astype(np.uint8), \
-        (w & np.uint64(1)).astype(np.uint8)
+    """Analyzer port code of each slot straight from its hash word w: w & 3."""
+    return (hash_stream(schedule_seed, slots) & np.uint64(3)).astype(np.uint8)
 
 
 def assert_pass_probability_matches(axis, kappa, angles):
@@ -618,6 +614,15 @@ class TestStreamFacts:
             assert np.array_equal(got, geometric_detection_indices(reference, n, q))
             assert ours.bit_generator.state == reference.bit_generator.state
 
+    def test_sampler_at_certain_detection_draws_nothing(self):
+        """At q = 1 (a source.mu_q of 1000 at no loss rounds to it) every slot
+        detects, and the generator is left where it was."""
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        got = linkmodel._sample_detection_indices(rng, 1_000, 1.0)
+        assert got.dtype == np.int64 and np.array_equal(got, np.arange(1_000))
+        assert rng.bit_generator.state == state
+
     @pytest.mark.parametrize("q", GAP_Q)
     @pytest.mark.parametrize("n", [1_000, 1_000_000])
     def test_sampler_refills_draw_for_draw(self, monkeypatch, q, n):
@@ -646,7 +651,7 @@ def whole_run_clicks(symbols, src, ch, det, bg, schedule_seed, rng_seed, intrins
     rng = rng_from(rng_seed)
     idx = linkmodel._sample_detection_indices(rng, n, linkmodel.click_probability(src, ch, det))
     kappa = calibration.stokes_overlap(intrinsic_error, ch.depol_p)
-    column = photon_columns(*symbols.symbols_at(idx), *port_of_slot(schedule_seed, idx))
+    column = port_columns(symbols.codes_at(idx), port_of_slot(schedule_seed, idx))
     clicked = _malus_clicks(rng.random(len(idx)), column, _malus_terms(kappa, axis),
                             ch.drift_rate, idx, slot, start_time)
     sig_idx = idx.take(clicked)
@@ -672,7 +677,7 @@ def concatenated_merge(sig_idx, sig_gate, background, dead_time, slot, start_tim
     survivors = dead_time_filter(times, dead_time)
     keep = order.take(survivors)
     slots = np.concatenate([sig_idx, bg_idx]).take(keep)
-    return ClickStream(times.take(survivors), slots, *port_of_slot(schedule_seed, slots),
+    return ClickStream(times.take(survivors), slots, port_of_slot(schedule_seed, slots),
                        np.concatenate([sig_gate, bg_gate]).take(keep), keep < n_sig)
 
 
@@ -820,7 +825,7 @@ class TestMonteCarlo:
         b = simulate_clicks(alice, **kwargs)
         assert np.array_equal(a.timestamps, b.timestamps)
         assert np.array_equal(a.symbol_indices, b.symbol_indices)
-        assert np.array_equal(a.analyzer_bits, b.analyzer_bits)
+        assert np.array_equal(a.analyzer_ports, b.analyzer_ports)
         assert np.array_equal(a.in_gate, b.in_gate)
 
     @pytest.mark.parametrize("drift_rate", [0.0, 3.0])
@@ -831,8 +836,8 @@ class TestMonteCarlo:
                              ids=["background", "no-background"])
     def test_stream_invariants(self, drift_rate, dead_time, acceptance, bg):
         """Time order, slot timing and dead time hold, and every click's
-        analyzer port is read off the hash word w of its slot, basis
-        (w >> 1) & 1 and bit w & 1, signal or not."""
+        analyzer port is read off the hash word w of its slot, port code
+        w & 3, signal or not."""
         alice = alice_generate(2_000_000, 5)
         src = SourceParams()
         det = DetectorParams(dead_time=dead_time, signal_gate_acceptance=acceptance,
@@ -845,9 +850,7 @@ class TestMonteCarlo:
         assert np.all(gaps >= dead_time)
         implied = np.floor(clicks.timestamps * src.symbol_rate).astype(np.int64)
         assert np.array_equal(implied, clicks.symbol_indices)
-        basis, bit = port_of_slot(8, clicks.symbol_indices)
-        assert np.array_equal(basis, clicks.analyzer_basis_codes)
-        assert np.array_equal(bit, clicks.analyzer_bits)
+        assert np.array_equal(port_of_slot(8, clicks.symbol_indices), clicks.analyzer_ports)
 
     @pytest.mark.parametrize("seed", [101, 202, 303, 404, 505])
     def test_matches_rate_equation_within_3_sigma(self, seed):
@@ -914,8 +917,19 @@ class TestMonteCarlo:
         assert abs(sifted.kept - exp_kept) <= 3 * math.sqrt(exp_kept)
 
 
-CLICK_COLUMNS = ("timestamps", "symbol_indices", "analyzer_basis_codes",
-                 "analyzer_bits", "in_gate", "is_signal")
+CLICK_COLUMNS = ("timestamps", "symbol_indices", "analyzer_ports", "in_gate", "is_signal")
+# The pins were taken when the port code was stored as two columns, its
+# basis code port >> 1 and its bit port & 1.
+PINNED_COLUMNS = ("timestamps", "symbol_indices", "analyzer_basis_codes", "analyzer_bits",
+                  "in_gate", "is_signal")
+
+
+def pinned_columns(clicks):
+    """The six columns of ``PINNED_COLUMNS``, the port code split as pinned."""
+    port = clicks.analyzer_ports
+    return (clicks.timestamps, clicks.symbol_indices, port >> 1, port & 1, clicks.in_gate,
+            clicks.is_signal)
+
 
 # sha256 of each ClickStream column, pinned before the click assembly was
 # rewritten. The golden CLI runs never read timestamps or is_signal, so these
@@ -966,9 +980,9 @@ class TestClickStreamPins:
         clicks = simulate_clicks(
             alice_generate(50_000_000, 41), SourceParams(), channel, det, bg,
             rng_seed=43, intrinsic_error=0.03, start_time=50.0)
-        digests = [hashlib.sha256(np.ascontiguousarray(getattr(clicks, name)).tobytes())
-                   .hexdigest() for name in CLICK_COLUMNS]
-        assert dict(zip(CLICK_COLUMNS, digests)) == dict(zip(CLICK_COLUMNS, pins))
+        digests = [hashlib.sha256(np.ascontiguousarray(column).tobytes()).hexdigest()
+                   for column in pinned_columns(clicks)]
+        assert dict(zip(PINNED_COLUMNS, digests)) == dict(zip(PINNED_COLUMNS, pins))
 
 
 class TestTwoBitCodes:

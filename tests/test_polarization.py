@@ -8,6 +8,9 @@ from scipy.spatial.transform import Rotation
 from fso_qkd.errors import ValidationError
 from fso_qkd.polarization import (
     A,
+    PORT_READS,
+    PORT_STATES,
+    SENT_STATES,
     STATE_TABLE,
     Basis,
     D,
@@ -18,6 +21,7 @@ from fso_qkd.polarization import (
     V,
     apply_rotation,
     encode_symbol,
+    port_columns,
     projection_probability,
 )
 
@@ -87,6 +91,36 @@ class TestEncoding:
     def test_bad_bit_rejected(self):
         with pytest.raises(ValidationError):
             encode_symbol(Basis.RL, 2)
+
+
+class TestCodeTables:
+    """What a two-bit code means: symbol code s sends basis s & 1 and bit
+    s >> 1, port code p reads basis p >> 1 and bit p & 1."""
+
+    @staticmethod
+    def sent(s: int) -> PolarizationState:
+        return encode_symbol(Basis(s & 1), s >> 1)
+
+    @staticmethod
+    def port(p: int) -> PolarizationState:
+        return encode_symbol(Basis(p >> 1), p & 1)
+
+    def test_rows_by_code(self):
+        for code in range(4):
+            assert np.array_equal(SENT_STATES[code], self.sent(code).vector)
+            assert np.array_equal(PORT_STATES[code], self.port(code).vector)
+
+    def test_port_reads_is_malus_agreement(self):
+        """Row 4 * s + p of ``port_columns`` holds 2 P - 1 for P the Malus
+        probability that the state sent as s passes port p: exactly +1, -1 or 0."""
+        codes = np.arange(4, dtype=np.uint8)
+        rows = port_columns(codes.repeat(4), np.tile(codes, 4))
+        assert rows.dtype == np.intp and rows.tolist() == list(range(16))
+        for s in range(4):
+            for p in range(4):
+                want = 2.0 * projection_probability(self.sent(s), self.port(p)) - 1.0
+                assert PORT_READS[4 * s + p] == want
+        assert sorted(np.unique(PORT_READS).tolist()) == [-1.0, 0.0, 1.0]
 
 
 class TestProjection:

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2_contingency, entropy
 
 from fso_qkd.errors import ValidationError
@@ -39,20 +40,28 @@ def quiet_channel(**kwargs) -> ChannelParams:
     return ChannelParams(**defaults)
 
 
+def symbols_at(alice, idx):
+    """Basis codes and bits of Alice's symbols at ``idx``: a symbol code c
+    sends basis c & 1 and bit c >> 1."""
+    code = alice.codes_at(idx)
+    return code & 1, code >> 1
+
+
 def symbol(alice, i: int) -> tuple[Basis, int]:
     """Alice's symbol i as (basis, bit), read through the array interface."""
-    bases, bits = alice.symbols_at(np.array([i]))
+    bases, bits = symbols_at(alice, np.array([i]))
     return Basis(bases[0]), int(bits[0])
 
 
 def stream_from_rows(rows) -> ClickStream:
-    """Build a ClickStream from (timestamp, index, basis, bit, in_gate) rows;
-    a basis is a ``Basis`` or a raw analyzer code."""
+    """Build a ClickStream from (timestamp, index, basis, bit, in_gate) rows,
+    each analyzer port given by its ``Basis`` and bit: port code 2 * basis + bit."""
     ts, idx, bas, bit, gate = zip(*rows) if rows else ((),) * 5
+    ports = [2 * int(Basis(b)) + int(k) for b, k in zip(bas, bit)]
     return ClickStream(
         np.array(ts, dtype=np.float64), np.array(idx, dtype=np.int64),
-        np.array([int(b) for b in bas], dtype=np.uint8), np.array(bit, dtype=np.uint8),
-        np.array(gate, dtype=bool), np.ones(len(rows), bool))
+        np.array(ports, dtype=np.uint8), np.array(gate, dtype=bool),
+        np.ones(len(rows), bool))
 
 
 class TestAliceGenerate:
@@ -67,7 +76,7 @@ class TestAliceGenerate:
         n = 1_000_000
         alice = alice_generate(n, 12345)
         idx = np.arange(n)
-        bases, bits = alice.symbols_at(idx)
+        bases, bits = symbols_at(alice, idx)
         code = bases * 2 + bits
         counts = np.bincount(code, minlength=4)
         for c in counts:
@@ -77,14 +86,14 @@ class TestAliceGenerate:
         a = alice_generate(10_000, 9)
         b = alice_generate(10_000, 9)
         idx = np.arange(10_000)
-        (a_bases, a_bits), (b_bases, b_bits) = a.symbols_at(idx), b.symbols_at(idx)
+        (a_bases, a_bits), (b_bases, b_bits) = symbols_at(a, idx), symbols_at(b, idx)
         assert np.array_equal(a_bases, b_bases)
         assert np.array_equal(a_bits, b_bits)
 
     def test_item_access_matches_vector_access(self):
         alice = alice_generate(1000, 77)
         idx = np.arange(1000)
-        bases, bits = alice.symbols_at(idx)
+        bases, bits = symbols_at(alice, idx)
         for i in (0, 13, 999):
             basis, bit = symbol(alice, i)
             assert int(basis) == bases[i]
@@ -92,7 +101,7 @@ class TestAliceGenerate:
 
     def test_out_of_range_index(self):
         with pytest.raises(ValidationError):
-            alice_generate(10, 1).symbols_at(np.array([10]))
+            alice_generate(10, 1).codes_at(np.array([10]))
         with pytest.raises(ValidationError):
             alice_generate(10, 1).codes_at(np.array([-1]))
 
@@ -102,7 +111,7 @@ class TestAliceGenerate:
         alice = alice_generate(10_000, 23)
         idx = np.arange(10_000)
         w = hash_stream(23, idx)
-        bases, bits = alice.symbols_at(idx)
+        bases, bits = symbols_at(alice, idx)
         assert bases.dtype == bits.dtype == np.uint8
         assert np.array_equal(bases, w & np.uint64(1))
         assert np.array_equal(bits, (w >> np.uint64(1)) & np.uint64(1))
@@ -125,14 +134,39 @@ class TestSift:
         rows = [(1e-9, 0, *symbol(alice, 0), False)]
         assert sift(alice, stream_from_rows(rows)).kept == 0
 
-    def test_hv_monitor_clicks_excluded_from_key(self):
-        # Code 2 is no key basis: Alice never sends it, so the basis
-        # comparison alone drops the click.
+    def test_cross_basis_clicks_excluded_from_key(self):
+        # A port of the other basis reads neither of Alice's states, whatever
+        # its bit, so the basis comparison alone drops the click.
         alice = alice_generate(100, 4)
-        rows = [(1e-9, 0, 2, 0, True),
-                ((5 + 0.5) * 2e-9, 5, *symbol(alice, 5), True)]
+        rows = [((i + 0.5) * 2e-9, i, Basis(1 - symbol(alice, i)[0]), i, True)
+                for i in (0, 1)]
+        rows.append(((5 + 0.5) * 2e-9, 5, *symbol(alice, 5), True))
         result = sift(alice, stream_from_rows(rows))
         assert (result.kept, result.mismatches) == (1, 0)  # symbol 5 alone
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**64 - 1),
+           st.lists(st.tuples(st.integers(0, 49), st.integers(0, 3), st.booleans()),
+                    max_size=80))
+    def test_matches_basis_and_bit_rule(self, seed, clicks):
+        """Random port codes, gates and duplicate symbols: of each symbol's
+        earliest gated click, a port code c of basis c >> 1 and bit c & 1 keeps
+        the bit where its basis is Alice's, and errs where its bit is not hers."""
+        alice = alice_generate(50, seed)
+        earliest = {}
+        for i, port, gate in clicks:
+            if gate:
+                earliest.setdefault(i, port)
+        kept = mismatches = 0
+        for i, port in earliest.items():
+            basis, bit = symbol(alice, i)
+            if basis == port >> 1:
+                kept += 1
+                mismatches += bit != port & 1
+        rows = [(float(t), i, Basis(port >> 1), port & 1, gate)
+                for t, (i, port, gate) in enumerate(clicks)]
+        result = sift(alice, stream_from_rows(rows))
+        assert (result.kept, result.mismatches) == (kept, mismatches)
 
     def test_duplicate_symbol_keeps_earliest(self):
         alice = alice_generate(100, 4)
@@ -157,14 +191,15 @@ class TestSift:
         for i, k in zip(gated.tolist(), at.tolist()):
             earliest.setdefault(i, k)
         first = np.array(list(earliest.values()))
-        bases, bits = alice.symbols_at(np.array(list(earliest)))
-        match = clicks.analyzer_basis_codes[first] == bases
-        errors = match & (clicks.analyzer_bits[first] != bits)
+        bases, bits = symbols_at(alice, np.array(list(earliest)))
+        ports = clicks.analyzer_ports[first]
+        match = ports >> 1 == bases
+        errors = match & (ports & 1 != bits)
         result = sift(alice, clicks)
         assert (result.kept, result.mismatches) == (match.sum(), errors.sum())
         # counted with its duplicates, more would be kept
         assert result.kept < np.count_nonzero(
-            clicks.analyzer_basis_codes[at] == alice.symbols_at(gated)[0])
+            clicks.analyzer_ports[at] >> 1 == symbols_at(alice, gated)[0])
 
     def test_kept_fraction_is_half(self):
         src = SourceParams()

@@ -32,7 +32,7 @@ RECORDS = {
     "SpectralTable": lambda: SpectralTable((1.0, 2.0), (0.0, 1.0)),
     "ScenarioConfig": resolve_config,
     "ClickStream": lambda: ClickStream(*(np.zeros(2, dtype) for dtype in (
-        np.float64, np.int64, np.uint8, np.uint8, bool, bool))),
+        np.float64, np.int64, np.uint8, bool, bool))),
     "PolarizationState": lambda: PolarizationState(0.0, 0.6, 0.8),
     "SiftResult": lambda: SiftResult(10, 1),
     "BlockStats": lambda: BlockStats(45.0, 4.0, 100, 50, 5, kappa=True),

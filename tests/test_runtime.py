@@ -25,11 +25,12 @@ def python_env(*unset: str) -> dict[str, str]:
     return env
 
 
-def run_python(code: str, **env) -> str:
-    """Standard output of ``python -c code`` with ``src`` on the path and
-    ``OPENBLAS_NUM_THREADS`` unset unless given in ``env``."""
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=60, env={**python_env("OPENBLAS_NUM_THREADS"), **env})
+def run_python(code: str, *options: str, **env) -> str:
+    """Standard output of ``python *options -c code`` with ``src`` on the path
+    and ``OPENBLAS_NUM_THREADS`` unset unless given in ``env``."""
+    proc = subprocess.run([sys.executable, *options, "-c", code], capture_output=True,
+                          text=True, timeout=60,
+                          env={**python_env("OPENBLAS_NUM_THREADS"), **env})
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
 
@@ -54,10 +55,13 @@ MONTE_CARLO = ("fso_qkd.protocol", "fso_qkd.linkmodel", "fso_qkd.polarization",
                "fso_qkd.seeding", "statistics")
 
 
-def modules_loaded(code: str, modules: tuple[str, ...] = MONTE_CARLO) -> set[str]:
-    """The ``modules`` that a fresh interpreter holds after ``code``."""
+def modules_loaded(code: str, modules: tuple[str, ...] = MONTE_CARLO,
+                   *options: str) -> set[str]:
+    """The ``modules`` that a fresh interpreter, started with ``options``,
+    holds after ``code``."""
     out = run_python(f"import sys\n{code}\n"
-                     f"print('loaded:', *(m for m in {modules!r} if m in sys.modules))")
+                     f"print('loaded:', *(m for m in {modules!r} if m in sys.modules))",
+                     *options)
     return set(out.rsplit("loaded:", 1)[1].split())
 
 
@@ -97,6 +101,17 @@ def test_config_path_loads_no_numpy(tmp_path, case):
     if case != "resolve":
         got -= modules_loaded(ARGPARSE, ("dataclasses",))
     assert got == set()
+
+
+def test_config_path_loads_no_resource_reader(tmp_path):
+    """``spectrum`` finds its packaged table beside its own file, so resolving
+    a config and planning the spectrum load neither ``importlib.resources``
+    nor the ``zipfile`` and ``tempfile`` that it imports. Run without ``site``
+    (``-S``), which may import it already (for ``certifi``, say)."""
+    code = ("from fso_qkd.scenario import resolve_config\nresolve_config({})\n"
+            + main_exits(0, "plan-spectrum", "--out", str(tmp_path / "plan")))
+    assert modules_loaded(code, ("importlib.resources", "zipfile", "tempfile"), "-S") == set()
+    assert (tmp_path / "plan" / "channel_ranking.json").is_file()
 
 
 @pytest.mark.parametrize("argv, loaded", [

@@ -21,7 +21,13 @@ from fso_qkd.errors import ValidationError
 from fso_qkd.linkparams import ChannelParams, DetectorParams, SourceParams
 from fso_qkd.protocol import Run, run_map
 from fso_qkd.scenario import _KEYS, default_flat_config, resolve_config
-from fso_qkd.spectrum import SpectralTable, default_spectrum_path, dump_spectrum, load_spectrum
+from fso_qkd.spectrum import (
+    CSV_HEADER,
+    SpectralTable,
+    default_spectrum_path,
+    dump_spectrum,
+    load_spectrum,
+)
 
 UNREADABLE = ["missing", "directory", "not-utf8"]
 
@@ -654,10 +660,35 @@ class TestMainEntry:
         out = capsys.readouterr().out
         assert "sweep_el.csv" in out
 
-    def test_validation_error_exit_two(self, tmp_path, capsys):
-        rc = main(["sweep-el", "--out", str(tmp_path), "--set", "nope=1"])
+    @pytest.mark.parametrize("args, named", [
+        (["sweep-el", "--set", "nope=1"], "'nope'"),
+        (["sweep-el", "--set", "channel.fiber_kind=XYZ"], "channel.fiber_kind: "),
+        (["sweep-el", "--set", "background.mode=foo"], "background.mode: "),
+        (["stability", "--set", "session.blocks=-1"], "session.blocks: "),
+        (["stability", "--set", "session.block_duration_s=0"], "session.block_duration_s: "),
+        (["stability", "--set", "session.symbols_per_block=0"], "session.symbols_per_block: "),
+        (["stability", "--set", "session.blocks=0"], "session.blocks: "),
+        (["coexist", "--set", "session.blocks=1"], "session.blocks: "),
+        (["sweep-el", "--set", "foo"], "--set "),
+        (["sweep-el", "--workers", "0"], "--workers "),
+        (["sweep-el", "--config", "{dir}/list.json"], "top level must be an object"),
+        (["plan-spectrum", "--spectrum", "{dir}/one-row.csv"], "background.spectrum_path: "),
+        (["plan-spectrum", "--spectrum", "{dir}/header-only.csv"],
+         "background.spectrum_path: "),
+    ], ids=["unknown-key", "fiber-kind", "background-mode", "blocks-negative",
+            "block-duration-zero", "symbols-per-block-zero", "stability-no-blocks",
+            "coexist-one-block", "set-without-value", "workers-zero", "config-list",
+            "spectrum-one-row", "spectrum-header-only"])
+    def test_validation_error_exit_two(self, tmp_path, capsys, args, named):
+        (tmp_path / "list.json").write_text("[1, 2]\n")
+        (tmp_path / "one-row.csv").write_text(f"{CSV_HEADER}\n1300.0,10.0\n")
+        (tmp_path / "header-only.csv").write_text(f"{CSV_HEADER}\n")
+        out = tmp_path / "out"
+        rc = main([a.format(dir=tmp_path) for a in args] + ["--out", str(out)])
         assert rc == 2
-        assert "validation error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ") and named in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("kind", UNREADABLE)
     @pytest.mark.parametrize("option", ["--config", "background.spectrum_path"])

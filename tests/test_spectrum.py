@@ -142,6 +142,12 @@ class TestCsv:
         table = load_spectrum(p)
         assert len(table.wavelengths_nm) == 2
 
+    def test_blank_lines_skipped(self, tmp_path):
+        p = tmp_path / "s.csv"
+        p.write_text("wavelength_nm,psd_db_hz_per_nm\n\n1300.0,10.0\n  \n1500.0,20.0\n\n")
+        table = load_spectrum(p)
+        assert (table.wavelengths_nm, table.psd_db) == ((1300.0, 1500.0), (10.0, 20.0))
+
     def test_unsorted_rows_error_names_line(self, tmp_path):
         p = tmp_path / "s.csv"
         p.write_text("wavelength_nm,psd_db_hz_per_nm\n1300.0,10.0\n1200.0,20.0\n")
