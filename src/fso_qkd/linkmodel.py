@@ -61,8 +61,8 @@ from .record import Record
 from .seeding import mix64, rng_from, two_bit_codes
 
 # Expected detector events (signal photons plus background arrivals) that
-# one simulate_clicks call may hold, at a peak of about 16 bytes per photon
-# (8.6e6-event OM4 runs at the default drift and 50 rad/s: 0.32 GB at the
+# one simulate_clicks call may hold, at a peak of about 13 bytes per photon
+# (8.6e5-event OM4 blocks at the default drift and 50 rad/s: 0.26 GB at the
 # budget) and 53 per event of a 92 %-background block, whose arrivals' slots,
 # times, gate flags and sort order live through the sort and merge (1.1 GB).
 MAX_EXPECTED_EVENTS = 2e7
@@ -134,8 +134,10 @@ def dead_time_filter(times: np.ndarray, dead_time: float) -> np.ndarray:
     ``searchsorted`` of the frontier per round, until every chain has
     reached a head. That costs one round per survivor of the longest cluster
     and no table beyond the stream: the head and survivor masks and the open
-    frontier. At a light load most events are heads followed by heads, and
-    they cost no search.
+    frontier. The heads are compared ``_EXACT_SLICE`` events at a time, so
+    no stream-length ``times + dead_time`` is built: the walk peaks at 4.0
+    bytes per event at load*tau 3 and 3.6 at 10 and 30. At a light load most
+    events are heads followed by heads, and they cost no search.
 
     An arrival exactly one dead time after a survivor is kept when its time
     compares at least ``times[i] + dead_time`` in floating point. Slot times
@@ -149,7 +151,10 @@ def dead_time_filter(times: np.ndarray, dead_time: float) -> np.ndarray:
     # head[n] is a sentinel that closes every chain running off the end.
     head = np.empty(n + 1, dtype=bool)
     head[0] = head[n] = True
-    np.greater_equal(times[1:], times[:-1] + dead_time, out=head[1:n])
+    for start in range(1, n, _EXACT_SLICE):
+        stop = min(start + _EXACT_SLICE, n)
+        np.greater_equal(times[start:stop], times[start - 1:stop - 1] + dead_time,
+                         out=head[start:stop])
     # one stream-length temporary at a time: the chains' starts before alive
     chain = np.flatnonzero(head[:n] > head[1:])
     alive = head[:n].copy()
@@ -175,7 +180,10 @@ def _sample_detection_indices(rng: np.random.Generator, n: int, q: float) -> np.
     inversion, ceil(E / -log1p(-q)) over standard exponentials E, with the
     log1p hoisted out of the per-draw loop. The exponentials are drawn
     ``_EXACT_SLICE`` at a time into one buffer and ceiled straight into the
-    int64 gaps, so the gaps are the only array that spans the run."""
+    int64 gaps, so the gaps are the only array that spans the run: 8 bytes per
+    expected photon plus the 6-sigma overshoot, which the in-place trim to the
+    slots below n hands back to the heap. The result owns its memory on
+    every branch."""
     if q <= 0.0 or n == 0:
         return np.empty(0, dtype=np.int64)
     if q >= 1.0:
@@ -184,7 +192,7 @@ def _sample_detection_indices(rng: np.random.Generator, n: int, q: float) -> np.
     batch = int(expected + _BATCH_SIGMAS * math.sqrt(expected) + 16.0)
     chunks = []
     last = -1  # slot of the last detection so far
-    while True:
+    while last < n:
         if q < 1.0 / 3.0:
             cum = np.empty(batch, dtype=np.int64)
             buf = np.empty(min(batch, _EXACT_SLICE))
@@ -197,13 +205,13 @@ def _sample_detection_indices(rng: np.random.Generator, n: int, q: float) -> np.
             cum = rng.geometric(q, size=batch)
         cum[0] += last  # the running sum carries it to every slot
         np.cumsum(cum, out=cum)
-        if cum[-1] >= n:
-            chunks.append(cum[: np.searchsorted(cum, n, side="left")])
-            break
         chunks.append(cum)
         last = int(cum[-1])
         batch = max(batch // 2, 1024)
-    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+    # Trimmed in place, so the result owns its memory and the overshoot goes
+    # back to the heap; no view of the last batch exists.
+    cum.resize(np.searchsorted(cum, n, side="left"), refcheck=False)
+    return cum if len(chunks) == 1 else np.concatenate(chunks)
 
 
 def random_unit_vector(rng: np.random.Generator) -> np.ndarray:
@@ -245,13 +253,15 @@ def _pass_probability(column, terms, angles) -> np.ndarray:
     photons that ``_malus_clicks``' bounds leave undecided.
     """
     a_term, b_term, c_term = terms
-    x = a_term.take(column)
-    # ((x c) + (B s)) + (C (1 - c)) in place, in that rounding order.
-    # column is always in range; mode="clip" lets take fill term unbuffered.
+    # ((A c) + (B s)) + (C (1 - c)) in place, in that rounding order, in three
+    # buffers. column is always in range; mode="clip" lets take write into
+    # its out buffer directly.
+    term = np.sin(angles)
+    x = b_term.take(column)
+    term *= x
+    a_term.take(column, out=x, mode="clip")
     c = np.cos(angles)
     x *= c
-    term = np.sin(angles)
-    term *= b_term.take(column)
     x += term
     np.subtract(1.0, c, out=c)
     c *= c_term.take(column, out=term, mode="clip")
@@ -303,17 +313,20 @@ def _malus_clicks(u, column, terms, drift_rate: float, idx, slot: float,
     j = np.flatnonzero(undecided)
     angles = _slot_times(idx.take(j), slot, start_time)
     angles *= drift_rate
-    clicked[j] = u.take(j) < _pass_probability(column.take(j), terms, angles)
+    # the probabilities first, so their temporaries are gone before u's gather
+    clicked[j] = _pass_probability(column.take(j), terms, angles) > u.take(j)
     return np.flatnonzero(clicked)
 
 
 def expected_events(n: int, src: SourceParams, ch: ChannelParams, det: DetectorParams,
-                    bg: BackgroundBudget) -> float:
+                    bg: BackgroundBudget, bg_key: str = "background.solar_rate") -> float:
     """Expected detector events (signal photons plus background arrivals) of
     an n-slot run.
 
     Raises ``ValidationError``, naming its larger term, for a run over
-    ``MAX_EXPECTED_EVENTS``, which ``simulate_clicks`` cannot hold.
+    ``MAX_EXPECTED_EVENTS``, which ``simulate_clicks`` cannot hold: the
+    photons by ``source.mu_q``, the background by ``bg_key``, the key that
+    sets the background rate.
     """
     slot = 1.0 / src.symbol_rate
     q = click_probability(src, ch, det)
@@ -321,7 +334,7 @@ def expected_events(n: int, src: SourceParams, ch: ChannelParams, det: DetectorP
     events = photons + background
     if events > MAX_EXPECTED_EVENTS:
         key, remedy = (("source.mu_q", "source.mu_q") if photons >= background
-                       else ("background.solar_rate", "the background rate"))
+                       else (bg_key, "the background rate"))
         raise ValidationError(
             f"{key}: {n} symbols expect {photons:.3g} photons (source.mu_q "
             f"{src.mu_q:.3g}) plus {background:.3g} background arrivals "
@@ -431,7 +444,9 @@ def _decided_clicks(idx, symbols, schedule_seed: int, terms, rng, drift_rate: fl
     All gaps precede any u, and random(a) then random(b) draws random(a + b),
     so the slices click what one whole-run pass would. Each slice's clicked
     slots go back to the front of ``idx``, which never passes the slice
-    being read; j ends as a copy, so only the returned copy outlives ``idx``.
+    being read, and ``idx``, which must own its memory and be held by no one
+    else, is trimmed to them in place and returned: the photons' buffer never
+    sits beside a copy of its clicks.
     """
     n_sig = 0
     for start in range(0, len(idx), _EXACT_SLICE):
@@ -441,7 +456,8 @@ def _decided_clicks(idx, symbols, schedule_seed: int, terms, rng, drift_rate: fl
                                  start_time))
         idx[n_sig:n_sig + len(j)] = j
         n_sig += len(j)
-    return idx[:n_sig].copy()
+    idx.resize(n_sig, refcheck=False)  # j ends as a copy: no view of idx is left
+    return idx
 
 
 def _merged_survivors(sig_idx, sig_gate, background, dead_time: float, slot: float,
@@ -451,9 +467,12 @@ def _merged_survivors(sig_idx, sig_gate, background, dead_time: float, slot: flo
 
     The clicks are in time order already, so the merge inserts each arrival
     after every click at or before its time: the order a stable sort of the
-    clicks followed by the arrivals gives. Each column is gathered for the
-    survivors alone, from the clicks' and the arrivals' own arrays: one take
-    by click rank for all survivors, then the surviving arrivals' values.
+    clicks followed by the arrivals gives. The insert sets a block's peak
+    memory: its output and mask beside the clicks' slots, gates and times,
+    about 13 bytes per expected event on an OM4 block and 53 on a
+    92 %-background one. Each column is gathered for the survivors alone,
+    from the clicks' and the arrivals' own arrays: one take by click rank for
+    all survivors, then the surviving arrivals' values.
     """
     bg_idx, bg_times, bg_gate = background
     times = _slot_times(sig_idx, slot, start_time)

@@ -265,7 +265,9 @@ def run_map(config: ScenarioConfig, runs: list[Run], key: str,
     Before any run is simulated or any worker forked, each run's expected
     detector events are computed once (none for a saturated run, which is
     not simulated, so it is never refused for the memory budget). That one
-    list meets the budget, then the cost cap (refused naming ``key``), and,
+    list meets the budget (a background over it is refused naming
+    ``background.spectrum_path`` under spectrum mode, where the spectrum sets
+    its rate), then the cost cap (refused naming ``key``), and,
     once every run's time axis has passed ``check_time_axis`` (which names the
     key of the runs' symbols for a run too long at any start), sets the worker
     count. The runs then go to ``workers`` forked processes, at most one per
@@ -274,8 +276,11 @@ def run_map(config: ScenarioConfig, runs: list[Run], key: str,
     ``_auto_workers`` chooses the count. Each run's seeds depend on its index
     and tags alone, so the results do not depend on the worker count.
     """
+    bg_key = ("background.spectrum_path" if config.resolved["background.mode"] == "spectrum"
+              else "background.solar_rate")
     events = [0.0 if run.saturated else expected_events(
-        run.symbols, config.source, run.channel, config.detector, run.bg) for run in runs]
+        run.symbols, config.source, run.channel, config.detector, run.bg, bg_key)
+        for run in runs]
     _check_cost(key, len(runs), sum(events))
     symbols_key = ("sweep.symbols_per_point" if key == "sweep.el_db"
                    else "session.symbols_per_block")

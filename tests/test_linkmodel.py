@@ -145,8 +145,10 @@ class TestDeadTimeFilterExact:
         assert len(kept) / n == pytest.approx(1.0 / (1.0 + load_tau), rel=0.05)
 
     @pytest.mark.parametrize("load_tau", [3.0, 10.0, 30.0])
-    def test_memory_stays_within_sixteen_bytes_per_event(self, load_tau):
-        """The walk holds nothing beyond stream-length arrays at any load."""
+    def test_memory_stays_within_six_bytes_per_event(self, load_tau):
+        """The walk holds no stream-length float at any load: the heads are
+        compared a slice at a time (about 4 bytes per event; a whole-stream
+        ``times + dead_time`` alone would be 8)."""
         dead_time = 25e-6
         n = 200_000
         rng = np.random.default_rng(int(load_tau))
@@ -157,7 +159,7 @@ class TestDeadTimeFilterExact:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak / n <= 16.0
+        assert peak / n <= 6.0
 
     @pytest.mark.parametrize("dead_time", [2.0 ** -10, 25e-6])
     def test_gaps_of_exactly_one_dead_time_are_all_heads(self, dead_time):
@@ -494,13 +496,14 @@ class TestMalusClicks:
 
     @pytest.mark.parametrize("drift_rate", [None, 50.0])
     def test_om4_block_peak_memory_per_expected_event(self, drift_rate):
-        """One default 2e9-symbol OM4 block holds at most 20 bytes per expected
-        detector event at its peak (about 14), whether the bounds decide most
+        """One default 2e9-symbol OM4 block holds at most 14 bytes per expected
+        detector event at its peak (about 13), whether the bounds decide most
         photons (default drift) or none (50 rad/s): the slot indices are the
         one array that spans the run while each 2^16-photon slice is decided,
-        and the merge holds no permutation or concatenation of the whole
-        stream. Keeping a whole-run float gap batch, list of clicks and sorted
-        concatenation beside them peaks at about 32, over the pin."""
+        and they are trimmed in place to the clicks, so the photons never sit
+        beside a copy of them; the merge's insert then sets the peak. At
+        50 rad/s the decide stage, which tests every photon exactly, comes
+        within 0.1 of it."""
         overrides = {"channel.fiber_kind": "OM4"}
         if drift_rate is not None:
             overrides["channel.drift_rate"] = drift_rate
@@ -516,7 +519,7 @@ class TestMalusClicks:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak / events <= 20.0
+        assert peak / events <= 14.0
 
     def test_background_block_peak_memory_per_expected_event(self):
         """One default 2e9-symbol MMF25 block at an explicit 2e5 cts/s of
@@ -613,6 +616,7 @@ class TestStreamFacts:
             got = linkmodel._sample_detection_indices(ours, n, q)
             assert np.array_equal(got, geometric_detection_indices(reference, n, q))
             assert ours.bit_generator.state == reference.bit_generator.state
+            assert got.base is None  # trimmed in place, not a view of its batch
 
     def test_sampler_at_certain_detection_draws_nothing(self):
         """At q = 1 (a source.mu_q of 1000 at no loss rounds to it) every slot
@@ -621,6 +625,17 @@ class TestStreamFacts:
         state = rng.bit_generator.state
         got = linkmodel._sample_detection_indices(rng, 1_000, 1.0)
         assert got.dtype == np.int64 and np.array_equal(got, np.arange(1_000))
+        assert rng.bit_generator.state == state
+        assert got.base is None
+
+    @pytest.mark.parametrize("n, q", [(0, 0.3), (0, 1.0), (1_000, 0.0)])
+    def test_sampler_without_detections_draws_nothing(self, n, q):
+        """No slots, or no chance of a photon: an empty int64 array that owns
+        its memory, and the generator is left where it was."""
+        rng = np.random.default_rng(4)
+        state = rng.bit_generator.state
+        got = linkmodel._sample_detection_indices(rng, n, q)
+        assert got.dtype == np.int64 and got.size == 0 and got.base is None
         assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("q", GAP_Q)
@@ -638,6 +653,7 @@ class TestStreamFacts:
             got = linkmodel._sample_detection_indices(ours, n, q)
             assert np.array_equal(got, geometric_detection_indices(reference, n, q))
             assert ours.bit_generator.state == reference.bit_generator.state
+            assert got.base is None  # the batches' concatenation, or one trimmed
             if expected >= 100:
                 assert len(got) > first  # the first batch did not reach n
 
@@ -778,6 +794,31 @@ class TestMonteCarlo:
             DetectorParams(dark_rate=0.0), BackgroundBudget(dark_rate=0.0),
             rng_seed=4)
         assert clicks.timestamps.size == 0
+
+    def test_background_without_photons(self):
+        """No photon reaches the SPAD (q = 0): the stream is the background
+        arrivals alone, as the whole-run reference merges them."""
+        symbols, axis = alice_generate(100_000, 3), np.array([0.0, 0.0, 1.0])
+        src, det = SourceParams(mu_q=0.0), DetectorParams(dead_time=1e-8)
+        ch, bg = quiet_channel(), BackgroundBudget(solar_rate=1e7, dark_rate=0.0)
+        got = simulate_clicks(symbols, src, ch, det, bg, 5, rng_seed=1, drift_axis=axis)
+        assert got.timestamps.size > 100 and not got.is_signal.any()
+        assert_same_stream(got, whole_run_clicks(symbols, src, ch, det, bg, 5, 1, 0.0,
+                                                 0.0, axis))
+
+    def test_photons_without_clicks(self):
+        """Every slot has a photon (q = 1) and, at these seeds, none passes its
+        port: the photon buffer is trimmed to nothing and the stream is the
+        background arrivals alone."""
+        symbols, axis = alice_generate(4, 3), np.array([0.0, 0.0, 1.0])
+        src, det = SourceParams(mu_q=1000.0), DetectorParams(dead_time=0.0)
+        ch, bg = quiet_channel(fso_loss_db=0.0), BackgroundBudget(solar_rate=1e9,
+                                                                   dark_rate=0.0)
+        assert linkmodel.click_probability(src, ch, det) == 1.0
+        got = simulate_clicks(symbols, src, ch, det, bg, 0, rng_seed=1, drift_axis=axis)
+        assert got.timestamps.size > 0 and not got.is_signal.any()
+        assert_same_stream(got, whole_run_clicks(symbols, src, ch, det, bg, 0, 1, 0.0,
+                                                 0.0, axis))
 
     def test_over_memory_budget_rejected(self):
         """Expected background alone past the event budget is refused up front."""

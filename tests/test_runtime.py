@@ -270,8 +270,9 @@ def test_main_block_skips_teardown_on_return(tmp_path, args, rc, teardown):
 
 def test_console_script_is_run():
     """The installed ``fso-qkd`` goes through ``run``. Read as text: Python
-    3.10 has no tomllib."""
-    pyproject = Path(SRC).parent / "pyproject.toml"
+    3.10 has no tomllib. The file is the checkout's, found from this test, so
+    the check holds wherever ``fso_qkd`` is imported from."""
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     section = pyproject.read_text(encoding="utf-8").split("[project.scripts]")[1]
     scripts = section.split("\n[")[0].strip().splitlines()
     assert scripts == ['fso-qkd = "fso_qkd.cli:run"']

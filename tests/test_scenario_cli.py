@@ -1050,6 +1050,21 @@ class TestMainEntry:
             "to integrate in floats\n")
         assert not out.exists()
 
+    def test_spectrum_too_bright_for_the_budget_names_its_path(self, tmp_path, capsys):
+        """A flat 150 dB table integrates to a finite rate whose background
+        arrivals exceed the event budget: the refusal names the key the user
+        set, not background.solar_rate, which spectrum mode will not take.
+        (Sessions flag such blocks saturated instead.)"""
+        bright = tmp_path / "bright150.csv"
+        dump_spectrum(SpectralTable((1260.0, 1630.0), (150.0, 150.0)), bright)
+        out = tmp_path / "o"
+        assert main(["sweep-el", "--set", f"background.spectrum_path={bright}",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: background.spectrum_path: ")
+        assert "over the memory budget" in err and "background.solar_rate" not in err
+        assert not out.exists()
+
     def test_cli_seed_changes_mc_not_model(self, tmp_path):
         for seed in ("1", "2"):
             main(["sweep-el", "--out", str(tmp_path / seed), "--seed", seed,
