@@ -18,9 +18,10 @@ through events in Python: each photon's sent state and analyzer port are
 two-bit hash codes of its slot, and 4 * state + port is its row of the
 16-entry (state, port) tables; the dead-time filter starts a survivor chain
 at every cluster head (an event at least one dead time after its
-predecessor) whose next event is not a head, and advances all chains with
-one ``searchsorted`` per round: one round per survivor of the longest
-cluster, and no table beyond the stream. Drift and the analyzer meet in the
+predecessor) whose next event is not a head, and advances all chains a
+round at a time, stepping a wide frontier through the next few events
+before it searches: one round per survivor of the longest cluster, and no
+table beyond the stream. Drift and the analyzer meet in the
 one Stokes component that each photon's port reads,
 A cos a + B sin a + C (1 - cos a), with (A, B, C) from tables of Rodrigues
 terms built once per call. Photons are decided in
@@ -120,6 +121,19 @@ class ClickStream(Record):
     is_signal: np.ndarray       # bool: a photon, not a background arrival
 
 
+# While this many chains are open, each round steps every chain through the
+# events after it before any binary search: a wide frontier's searchsorted
+# mispredicts a branch at every level (51 ns per key on an OM4 block), and a
+# key's answer lies 3.75 events on, on average. On 1e6 Poisson events at
+# load*tau 0.3 to 40, 64..512 read alike, 2048 lost 7 % at load*tau 3, and
+# 16 doubled the cost at 10, whose long clusters end in narrow rounds.
+_PROBE_MIN_CHAINS = 256
+# Events a chain is stepped through (at least one) before the search: 99.8 %
+# of an OM4 block's keys are answered within 9; 8..16 read alike at load*tau
+# 3, and 6, 4 and 2 cost 18, 53 and 87 % more.
+_PROBE_STEPS = 8
+
+
 def dead_time_filter(times: np.ndarray, dead_time: float) -> np.ndarray:
     """Surviving-event indices for a non-paralyzable detector (sorted input).
 
@@ -131,13 +145,18 @@ def dead_time_filter(times: np.ndarray, dead_time: float) -> np.ndarray:
     the next head. So the walk starts one survivor chain at every head whose
     next event is not a head (a head followed by a head has its next
     survivor there already) and advances all open chains together, one
-    ``searchsorted`` of the frontier per round, until every chain has
-    reached a head. That costs one round per survivor of the longest cluster
-    and no table beyond the stream: the head and survivor masks and the open
-    frontier. The heads are compared ``_EXACT_SLICE`` events at a time, so
-    no stream-length ``times + dead_time`` is built: the walk peaks at 4.0
-    bytes per event at load*tau 3 and 3.6 at 10 and 30. At a light load most
-    events are heads followed by heads, and they cost no search.
+    round at a time, until every chain has reached a head. While at least
+    ``_PROBE_MIN_CHAINS`` are open, a round steps each chain through the
+    next ``_PROBE_STEPS`` events and searches only for the keys not found
+    there; a narrower frontier takes one ``searchsorted`` per round. That
+    costs one round per survivor of the longest cluster and no table beyond
+    the stream: the head and survivor masks and the open frontier. The heads
+    are compared ``_EXACT_SLICE`` events at a time, so no stream-length
+    ``times + dead_time`` is built. The walk peaks at 9.3, 11.4, 13.4, 4.3
+    and 3.6 bytes per event at load*tau 0.1, 0.3, 1, 3 and 10 to 30 (200,000
+    Poisson events; the probes' keys and indices set the peak at 0.3 and 1),
+    under the 14 bytes per expected event of a block's peak. At a light load
+    most events are heads followed by heads, and they cost no search.
 
     An arrival exactly one dead time after a survivor is kept when its time
     compares at least ``times[i] + dead_time`` in floating point. Slot times
@@ -158,11 +177,24 @@ def dead_time_filter(times: np.ndarray, dead_time: float) -> np.ndarray:
     # one stream-length temporary at a time: the chains' starts before alive
     chain = np.flatnonzero(head[:n] > head[1:])
     alive = head[:n].copy()
+    # A chain's key exceeds its own time: were times[i] + dead_time to round
+    # back to times[i], event i + 1 would be a head and, rounding being
+    # monotone, so would i, so no chain holds i. Every step moves strictly
+    # forward and the walk ends. A probe past the end reads times[n - 1],
+    # which is below the key, so that chain is left to the search (n).
+    while chain.size >= _PROBE_MIN_CHAINS:
+        key = times.take(chain) + dead_time
+        chain += 1
+        late = np.flatnonzero(times.take(chain, mode="clip") < key)
+        for _ in range(1, _PROBE_STEPS):
+            at = chain.take(late)
+            at += 1
+            chain[late] = at
+            late = late.compress(times.take(at, mode="clip") < key.take(late))
+        chain[late] = np.searchsorted(times, key.take(late), side="left")
+        chain = chain.compress(~head.take(chain))
+        alive[chain] = True
     while chain.size:
-        # Each step moves strictly forward or lands on a head, so the walk
-        # ends. If dead_time vanishes against times[i] in floating point, the
-        # step may fall back to an earlier equal timestamp; that event is a
-        # head, so the chain closes there.
         step = np.searchsorted(times, times.take(chain) + dead_time, side="left")
         chain = step.compress(~head.take(step))
         alive[chain] = True

@@ -49,8 +49,10 @@ from .seeding import mix64, rng_from, two_bit_codes
 _SESSION_TAGS, _SWEEP_TAGS, _TAG_AXIS = (11, 13, 17), (101, 103, 107), 19
 
 # Expected detector events, over all runs of a command, from which run_map
-# forks workers by default. Serial work is about 140 ns per event, so 2e6
-# events are about 0.3 s; well below that, forking the workers and their
+# forks workers by default. It was set when serial work took about 140 ns per
+# event, so 2e6 events were about 0.3 s; an OM4 block now takes about 28 ns
+# per expected event, and retuning waits for a reference loop in the
+# benchmark. Well below it, forking the workers and their
 # copy-on-write page faults cost more than the second core saves. On a
 # 2-vCPU Linux host (Python 3.11) a two-worker OM4 session broke even
 # between 5e5 and 1e6 events through a process pool, which cost more to
@@ -60,7 +62,9 @@ _SESSION_TAGS, _SWEEP_TAGS, _TAG_AXIS = (11, 13, 17), (101, 103, 107), 19
 PARALLEL_MIN_EVENTS = 2e6
 
 # Serial cost model of a whole command: about 140 ns per expected detector
-# event (the figure PARALLEL_MIN_EVENTS rests on) plus about 0.24 ms per run
+# event (the figure PARALLEL_MIN_EVENTS rests on; an OM4 block of 8.6e5
+# expected events measures 28 ns, so this is about 5x high until that
+# reference loop retunes both) plus about 0.24 ms per run
 # (200 and 2,000 session blocks of 1e3 symbols took 0.40 and 0.83 s on the
 # host above). run_map refuses a command estimated over MAX_COMMAND_SECONDS
 # before it simulates any run, and its caller refuses one whose per-run term

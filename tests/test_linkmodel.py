@@ -106,6 +106,54 @@ def assert_matches_greedy(times, dead_time):
     assert kept.tolist() == greedy_survivors(times.tolist(), dead_time)
 
 
+def count_searched_keys(monkeypatch) -> list[int]:
+    """The number of keys of each ``np.searchsorted`` call linkmodel makes."""
+    searched = []
+    searchsorted = np.searchsorted
+
+    def counting(a, v, *args, **kwargs):
+        searched.append(len(v))
+        return searchsorted(a, v, *args, **kwargs)
+
+    monkeypatch.setattr(linkmodel.np, "searchsorted", counting)
+    return searched
+
+
+HEAD_PATTERNS = ["all-heads", "no-heads", "alternating", "equal-times"]
+
+
+def head_pattern(pattern):
+    """Streams for a dead time of 1: every event a head, none but event 0
+    (each next survivor 4 events on), one-event clusters alternating with
+    many-event ones, and clusters of equal timestamps."""
+    if pattern == "all-heads":
+        return np.arange(1000) * 2.5
+    if pattern == "no-heads":
+        return np.arange(1000) * 0.3
+    if pattern == "alternating":
+        sizes = [1 if c % 2 == 0 else 2 + c % 7 for c in range(200)]
+        gaps = [[1.5] + [0.4] * (size - 1) for size in sizes]
+        return np.cumsum(np.concatenate(gaps))
+    rng = np.random.default_rng(29)
+    starts = np.cumsum(rng.choice([0.2, 0.7, 1.0, 1.6], size=300))
+    return np.repeat(starts, rng.integers(1, 6, size=300))
+
+
+def poisson_stream(load_tau, dead_time=25e-6, n=20_000):
+    rng = np.random.default_rng(int(load_tau * 10))
+    return np.cumsum(rng.exponential(dead_time / load_tau, size=n))
+
+
+# Steps through which every chain is probed once the probe phase is forced on
+# for any frontier (_PROBE_MIN_CHAINS = 1).
+PROBE_STEPS = [1, 2, 8]
+
+
+def force_probes(monkeypatch, steps):
+    monkeypatch.setattr(linkmodel, "_PROBE_MIN_CHAINS", 1)
+    monkeypatch.setattr(linkmodel, "_PROBE_STEPS", steps)
+
+
 class TestDeadTimeFilterExact:
     def test_event_exactly_one_dead_time_later_survives(self):
         times = np.array([0.0, 0.5, 1.0, 1.75, 2.0, 2.25])
@@ -136,9 +184,8 @@ class TestDeadTimeFilterExact:
     @pytest.mark.parametrize("load_tau", [0.1, 1.0, 3.0, 10.0, 30.0])
     def test_poisson_stream_matches_greedy(self, load_tau):
         dead_time = 25e-6
-        rng = np.random.default_rng(int(load_tau * 10))
         n = 20_000
-        times = np.cumsum(rng.exponential(dead_time / load_tau, size=n))
+        times = poisson_stream(load_tau, dead_time, n)
         kept = dead_time_filter(times, dead_time)
         assert kept.tolist() == greedy_survivors(times.tolist(), dead_time)
         # survival fraction of a non-paralyzable detector: 1 / (1 + load tau)
@@ -161,6 +208,23 @@ class TestDeadTimeFilterExact:
             tracemalloc.stop()
         assert peak / n <= 6.0
 
+    @pytest.mark.parametrize("load_tau", [0.1, 0.3, 1.0])
+    def test_light_load_memory_stays_within_fourteen_bytes_per_event(self, load_tau):
+        """At light loads the probes' keys and indices, one each per chain,
+        set the walk's peak (about 9.3, 11.4 and 13.4 bytes per event): still
+        under the 14 bytes per expected event that pin a block's peak, so the
+        filter never sets it."""
+        dead_time = 25e-6
+        n = 200_000
+        times = poisson_stream(load_tau, dead_time, n)
+        tracemalloc.start()
+        try:
+            dead_time_filter(times, dead_time)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / n <= 14.0
+
     @pytest.mark.parametrize("dead_time", [2.0 ** -10, 25e-6])
     def test_gaps_of_exactly_one_dead_time_are_all_heads(self, dead_time):
         times = [0.0]
@@ -169,33 +233,14 @@ class TestDeadTimeFilterExact:
         assert dead_time_filter(np.array(times), dead_time).tolist() == list(range(5000))
         assert_matches_greedy(times, dead_time)
 
-    @pytest.mark.parametrize("pattern", ["all-heads", "no-heads", "alternating",
-                                         "equal-times"])
+    @pytest.mark.parametrize("pattern", HEAD_PATTERNS)
     def test_head_patterns_match_greedy(self, monkeypatch, pattern):
         """A chain starts only at a head whose next event is not a head, so a
         stream of heads alone searches nothing. Every event a head, none but
         event 0, one-event clusters alternating with many-event ones, and
         clusters of equal timestamps all keep the greedy survivors."""
-        searched = []
-        searchsorted = np.searchsorted
-
-        def counting(a, v, *args, **kwargs):
-            searched.append(len(v))
-            return searchsorted(a, v, *args, **kwargs)
-
-        monkeypatch.setattr(linkmodel.np, "searchsorted", counting)
-        rng = np.random.default_rng(29)
-        if pattern == "all-heads":
-            times = np.arange(1000) * 2.5
-        elif pattern == "no-heads":
-            times = np.arange(1000) * 0.3
-        elif pattern == "alternating":
-            sizes = [1 if c % 2 == 0 else 2 + c % 7 for c in range(200)]
-            gaps = [[1.5] + [0.4] * (size - 1) for size in sizes]
-            times = np.cumsum(np.concatenate(gaps))
-        else:
-            starts = np.cumsum(rng.choice([0.2, 0.7, 1.0, 1.6], size=300))
-            times = np.repeat(starts, rng.integers(1, 6, size=300))
+        searched = count_searched_keys(monkeypatch)
+        times = head_pattern(pattern)
         assert_matches_greedy(times, 1.0)
         if pattern == "all-heads":
             assert searched == []
@@ -203,9 +248,64 @@ class TestDeadTimeFilterExact:
             assert sum(searched) > 0
 
     @given(st.lists(st.floats(min_value=0.0, max_value=100.0), max_size=200),
-           st.floats(min_value=0.0, max_value=20.0))
-    def test_random_streams_match_greedy(self, raw_times, dead_time):
-        assert_matches_greedy(sorted(raw_times), dead_time)
+           st.floats(min_value=0.0, max_value=20.0), st.sampled_from([None] + PROBE_STEPS))
+    def test_random_streams_match_greedy(self, raw_times, dead_time, steps):
+        """At the walk's own settings (steps None: no stream here opens 256
+        chains) and with every frontier probed."""
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            if steps is not None:
+                force_probes(monkeypatch, steps)
+            assert_matches_greedy(sorted(raw_times), dead_time)
+
+
+class TestDeadTimeProbe:
+    """The walk steps a wide frontier through the next events before it
+    searches; it must keep exactly the greedy survivors at any step count."""
+
+    @pytest.mark.parametrize("load_tau", [0.1, 1.0, 3.0])
+    def test_poisson_streams_probe_wide_frontiers(self, monkeypatch, load_tau):
+        """These streams start 964 to 4,633 chains; without the probe phase
+        the first round would search a key for each."""
+        times = poisson_stream(load_tau)
+        dead_time = 25e-6
+        head = np.concatenate([[True], times[1:] >= times[:-1] + dead_time, [True]])
+        starts = np.count_nonzero(head[:-1] > head[1:])
+        assert starts >= linkmodel._PROBE_MIN_CHAINS
+        searched = count_searched_keys(monkeypatch)
+        assert_matches_greedy(times, dead_time)
+        assert searched[0] < starts / 10
+
+    @pytest.mark.parametrize("steps", PROBE_STEPS)
+    @pytest.mark.parametrize("pattern", HEAD_PATTERNS)
+    def test_head_patterns_match_greedy(self, monkeypatch, pattern, steps):
+        force_probes(monkeypatch, steps)
+        assert_matches_greedy(head_pattern(pattern), 1.0)
+
+    @pytest.mark.parametrize("steps", [1, 2, 3, 4, 8])
+    def test_answers_within_the_probe_are_not_searched(self, monkeypatch, steps):
+        """Each next survivor of the no-heads stream lies 4 events on: from 4
+        steps the probe finds every one, and only the last survivor's key,
+        past the end, is searched; with fewer steps every key is."""
+        force_probes(monkeypatch, steps)
+        searched = count_searched_keys(monkeypatch)
+        assert_matches_greedy(head_pattern("no-heads"), 1.0)
+        assert sum(searched) == (1 if steps >= 4 else len(range(0, 1000, 4)))
+
+    @pytest.mark.parametrize("steps", PROBE_STEPS)
+    def test_exact_streams_match_greedy(self, monkeypatch, steps):
+        """An event exactly one dead time on is found by the probe and kept,
+        at the first step (event 3, a head that closes the chain) or a later
+        one (event 4); equal timestamps, Poisson streams and a dead time
+        below the timestamps' resolution keep the greedy survivors."""
+        force_probes(monkeypatch, steps)
+        assert dead_time_filter(np.array([0.0, 0.5, 1.0, 2.0, 2.5]), 1.0).tolist() == [0, 2, 3]
+        assert dead_time_filter(np.array([0.0, 0.5, 1.0, 1.75, 2.0, 2.25]), 1.0).tolist() \
+            == [0, 2, 4]
+        assert_matches_greedy([0.0, 0.0, 0.0, 1.0, 1.0, 3.0, 3.0], 0.5)
+        assert_matches_greedy([1e20, 1e20, 1e20, 2e20], 1.0)
+        assert_matches_greedy([1.0, 1.0, 1.0 + 2.0 ** -52, 2.0], 2.0 ** -53)
+        for load_tau in [0.1, 1.0, 3.0, 10.0]:
+            assert_matches_greedy(poisson_stream(load_tau, n=2_000), 25e-6)
 
 
 class TestFiberPresets:
@@ -520,6 +620,27 @@ class TestMalusClicks:
         finally:
             tracemalloc.stop()
         assert peak / events <= 14.0
+
+    def test_200us_dead_time_block_peak_memory_per_expected_event(self):
+        """One MMF25 block of 2e10 symbols at a 200 us dead time (detector
+        load*tau 1.85), near the loads where the dead-time walk's probes hold
+        the most per event, holds at most 16 bytes per expected event at its
+        peak (about 15, as before the probes)."""
+        config = resolve_config({"detector.dead_time": 2e-4,
+                                 "session.symbols_per_block": 2e10})
+        n = config.symbols_per_block
+        src, ch, det, bg = config.source, config.channel, config.detector, config.background
+        events = linkmodel.expected_events(n, src, ch, det, bg)
+        assert 1.0 < linkmodel.detector_load(src, ch, det, bg) * det.dead_time < 3.0
+        alice = alice_generate(n, 5)
+        tracemalloc.start()
+        try:
+            simulate_clicks(alice, src, ch, det, bg, rng_seed=7,
+                            intrinsic_error=config.intrinsic_error)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / events <= 16.0
 
     def test_background_block_peak_memory_per_expected_event(self):
         """One default 2e9-symbol MMF25 block at an explicit 2e5 cts/s of

@@ -2,6 +2,7 @@
 import json
 import os
 import re
+import shutil
 import signal
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import linregress
 
@@ -1141,3 +1142,103 @@ def test_any_edge_config_exits_cleanly(tmp_path, capsys, command, overrides):
         assert err.startswith("validation error: ")
         key = err.removeprefix("validation error: ").partition(": ")[0]
         assert key in _KEYS, err
+
+
+# A fuzzed spectrum's PSDs run from dim to too bright to integrate in floats.
+_PSD_DB = st.one_of(st.floats(-50.0, 200.0), st.floats(-400.0, 3100.0),
+                    st.sampled_from([35.0, 150.0, 3080.0]))
+# Rows load_spectrum must refuse or skip: bad, blank, non-finite and huge
+# cells, and one or three columns.
+_BAD_ROW = st.lists(st.sampled_from(["1410", "35.0", "x", "", " ", "nan", "inf", "-inf",
+                                     "1e999", "1e3"]), min_size=1, max_size=3).map(",".join)
+
+
+@st.composite
+def _spectrum_csv(draw):
+    header = CSV_HEADER if draw(st.integers(0, 5)) else draw(
+        st.sampled_from(["\ufeff" + CSV_HEADER, "wavelength,psd", ""]))
+    table = draw(st.lists(st.tuples(st.floats(1200.0, 1700.0), _PSD_DB), max_size=8))
+    if draw(st.booleans()):  # rows that bracket the CWDM grid
+        table += [(1260.0, draw(_PSD_DB)), (1630.0, draw(_PSD_DB))]
+    if draw(st.integers(0, 3)):  # mostly in wavelength order, as real tables are
+        table = sorted(dict(table).items())
+    rows = [f"{wl!r},{db!r}" for wl, db in table]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        rows.insert(draw(st.integers(0, len(rows))), draw(_BAD_ROW))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join([header] + rows) + end
+
+
+# Values of a fuzzed config file's entries, as written in the file: wrong
+# types, ints written as floats, non-finite literals Python reads, and text
+# that is not JSON.
+_JSON_TOKENS = ["true", "null", '"x"', "[1.0]", '{"a": 1}', "1.0", "1e3", "2", "0", "-1",
+                "1e999", "NaN", "Infinity", "123456789012345678901234567890", "+1", "'x'"]
+# background.mode and background.spectrum_path stay unset by the fuzz, so
+# every config reads the fuzzed spectrum under spectrum mode.
+_FUZZED_KEYS = sorted(set(_KEYS) - {"background.mode", "background.spectrum_path"})
+
+
+@st.composite
+def _config_text(draw):
+    entries = draw(st.lists(st.tuples(st.sampled_from(_FUZZED_KEYS),
+                                      st.sampled_from(_JSON_TOKENS)), max_size=2)
+                   | st.just([]))
+    return ", ".join(f'"{key}": {token}' for key, token in entries)
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def _bright_table(psd_db):
+    return f"{CSV_HEADER}\n1260.0,{psd_db}\n1630.0,{psd_db}\n"
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(["sweep-el", "plan-spectrum", "stability"]),
+       csv=_spectrum_csv(), entries=_config_text())
+@example(command="sweep-el", csv=_bright_table(150.0), entries="")
+@example(command="plan-spectrum", csv=_bright_table(3080.0), entries="")
+@example(command="stability", csv=_bright_table(35.0), entries='"background.solar_rate": 1.0')
+def test_any_spectrum_and_config_file_exit_cleanly(tmp_path, capsys, command, csv, entries):
+    """The file-content twin of test_any_edge_config_exits_cleanly: a fuzzed
+    spectrum CSV (bad cells, non-finite and huge values, extra columns, blank
+    and CRLF lines, a BOM, 0-12 rows) named by a fuzzed config file. The CLI
+    exits 0, writing only strict JSON, or 2 naming the config file or a
+    config key; a key the file does not set can be set alone without a 'not
+    read under' refusal. A flat 150 dB table exceeds the event budget, which
+    must be refused naming background.spectrum_path, not
+    background.solar_rate."""
+    spectrum = tmp_path / "spectrum.csv"
+    spectrum.write_text(csv, encoding="utf-8", newline="")
+    small = {"sweep.el_db": [0.0], "sweep.symbols_per_point": 100_000,
+             "session.blocks": 2, "session.symbols_per_block": 100_000,
+             "background.spectrum_path": str(spectrum)}
+    config = tmp_path / "fuzz.json"
+    config.write_text(json.dumps(small)[:-1] + (", " + entries if entries else "") + "}")
+    out = tmp_path / "o"
+    shutil.rmtree(out, ignore_errors=True)
+    capsys.readouterr()
+    rc = main([command, "--config", str(config), "--out", str(out)])
+    assert rc in (0, 2)
+    if rc == 0:
+        for path in out.glob("*.json"):
+            _strict_json(path.read_text())
+        return
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ")
+    if err.startswith(f"validation error: config file {config}: "):
+        return
+    key = err.removeprefix("validation error: ").partition(": ")[0]
+    assert key in _KEYS, err
+    if f'"{key}"' in config.read_text():  # an entry of the user's own
+        return
+    default = _KEYS[key][1]
+    try:
+        resolve_config({key: 0.0 if default is None else default})
+    except ValidationError as exc:
+        assert "not read under" not in str(exc), err
