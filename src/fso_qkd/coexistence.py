@@ -42,11 +42,11 @@ class ClassicalParams(Record):
             if not abs(value) <= MAX_ABS_DBM:
                 raise ValidationError(
                     f"{name} must be within +-{MAX_ABS_DBM:g} dBm, got {value}")
-        if self.bit_rate <= 0:
+        if not self.bit_rate > 0:
             raise ValidationError(f"bit_rate must be > 0, got {self.bit_rate}")
-        if self.rx_insertion_db < 0:
+        if not self.rx_insertion_db >= 0:
             raise ValidationError("rx_insertion_db must be >= 0")
-        if self.crosstalk_rate_at_0dbm < 0:
+        if not self.crosstalk_rate_at_0dbm >= 0:
             raise ValidationError("crosstalk_rate_at_0dbm must be >= 0")
 
 

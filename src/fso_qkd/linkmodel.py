@@ -62,18 +62,18 @@ from .record import Record
 from .seeding import mix64, rng_from, two_bit_codes
 
 # Expected detector events (signal photons plus background arrivals) that
-# one simulate_clicks call may hold, at a peak of about 13 bytes per photon
-# (8.6e5-event OM4 blocks at the default drift and 50 rad/s: 0.26 GB at the
-# budget) and 53 per event of a 92 %-background block, whose arrivals' slots,
-# times, gate flags and sort order live through the sort and merge (1.1 GB).
+# one simulate_clicks call may hold, at a peak of about 13 bytes per event on
+# OM4 at 25 us (0.26 GB at the budget), 32 where most photons survive (MMF25
+# at dead time 0: 0.63 GB) and 53 on a 92 %-background block, whose arrivals'
+# slots, times, gate flags and sort order live through the sort and merge (1.1 GB).
 MAX_EXPECTED_EVENTS = 2e7
 
 
 def dead_time_corrected(true_rate: float, dead_time: float) -> float:
     """Observed rate of a non-paralyzable detector fed at ``true_rate``."""
-    if true_rate < 0:
+    if not true_rate >= 0:
         raise ValidationError(f"rate must be >= 0, got {true_rate}")
-    if dead_time < 0:
+    if not dead_time >= 0:
         raise ValidationError(f"dead time must be >= 0, got {dead_time}")
     return true_rate * dead_time_thinning(true_rate, dead_time)
 

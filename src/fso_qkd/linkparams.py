@@ -39,9 +39,9 @@ class SourceParams(Record):
 
     def __post_init__(self):
         # mu_q 0 is the degenerate source-off case (background-only studies)
-        if self.mu_q < 0:
+        if not self.mu_q >= 0:
             raise ValidationError(f"mu_q must be >= 0, got {self.mu_q}")
-        if self.symbol_rate <= 0:
+        if not self.symbol_rate > 0:
             raise ValidationError(f"symbol_rate must be > 0, got {self.symbol_rate}")
 
 
@@ -64,11 +64,11 @@ class ChannelParams(Record):
 
     def __post_init__(self):
         for name in ("fso_loss_db", "excess_loss_db", "rx_insertion_db"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValidationError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not 0.0 <= self.depol_p <= 1.0:
             raise ValidationError(f"depol_p must be in [0, 1], got {self.depol_p}")
-        if self.drift_rate < 0:
+        if not self.drift_rate >= 0:
             raise ValidationError(f"drift_rate must be >= 0, got {self.drift_rate}")
 
     @property
@@ -91,9 +91,9 @@ class DetectorParams(Record):
     def __post_init__(self):
         if not 0.0 <= self.efficiency <= 1.0:
             raise ValidationError(f"efficiency must be in [0, 1], got {self.efficiency}")
-        if self.dark_rate < 0:
+        if not self.dark_rate >= 0:
             raise ValidationError(f"dark_rate must be >= 0, got {self.dark_rate}")
-        if self.dead_time < 0:
+        if not self.dead_time >= 0:
             raise ValidationError(f"dead_time must be >= 0, got {self.dead_time}")
         if not 0.0 < self.gate_fraction <= 1.0:
             raise ValidationError(f"gate_fraction must be in (0, 1], got {self.gate_fraction}")
@@ -114,7 +114,7 @@ class BackgroundBudget(Record):
 
     def __post_init__(self):
         for name in ("solar_rate", "classical_crosstalk_rate", "dark_rate"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValidationError(f"{name} must be >= 0, got {getattr(self, name)}")
 
     @property

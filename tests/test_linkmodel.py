@@ -69,6 +69,12 @@ class TestDeadTime:
     def test_zero_dead_time(self):
         assert dead_time_corrected(12345.0, 0.0) == 12345.0
 
+    @pytest.mark.parametrize("rate, dead_time, refusal", [
+        (math.nan, 25e-6, "rate"), (40000.0, math.nan, "dead time")])
+    def test_nan_refused(self, rate, dead_time, refusal):
+        with pytest.raises(ValidationError, match=f"^{refusal} must be >= 0"):
+            dead_time_corrected(rate, dead_time)
+
     def test_capped_by_inverse_dead_time(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
@@ -621,17 +627,22 @@ class TestMalusClicks:
             tracemalloc.stop()
         assert peak / events <= 14.0
 
-    def test_200us_dead_time_block_peak_memory_per_expected_event(self):
+    @pytest.mark.parametrize("dead_time, bound", [(2e-4, 16.0), (0.0, 34.0)],
+                             ids=["200us", "0"])
+    def test_mmf25_block_peak_memory_per_expected_event(self, dead_time, bound):
         """One MMF25 block of 2e10 symbols at a 200 us dead time (detector
         load*tau 1.85), near the loads where the dead-time walk's probes hold
         the most per event, holds at most 16 bytes per expected event at its
-        peak (about 15, as before the probes)."""
-        config = resolve_config({"detector.dead_time": 2e-4,
+        peak (about 15, as before the probes). With no dead time every event
+        survives, so the clicks' columns and their gathers are stream-sized:
+        at most 34 (about 32), the figure MAX_EXPECTED_EVENTS quotes."""
+        config = resolve_config({"detector.dead_time": dead_time,
                                  "session.symbols_per_block": 2e10})
         n = config.symbols_per_block
         src, ch, det, bg = config.source, config.channel, config.detector, config.background
         events = linkmodel.expected_events(n, src, ch, det, bg)
-        assert 1.0 < linkmodel.detector_load(src, ch, det, bg) * det.dead_time < 3.0
+        load_tau = linkmodel.detector_load(src, ch, det, bg) * det.dead_time
+        assert load_tau == 0.0 or 1.0 < load_tau < 3.0
         alice = alice_generate(n, 5)
         tracemalloc.start()
         try:
@@ -640,7 +651,7 @@ class TestMalusClicks:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak / events <= 16.0
+        assert peak / events <= bound
 
     def test_background_block_peak_memory_per_expected_event(self):
         """One default 2e9-symbol MMF25 block at an explicit 2e5 cts/s of

@@ -85,6 +85,22 @@ def test_replace_validates_again():
         ChannelParams().replace(excess_loss=1.0)
 
 
+@pytest.mark.parametrize("cls, field", [
+    (SourceParams, "mu_q"), (SourceParams, "symbol_rate"),
+    (ChannelParams, "fso_loss_db"), (ChannelParams, "excess_loss_db"),
+    (ChannelParams, "rx_insertion_db"), (ChannelParams, "drift_rate"),
+    (DetectorParams, "dark_rate"), (DetectorParams, "dead_time"),
+    (BackgroundBudget, "solar_rate"), (BackgroundBudget, "classical_crosstalk_rate"),
+    (BackgroundBudget, "dark_rate"),
+    (ClassicalParams, "bit_rate"), (ClassicalParams, "rx_insertion_db"),
+    (ClassicalParams, "crosstalk_rate_at_0dbm"),
+], ids=lambda v: v if isinstance(v, str) else v.__name__)
+def test_nan_refused(cls, field):
+    """A nan fails every comparison, so each bound is written to refuse it."""
+    with pytest.raises(ValidationError, match=f"^{field} must be "):
+        cls(**{field: float("nan")})
+
+
 def test_resolved_map_is_left_out_of_compare_hash_and_repr():
     config = resolve_config()
     other = config.replace(resolved={**config.resolved, "output_path": "elsewhere"})

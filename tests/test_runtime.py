@@ -19,15 +19,18 @@ TINY_SWEEP = ["sweep-el", "--set", "sweep.el_db=[0.0]", "--set",
 
 
 def python_env(*unset: str) -> dict[str, str]:
-    """This process's environment with ``src`` on the path and ``unset`` removed."""
+    """This process's environment with ``unset`` removed and the imported
+    package's parent (``src``, or ``site-packages`` for an install) first on
+    the path."""
     env = {k: v for k, v in os.environ.items() if k not in unset}
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     return env
 
 
 def run_python(code: str, *options: str, **env) -> str:
-    """Standard output of ``python *options -c code`` with ``src`` on the path
-    and ``OPENBLAS_NUM_THREADS`` unset unless given in ``env``."""
+    """Standard output of ``python *options -c code`` with the imported
+    package's parent on the path and ``OPENBLAS_NUM_THREADS`` unset unless
+    given in ``env``."""
     proc = subprocess.run([sys.executable, *options, "-c", code], capture_output=True,
                           text=True, timeout=60,
                           env={**python_env("OPENBLAS_NUM_THREADS"), **env})
@@ -185,13 +188,15 @@ def test_main_keeps_heap(monkeypatch, tmp_path):
     assert len(libc.calls) == 2
 
 
-def cli_process(args: list[str], cwd: Path, **kwargs) -> subprocess.CompletedProcess:
-    """``python -m fso_qkd.cli args`` in a fresh interpreter whose piped stdout
-    is block-buffered, so output that ``run`` does not flush is lost."""
+def cli_process(args: list[str], cwd: Path, env: dict[str, str] | None = None,
+                **kwargs) -> subprocess.CompletedProcess:
+    """``python -m fso_qkd.cli args`` in a fresh interpreter, with ``env``
+    added to its environment, whose piped stdout is block-buffered, so output
+    that ``run`` does not flush is lost."""
     kwargs.setdefault("stdout", subprocess.PIPE)
     return subprocess.run([sys.executable, "-m", "fso_qkd.cli", *args], cwd=cwd,
-                          env=python_env("PYTHONUNBUFFERED"), stderr=subprocess.PIPE,
-                          timeout=120, **kwargs)
+                          env={**python_env("PYTHONUNBUFFERED"), **(env or {})},
+                          stderr=subprocess.PIPE, timeout=120, **kwargs)
 
 
 def read_files(root: Path) -> dict[str, bytes]:
@@ -217,6 +222,21 @@ def test_entry_point_writes_what_main_writes(tmp_path, monkeypatch, capfdbinary,
     assert (proc.returncode, proc.stdout, proc.stderr) == (rc, *expected)
     assert bool(proc.stdout) == (rc == 0)
     assert read_files(tmp_path / "process") == read_files(tmp_path / "in-process")
+
+
+def test_user_blas_thread_count_changes_no_byte(tmp_path):
+    """A session under a BLAS thread count the user exports writes the bytes
+    of one under the CLI's own single thread: four OM4 blocks expect about
+    3.4e6 detector events, over ``PARALLEL_MIN_EVENTS``, so both fork workers."""
+    args = ["stability", "--set", "channel.fiber_kind=OM4", "--set", "session.blocks=4",
+            "--out", "out"]
+    runs = []
+    for threads in ("1", "2"):
+        (tmp_path / threads).mkdir()
+        proc = cli_process(args, tmp_path / threads, {"OPENBLAS_NUM_THREADS": threads})
+        assert proc.returncode == 0, proc.stderr
+        runs.append((proc.stdout, proc.stderr, read_files(tmp_path / threads)))
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("args, rc", [(["--help"], 0), (["sweep-el", "--nope"], 2)],

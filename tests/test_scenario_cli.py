@@ -104,7 +104,9 @@ def big_runs(symbols, count=8):
 
 
 def run_python(script: str) -> subprocess.CompletedProcess:
-    """Run ``script`` in a fresh interpreter that imports this fso_qkd."""
+    """Run ``script`` in a fresh interpreter that imports this fso_qkd: the
+    imported package's parent (``src``, or ``site-packages`` for an install)
+    goes first on its path."""
     src = str(Path(protocol.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-c", script], capture_output=True,
@@ -320,8 +322,7 @@ class TestCliCommands:
         cfg = resolve_config(small_sweep_overrides())
         cmd_sweep_el(cfg, tmp_path / "w1", workers=1)
         cmd_sweep_el(cfg, tmp_path / "w2", workers=2)
-        assert (tmp_path / "w1/sweep_el.csv").read_bytes() == \
-               (tmp_path / "w2/sweep_el.csv").read_bytes()
+        assert read_tree(tmp_path / "w1") == read_tree(tmp_path / "w2")
 
     def test_sweep_workers_capped_at_point_count(self, tmp_path, pool_sizes, platform):
         """run_map never forks more workers than there are sweep points."""
@@ -333,11 +334,15 @@ class TestCliCommands:
     @pytest.mark.parametrize("cmd, overrides, flags", [
         (cmd_stability, {"channel.fiber_kind": "OM4", "channel.drift_rate": 0.02,
                          "session.symbols_per_block": 50_000_000}, ["ok"] * 4),
+        # at 50 rad/s the per-run Malus bounds decide no photon, so every one
+        # takes the exact cos/sin path
+        (cmd_stability, {"channel.fiber_kind": "OM4", "channel.drift_rate": 50,
+                         "session.symbols_per_block": 50_000_000}, ["ok"] * 4),
         (cmd_coexist, {"session.symbols_per_block": 200_000_000}, ["ok"] * 4),
         # kappa-on blocks saturate: run_block flags them wherever it runs them
         (cmd_coexist, {"classical.launch_power_dbm": 40,
                        "session.symbols_per_block": 100_000_000}, ["ok", "saturated"] * 2),
-    ], ids=["stability", "coexist", "coexist-saturated"])
+    ], ids=["stability", "stability-fast-drift", "coexist", "coexist-saturated"])
     def test_session_workers_do_not_change_output(self, tmp_path, monkeypatch,
                                                   cmd, overrides, flags):
         """One worker, two workers and the automatic choice write the same bytes."""
@@ -874,6 +879,7 @@ class TestMainEntry:
                      "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("validation error: session.block_duration_s: ")
+        assert "resolves its slot times" in err
         assert not (tmp_path / "o").exists()
 
     def test_collapsed_block_start_exit_two(self, tmp_path, capsys, no_pool):
@@ -910,12 +916,14 @@ class TestMainEntry:
 
     def test_saturated_block_at_non_finite_start_exit_two(self, tmp_path, capsys, no_pool):
         """At mu_q = 100 every block saturates and is not simulated, but block
-        2 still starts at 2e308 s: its time axis is refused like any other."""
+        2 still starts at 2e308 s: its time axis is refused like any other, and
+        block 1, at 1e308 s, is refused first because its slot times collapse."""
         assert main(["stability", "--set", "source.mu_q=100",
                      "--set", "session.block_duration_s=1e308", "--set", "session.blocks=3",
                      "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("validation error: session.block_duration_s: ")
+        assert "resolves its slot times" in err
         assert not (tmp_path / "o").exists()
 
     def test_long_sweep_refused_before_any_channel(self, tmp_path, capsys, monkeypatch):
