@@ -28,8 +28,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import ValidationError
-from .record import Record
+from .record import NONNEGATIVE, Record, check
 
 # Fixed instrument parameters of the testbed.
 SYMBOL_RATE = 5e8           # symbols/s
@@ -63,8 +62,7 @@ DRIFT_RATE_DEFAULT = 2e-4   # rad/s; <=1% QBER growth over a 10-minute run
 
 def transmittance(loss_db: float) -> float:
     """Linear power transmission for a loss in dB."""
-    if loss_db < 0:
-        raise ValidationError(f"loss must be >= 0 dB, got {loss_db}")
+    check("loss", loss_db, NONNEGATIVE)
     return 10.0 ** (-loss_db / 10.0)
 
 

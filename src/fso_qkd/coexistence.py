@@ -14,9 +14,12 @@ import math
 
 from .calibration import CALIBRATION
 from .errors import ValidationError
-from .record import Record
+from .record import NONNEGATIVE, POSITIVE, Record, check
 
-MAX_ABS_DBM = 1000.0
+# 10 ** (dBm / 10) overflows a float past ~3083 dBm. Within this interval the
+# crosstalk scale stays <= 1e100 and the OOK Q-factor exponent, received
+# minus sensitivity with loss >= 0, stays <= 2000 dB.
+DBM_RANGE = (-1000.0, 1000.0)
 
 
 class ClassicalParams(Record):
@@ -30,24 +33,9 @@ class ClassicalParams(Record):
     rx_insertion_db: float = 2.0  # add/drop cascade on the classical path
     enabled: bool = False
     crosstalk_rate_at_0dbm: float = CALIBRATION.crosstalk_rate_at_0dbm
-
-    def __post_init__(self):
-        if not 0.0 < self.fec_ber < 0.5:
-            raise ValidationError(f"fec_ber must be in (0, 0.5), got {self.fec_ber}")
-        # 10 ** (dBm / 10) overflows a float past ~3083 dBm. Within the bound,
-        # the crosstalk scale stays <= 1e100 and the OOK Q-factor exponent,
-        # received minus sensitivity with loss >= 0, stays <= 2000 dB.
-        for name in ("launch_power_dbm", "sensitivity_dbm_at_fec"):
-            value = getattr(self, name)
-            if not abs(value) <= MAX_ABS_DBM:
-                raise ValidationError(
-                    f"{name} must be within +-{MAX_ABS_DBM:g} dBm, got {value}")
-        if not self.bit_rate > 0:
-            raise ValidationError(f"bit_rate must be > 0, got {self.bit_rate}")
-        if not self.rx_insertion_db >= 0:
-            raise ValidationError("rx_insertion_db must be >= 0")
-        if not self.crosstalk_rate_at_0dbm >= 0:
-            raise ValidationError("crosstalk_rate_at_0dbm must be >= 0")
+    _domain = {"bit_rate": POSITIVE, "launch_power_dbm": DBM_RANGE,
+               "sensitivity_dbm_at_fec": DBM_RANGE, "fec_ber": (0.0, 0.5, "()"),
+               "rx_insertion_db": NONNEGATIVE, "crosstalk_rate_at_0dbm": NONNEGATIVE}
 
 
 def ook_ber(received_power_dbm: float, params: ClassicalParams) -> float:
@@ -68,8 +56,7 @@ def ook_ber(received_power_dbm: float, params: ClassicalParams) -> float:
 
 def link_margin(params: ClassicalParams, total_loss_db: float) -> float:
     """Headroom (dB) between received power and the FEC sensitivity."""
-    if total_loss_db < 0:
-        raise ValidationError(f"total loss must be >= 0 dB, got {total_loss_db}")
+    check("total loss", total_loss_db, NONNEGATIVE)
     return (params.launch_power_dbm - total_loss_db) - params.sensitivity_dbm_at_fec
 
 

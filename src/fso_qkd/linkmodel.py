@@ -58,7 +58,7 @@ from .linkparams import (
     SourceParams,
 )
 from .polarization import PORT_STATES, SENT_STATES, port_columns, rodrigues_terms
-from .record import Record
+from .record import ERROR_PROBABILITY, NONNEGATIVE, Record, check
 from .seeding import mix64, rng_from, two_bit_codes
 
 # Expected detector events (signal photons plus background arrivals) that
@@ -71,10 +71,8 @@ MAX_EXPECTED_EVENTS = 2e7
 
 def dead_time_corrected(true_rate: float, dead_time: float) -> float:
     """Observed rate of a non-paralyzable detector fed at ``true_rate``."""
-    if not true_rate >= 0:
-        raise ValidationError(f"rate must be >= 0, got {true_rate}")
-    if not dead_time >= 0:
-        raise ValidationError(f"dead time must be >= 0, got {dead_time}")
+    check("rate", true_rate, NONNEGATIVE)
+    check("dead time", dead_time, NONNEGATIVE)
     return true_rate * dead_time_thinning(true_rate, dead_time)
 
 
@@ -103,8 +101,7 @@ def expected_rates(
     fiber depolarization (alignment and extinction); it composes with
     ``ch.depol_p`` multiplicatively on the Poincaré sphere.
     """
-    if not 0.0 <= intrinsic_error <= 0.5:
-        raise ValidationError(f"intrinsic_error must be in [0, 0.5], got {intrinsic_error}")
+    check("intrinsic_error", intrinsic_error, ERROR_PROBABILITY)
     return RatePrediction(*link_rates(
         src.symbol_rate, click_probability(src, ch, det), det.signal_gate_acceptance,
         bg.total_rate, det.gate_fraction, det.dead_time,
@@ -443,8 +440,7 @@ def simulate_clicks(
     ``expected_events`` or ``check_time_axis`` refuses raises its
     ``ValidationError`` before anything is allocated.
     """
-    if not 0.0 <= intrinsic_error <= 0.5:
-        raise ValidationError(f"intrinsic_error must be in [0, 0.5], got {intrinsic_error}")
+    check("intrinsic_error", intrinsic_error, ERROR_PROBABILITY)
     n = len(symbols)
     expected_events(n, src, ch, det, bg)
     check_time_axis(n, src, ch, start_time, "symbols")

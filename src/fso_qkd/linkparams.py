@@ -19,7 +19,7 @@ from .calibration import (
     SYMBOL_RATE,
 )
 from .errors import ValidationError
-from .record import Record
+from .record import ERROR_PROBABILITY, NONNEGATIVE, POSITIVE, UNIT, Record
 
 
 class FiberKind(enum.Enum):
@@ -36,13 +36,8 @@ class SourceParams(Record):
     mu_q: float = MU_Q
     symbol_rate: float = SYMBOL_RATE
     wavelength_nm: float = 1410.0
-
-    def __post_init__(self):
-        # mu_q 0 is the degenerate source-off case (background-only studies)
-        if not self.mu_q >= 0:
-            raise ValidationError(f"mu_q must be >= 0, got {self.mu_q}")
-        if not self.symbol_rate > 0:
-            raise ValidationError(f"symbol_rate must be > 0, got {self.symbol_rate}")
+    # mu_q 0 is the degenerate source-off case (background-only studies)
+    _domain = {"mu_q": NONNEGATIVE, "symbol_rate": POSITIVE}
 
 
 class ChannelParams(Record):
@@ -61,15 +56,8 @@ class ChannelParams(Record):
     fiber_kind: FiberKind = FiberKind.MMF25
     rx_insertion_db: float = CALIBRATION.rx_insertion_db
     alignment_stable: bool = True
-
-    def __post_init__(self):
-        for name in ("fso_loss_db", "excess_loss_db", "rx_insertion_db"):
-            if not getattr(self, name) >= 0:
-                raise ValidationError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if not 0.0 <= self.depol_p <= 1.0:
-            raise ValidationError(f"depol_p must be in [0, 1], got {self.depol_p}")
-        if not self.drift_rate >= 0:
-            raise ValidationError(f"drift_rate must be >= 0, got {self.drift_rate}")
+    _domain = {"fso_loss_db": NONNEGATIVE, "excess_loss_db": NONNEGATIVE,
+               "depol_p": UNIT, "drift_rate": NONNEGATIVE, "rx_insertion_db": NONNEGATIVE}
 
     @property
     def total_loss_db(self) -> float:
@@ -87,18 +75,8 @@ class DetectorParams(Record):
     dead_time: float = DEAD_TIME
     gate_fraction: float = GATE_FRACTION
     signal_gate_acceptance: float = SIGNAL_GATE_ACCEPTANCE
-
-    def __post_init__(self):
-        if not 0.0 <= self.efficiency <= 1.0:
-            raise ValidationError(f"efficiency must be in [0, 1], got {self.efficiency}")
-        if not self.dark_rate >= 0:
-            raise ValidationError(f"dark_rate must be >= 0, got {self.dark_rate}")
-        if not self.dead_time >= 0:
-            raise ValidationError(f"dead_time must be >= 0, got {self.dead_time}")
-        if not 0.0 < self.gate_fraction <= 1.0:
-            raise ValidationError(f"gate_fraction must be in (0, 1], got {self.gate_fraction}")
-        if not 0.0 <= self.signal_gate_acceptance <= 1.0:
-            raise ValidationError("signal_gate_acceptance must be in [0, 1]")
+    _domain = {"efficiency": UNIT, "dark_rate": NONNEGATIVE, "dead_time": NONNEGATIVE,
+               "gate_fraction": (0.0, 1.0, "(]"), "signal_gate_acceptance": UNIT}
 
 
 class BackgroundBudget(Record):
@@ -111,11 +89,8 @@ class BackgroundBudget(Record):
     solar_rate: float = 0.0
     classical_crosstalk_rate: float = 0.0
     dark_rate: float = DARK_RATE
-
-    def __post_init__(self):
-        for name in ("solar_rate", "classical_crosstalk_rate", "dark_rate"):
-            if not getattr(self, name) >= 0:
-                raise ValidationError(f"{name} must be >= 0, got {getattr(self, name)}")
+    _domain = dict.fromkeys(("solar_rate", "classical_crosstalk_rate", "dark_rate"),
+                            NONNEGATIVE)
 
     @property
     def total_rate(self) -> float:
@@ -137,13 +112,9 @@ class RatePrediction(Record):
     background_click_rate: float
     sifted_key_rate: float
     qber: float
-
-    def __post_init__(self):
-        for name in ("signal_click_rate", "background_click_rate", "sifted_key_rate"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be >= 0")
-        if not 0.0 <= self.qber <= 0.5:
-            raise ValidationError(f"qber must be in [0, 0.5], got {self.qber}")
+    _domain = {**dict.fromkeys(("signal_click_rate", "background_click_rate",
+                                "sifted_key_rate"), NONNEGATIVE),
+               "qber": ERROR_PROBABILITY}
 
 
 def fiber_preset(kind: FiberKind) -> ChannelParams:

@@ -40,7 +40,7 @@ from .linkmodel import (
 )
 from .linkparams import BackgroundBudget, ChannelParams
 from .polarization import PORT_READS, port_columns
-from .record import Record
+from .record import ERROR_PROBABILITY, POSITIVE, Record, check
 from .scenario import ScenarioConfig
 from .seeding import mix64, rng_from, two_bit_codes
 
@@ -140,10 +140,9 @@ class BlockStats(Record):
     mismatches: int = 0
     kappa: bool = False
     saturated: bool = False
+    _domain = {"block_duration": POSITIVE}
 
     def __post_init__(self):
-        if self.block_duration <= 0:
-            raise ValidationError("block duration must be > 0")
         if not 0 <= self.mismatches <= self.kept_bits:
             raise ValidationError(f"mismatches {self.mismatches} not in [0, {self.kept_bits}]")
 
@@ -175,8 +174,7 @@ def secure_fraction(qber: float) -> float:
     Vanishes at the 11% QBER threshold; error-correction inefficiency and
     finite-key effects are out of scope.
     """
-    if not 0.0 <= qber <= 0.5:
-        raise ValidationError(f"qber must be in [0, 0.5], got {qber}")
+    check("qber", qber, ERROR_PROBABILITY)
     return max(0.0, 1.0 - 2.0 * binary_entropy(qber))
 
 

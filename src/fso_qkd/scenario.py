@@ -28,16 +28,18 @@ from .linkparams import (
     SourceParams,
     fiber_preset,
 )
-from .record import Record
+from .record import ERROR_PROBABILITY, NONNEGATIVE, POSITIVE, Record, check, inf
 from . import spectrum as spectrum_mod
 
 _SWEEP_DEFAULT = tuple(round(0.5 * i, 1) for i in range(21))  # 0..10 dB
 
-# key -> (kind, default). A None default marks a derived key, filled from
-# the fiber preset, the calibration or the packaged spectrum; only there may
-# a value be null ("derive it"). Anywhere else null fails _coerce. A default
-# that a parameter class declares (most from the calibration) is read from it.
-_KEYS: dict[str, tuple[str, object]] = {
+# key -> (kind, default) or (kind, default, interval). A None default marks a
+# derived key, filled from the fiber preset, the calibration or the packaged
+# spectrum; only there may a value be null ("derive it"). Anywhere else null
+# fails _coerce. A default that a parameter class declares (most from the
+# calibration) is read from it, and so is its interval, from the class's
+# _domain; an interval here bounds a key that no parameter class holds.
+_KEYS: dict[str, tuple] = {
     "source.mu_q": ("float", SourceParams.mu_q),
     "source.symbol_rate": ("float", SourceParams.symbol_rate),
     "source.wavelength_nm": ("float", SourceParams.wavelength_nm),
@@ -55,7 +57,7 @@ _KEYS: dict[str, tuple[str, object]] = {
     "background.mode": ("str", "spectrum"),
     "background.spectrum_path": ("str", None),
     "background.solar_rate": ("float", 0.0),
-    "protocol.intrinsic_error": ("float", None),
+    "protocol.intrinsic_error": ("float", None, ERROR_PROBABILITY),
     "classical.enabled": ("bool", ClassicalParams.enabled),
     "classical.wavelength_nm": ("float", ClassicalParams.wavelength_nm),
     "classical.bit_rate": ("float", ClassicalParams.bit_rate),
@@ -65,10 +67,10 @@ _KEYS: dict[str, tuple[str, object]] = {
     "classical.crosstalk_rate_at_0dbm": ("float", None),
     "classical.rx_insertion_db": ("float", ClassicalParams.rx_insertion_db),
     "sweep.el_db": ("floatlist", _SWEEP_DEFAULT),
-    "sweep.symbols_per_point": ("int", 10_000_000),
-    "session.blocks": ("int", 10),
-    "session.block_duration_s": ("float", 45.0),
-    "session.symbols_per_block": ("int", 2_000_000_000),
+    "sweep.symbols_per_point": ("int", 10_000_000, (1, inf)),
+    "session.blocks": ("int", 10, NONNEGATIVE),
+    "session.block_duration_s": ("float", 45.0, POSITIVE),
+    "session.symbols_per_block": ("int", 2_000_000_000, (1, inf)),
     "rng_seed": ("int", 1234),
     "output_path": ("str", "results"),
 }
@@ -76,7 +78,7 @@ _KEYS: dict[str, tuple[str, object]] = {
 
 def default_flat_config() -> dict:
     """Fresh copy of the default key/value map (None = derived at resolve time)."""
-    return {key: default for key, (_, default) in _KEYS.items()}
+    return {key: spec[1] for key, spec in _KEYS.items()}
 
 
 def _coerce(key: str, value, kind: str):
@@ -157,9 +159,11 @@ def resolve_config(overrides: dict | None = None) -> ScenarioConfig:
         if key not in _KEYS:
             raise ValidationError(f"unknown config key {key!r}")
         flat[key] = value
-    for key, (kind, default) in _KEYS.items():
+    for key, (kind, default, *domain) in _KEYS.items():
         if not (default is None and flat[key] is None):
             flat[key] = _coerce(key, flat[key], kind)
+            if domain:  # refused as build refuses a field: "key: must be ..."
+                check(f"{key}:", flat[key], *domain)
 
     def build(section, factory, **named):
         """``factory`` with each field read from its ``section.field`` key,
@@ -215,10 +219,6 @@ def resolve_config(overrides: dict | None = None) -> ScenarioConfig:
     if flat["protocol.intrinsic_error"] is None:
         flat["protocol.intrinsic_error"] = CALIBRATION.intrinsic_error_for(
             source.wavelength_nm)
-    intrinsic = flat["protocol.intrinsic_error"]
-    if not 0.0 <= intrinsic <= 0.5:
-        raise ValidationError(
-            f"protocol.intrinsic_error: must be in [0, 0.5], got {intrinsic}")
 
     if flat["classical.crosstalk_rate_at_0dbm"] is None:
         flat["classical.crosstalk_rate_at_0dbm"] = CALIBRATION.crosstalk_rate_at_0dbm
@@ -231,14 +231,6 @@ def resolve_config(overrides: dict | None = None) -> ScenarioConfig:
         raise ValidationError(f"sweep.el_db: excess losses must be >= 0 dB, got {el_db}")
     if any(a >= b for a, b in zip(el_db, el_db[1:])):
         raise ValidationError(f"sweep.el_db: must be strictly increasing, got {el_db}")
-    if flat["sweep.symbols_per_point"] < 1:
-        raise ValidationError("sweep.symbols_per_point: must be >= 1")
-    if flat["session.blocks"] < 0:
-        raise ValidationError("session.blocks: must be >= 0")
-    if flat["session.block_duration_s"] <= 0:
-        raise ValidationError("session.block_duration_s: must be > 0")
-    if flat["session.symbols_per_block"] < 1:
-        raise ValidationError("session.symbols_per_block: must be >= 1")
 
     return ScenarioConfig(
         source=source,
@@ -246,7 +238,7 @@ def resolve_config(overrides: dict | None = None) -> ScenarioConfig:
         detector=detector,
         background=background,
         classical=classical,
-        intrinsic_error=intrinsic,
+        intrinsic_error=flat["protocol.intrinsic_error"],
         sweep_el_db=tuple(flat["sweep.el_db"]),
         sweep_symbols_per_point=flat["sweep.symbols_per_point"],
         blocks=flat["session.blocks"],

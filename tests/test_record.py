@@ -1,12 +1,14 @@
 """The frozen records: fields from annotations, validated once, immutable, and
 compared, hashed, shown and pickled by type and fields."""
+import math
 import pickle
+import re
 
 import numpy as np
 import pytest
 
-from fso_qkd.calibration import CALIBRATION
-from fso_qkd.coexistence import ClassicalParams
+from fso_qkd.calibration import CALIBRATION, transmittance
+from fso_qkd.coexistence import ClassicalParams, link_margin
 from fso_qkd.errors import ValidationError
 from fso_qkd.linkmodel import ClickStream
 from fso_qkd.linkparams import (
@@ -18,6 +20,7 @@ from fso_qkd.linkparams import (
 )
 from fso_qkd.polarization import PolarizationState
 from fso_qkd.protocol import BlockStats, Run, SiftResult
+from fso_qkd.record import NONNEGATIVE, POSITIVE, check
 from fso_qkd.scenario import resolve_config
 from fso_qkd.spectrum import SpectralTable
 
@@ -85,20 +88,47 @@ def test_replace_validates_again():
         ChannelParams().replace(excess_loss=1.0)
 
 
-@pytest.mark.parametrize("cls, field", [
-    (SourceParams, "mu_q"), (SourceParams, "symbol_rate"),
-    (ChannelParams, "fso_loss_db"), (ChannelParams, "excess_loss_db"),
-    (ChannelParams, "rx_insertion_db"), (ChannelParams, "drift_rate"),
-    (DetectorParams, "dark_rate"), (DetectorParams, "dead_time"),
-    (BackgroundBudget, "solar_rate"), (BackgroundBudget, "classical_crosstalk_rate"),
-    (BackgroundBudget, "dark_rate"),
-    (ClassicalParams, "bit_rate"), (ClassicalParams, "rx_insertion_db"),
-    (ClassicalParams, "crosstalk_rate_at_0dbm"),
-], ids=lambda v: v if isinstance(v, str) else v.__name__)
-def test_nan_refused(cls, field):
-    """A nan fails every comparison, so each bound is written to refuse it."""
-    with pytest.raises(ValidationError, match=f"^{field} must be "):
-        cls(**{field: float("nan")})
+# (record, field) for every entry of every record's _domain table
+BOUNDED = [(name, field) for name, make in RECORDS.items() for field in type(make())._domain]
+
+
+@pytest.mark.parametrize("name, field", BOUNDED, ids=[f"{n}-{f}" for n, f in BOUNDED])
+def test_nan_refused(name, field):
+    """A nan fails every comparison, so each bounded field refuses it. A table
+    entry that names no field fails here too, as an unexpected field."""
+    with pytest.raises(ValidationError, match=f"^{field} must be .*, got nan$"):
+        RECORDS[name]().replace(**{field: float("nan")})
+
+
+CHECKS = [
+    (NONNEGATIVE, ">= 0", [0.0, math.inf], [-5e-324, -math.inf]),
+    (POSITIVE, "> 0", [5e-324, math.inf], [0.0, -1.0]),
+    ((0.0, 1.0, "(]"), "in (0, 1]", [1.0], [0.0, 1.0000000000000002]),
+    ((0.0, 0.5, "()"), "in (0, 0.5)", [0.25], [0.0, 0.5]),
+    ((-1000.0, 1000.0), "in [-1000, 1000]", [-1000.0, 1000.0], [-math.inf, 1000.0000000000001]),
+]
+
+
+@pytest.mark.parametrize("domain, refusal, inside, outside", CHECKS,
+                         ids=[case[1] for case in CHECKS])
+def test_check_refuses_in_one_form(domain, refusal, inside, outside):
+    for value in inside:
+        check("x", value, domain)
+    for value in [*outside, math.nan]:
+        refused = re.escape(f"x must be {refusal}, got {value}")
+        with pytest.raises(ValidationError, match=f"^{refused}$"):
+            check("x", value, domain)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: transmittance(math.nan),
+    lambda: link_margin(ClassicalParams(), math.nan),
+    lambda: BlockStats(0.0, math.nan),
+    lambda: RatePrediction(math.nan, math.nan, math.nan, 0.1),
+], ids=["transmittance", "link_margin", "BlockStats", "RatePrediction"])
+def test_nan_holes_closed(call):
+    with pytest.raises(ValidationError, match="must be >= 0, got nan$|must be > 0, got nan$"):
+        call()
 
 
 def test_resolved_map_is_left_out_of_compare_hash_and_repr():

@@ -1,5 +1,6 @@
 """Config resolution, CLI subcommands, reproducibility, exit codes."""
 import json
+import math
 import os
 import re
 import shutil
@@ -19,7 +20,7 @@ from fso_qkd import protocol
 from fso_qkd.cli import cmd_coexist, cmd_plan_spectrum, cmd_stability, cmd_sweep_el, main
 from fso_qkd.coexistence import ClassicalParams
 from fso_qkd.errors import ValidationError
-from fso_qkd.linkparams import ChannelParams, DetectorParams, SourceParams
+from fso_qkd.linkparams import BackgroundBudget, ChannelParams, DetectorParams, SourceParams
 from fso_qkd.protocol import Run, run_map
 from fso_qkd.scenario import _KEYS, default_flat_config, resolve_config
 from fso_qkd.spectrum import (
@@ -1110,12 +1111,68 @@ _JSON_SAMPLE = {"number": 2.5, "bool": True, "string": "x", "array": [1.0],
                 "object": {"a": 1}}
 
 
+# The record whose _domain bounds each section's keys; the keys of the other
+# sections carry their interval in _KEYS.
+_SECTION_RECORD = {"source": SourceParams, "channel": ChannelParams,
+                   "detector": DetectorParams, "background": BackgroundBudget,
+                   "classical": ClassicalParams}
+
+
+def _bound_edges(key: str) -> list[tuple[object, bool]]:
+    """(value, allowed) at each finite bound of ``key``'s interval, read from the
+    table its check reads: the bound itself where it is closed, and one step
+    inside and one outside, a ulp for a float key and 1 for an int key."""
+    section, _, name = key.partition(".")
+    if section in _SECTION_RECORD:
+        domain = _SECTION_RECORD[section]._domain.get(name)
+    else:
+        domain = (_KEYS[key][2:] or [None])[0]
+    if domain is None:
+        return []
+    lo, hi, ends = (*domain, "[]")[:3]
+    whole = _KEYS[key][0] == "int"
+    edges = []
+    for bound, closed, inward in ((lo, ends[0] == "[", 1), (hi, ends[1] == "]", -1)):
+        if not math.isfinite(bound):
+            continue
+        if whole:
+            bound = int(bound)
+            inside, outside = bound + inward, bound - inward
+        else:
+            inside, outside = (math.nextafter(bound, way * math.inf) for way in (inward, -inward))
+        edges += [(bound, True)] * closed + [(inside, True), (outside, False)]
+    return edges
+
+
+_EDGE_SMALL = {"sweep.el_db": [0.0, 4.0], "sweep.symbols_per_point": 100_000,
+               "session.blocks": 2, "session.symbols_per_block": 100_000}
+
+
+def _edge_config(tmp_path, overrides) -> str:
+    """A config file of the fuzz's small runs with ``overrides``."""
+    config = tmp_path / "edge.json"
+    config.write_text(json.dumps({**_EDGE_SMALL, **overrides}))
+    return str(config)
+
+
+def _exits_cleanly(capsys, argv):
+    """``main(argv)`` succeeds, or refuses with exit 2 naming a config key."""
+    capsys.readouterr()
+    rc = main(argv)
+    assert rc in (0, 2)
+    if rc == 2:
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ")
+        key = err.removeprefix("validation error: ").partition(": ")[0]
+        assert key in _KEYS, err
+
+
 @st.composite
 def _edge_value(draw, key):
-    kind, default = _KEYS[key]
+    kind, default = _KEYS[key][:2]
     other_types = [v for t, v in _JSON_SAMPLE.items() if t != _JSON_TYPE[kind]]
     choices = [None, draw(st.sampled_from(other_types)), 0, -1, default,
-               float("inf"), float("nan")]
+               float("inf"), float("nan")] + [v for v, _ in _bound_edges(key)]
     if kind == "float":
         choices += [1e300, 10**400]
     if kind == "int":
@@ -1136,20 +1193,35 @@ def _edge_overrides(draw):
        overrides=_edge_overrides())
 def test_any_edge_config_exits_cleanly(tmp_path, capsys, command, overrides):
     """Null, wrong-type, zero, negative, default, non-finite and huge values
-    (past the largest float too) for 1-3 keys: the CLI succeeds or refuses with
-    exit 2 naming a config key; it never raises."""
-    small = {"sweep.el_db": [0.0, 4.0], "sweep.symbols_per_point": 100_000,
-             "session.blocks": 2, "session.symbols_per_block": 100_000}
-    config = tmp_path / "edge.json"
-    config.write_text(json.dumps({**small, **overrides}))
-    capsys.readouterr()
-    rc = main([command, "--config", str(config), "--out", str(tmp_path / "o")])
-    assert rc in (0, 2)
-    if rc == 2:
-        err = capsys.readouterr().err
-        assert err.startswith("validation error: ")
-        key = err.removeprefix("validation error: ").partition(": ")[0]
-        assert key in _KEYS, err
+    (past the largest float too), and each bound with its neighbours, for 1-3
+    keys: the CLI succeeds or refuses with exit 2 naming a config key; it
+    never raises."""
+    _exits_cleanly(capsys, [command, "--config", _edge_config(tmp_path, overrides),
+                            "--out", str(tmp_path / "o")])
+
+
+_EDGES = [(key, value, allowed) for key in sorted(_KEYS)
+          for value, allowed in _bound_edges(key)]
+
+
+@pytest.mark.parametrize("key, value, allowed", _EDGES,
+                         ids=[f"{k}={v!r}" for k, v, _ in _EDGES])
+def test_every_bound_from_its_table(tmp_path, capsys, key, value, allowed):
+    """One step outside a key's bound is refused naming the key; the bound, if
+    closed, and one step inside run sweep-el and coexist to exit 0 or 2, never
+    a traceback. A bound written too wide fails here."""
+    # background.solar_rate is read only in explicit mode
+    overrides = {"background.mode": "explicit"} if key == "background.solar_rate" else {}
+    overrides[key] = value
+    if not allowed:
+        with pytest.raises(ValidationError,
+                           match=f"^{re.escape(key)}: must be .*, got {re.escape(str(value))}$"):
+            resolve_config({**_EDGE_SMALL, **overrides})
+        return
+    config = _edge_config(tmp_path, overrides)
+    for command in ("sweep-el", "coexist"):
+        _exits_cleanly(capsys, [command, "--config", config,
+                                "--out", str(tmp_path / command)])
 
 
 # A fuzzed spectrum's PSDs run from dim to too bright to integrate in floats.
