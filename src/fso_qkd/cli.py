@@ -48,6 +48,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, NoReturn
 
+from .calibration import ANCHOR_QBER_THRESHOLD
 from .coexistence import link_margin, ook_ber
 from .errors import ValidationError
 from .scenario import ScenarioConfig, from_spectrum, load_config_file, resolve_config
@@ -56,8 +57,6 @@ from . import spectrum as spectrum_mod
 if TYPE_CHECKING:
     from .linkparams import RatePrediction
     from .protocol import BlockStats
-
-QBER_THRESHOLD = 0.11
 
 # glibc's mallopt parameters (malloc.h)
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
@@ -117,7 +116,7 @@ def _agreement_z(model: RatePrediction, point: BlockStats) -> tuple[float, float
     return float(z_q), float(z_raw)
 
 
-def threshold_crossing(el_values, qber_values, threshold: float = QBER_THRESHOLD):
+def threshold_crossing(el_values, qber_values, threshold: float = ANCHOR_QBER_THRESHOLD):
     """Linearly interpolated excess loss where the model QBER crosses threshold."""
     for (e0, q0), (e1, q1) in zip(zip(el_values, qber_values),
                                   list(zip(el_values, qber_values))[1:]):
@@ -155,7 +154,7 @@ def cmd_sweep_el(config: ScenarioConfig, out_dir: Path, workers: int | None = No
         "config": config.resolved,
         "config_hash": chash,
         "channel_stable": config.channel.alignment_stable,
-        "qber_threshold": QBER_THRESHOLD,
+        "qber_threshold": ANCHOR_QBER_THRESHOLD,
         "threshold_crossing_el_db": crossing,
         "operating_point": {
             "el_db": rows[0][0],
@@ -212,7 +211,7 @@ def cmd_stability(config: ScenarioConfig, out_dir: Path) -> dict:
         "qber_mean": _mean(qbers),
         "qber_max": max(qbers) if qbers else None,
         "rawkey_mean": _mean(rates),
-        "all_blocks_below_threshold": bool(qbers) and max(qbers) < QBER_THRESHOLD,
+        "all_blocks_below_threshold": bool(qbers) and max(qbers) < ANCHOR_QBER_THRESHOLD,
     })
     _write_json(out_dir / "stability_summary.json", summary)
     return summary
@@ -224,10 +223,10 @@ def cmd_coexist(config: ScenarioConfig, out_dir: Path) -> dict:
         config = resolve_config({**config.resolved, "classical.enabled": True})
     if config.blocks < 2:
         raise ValidationError("session.blocks: need >= 2 blocks to compare kappa on/off")
+    loss = config.classical_total_loss_db  # refused here, before any block, if not finite
     stats, summary = _run_session(config, out_dir, "coexist")
     on = [s.qber for s in stats if s.kappa and s.flag == "ok"]
     off = [s.qber for s in stats if not s.kappa and s.flag == "ok"]
-    loss = config.classical_total_loss_db
     received_dbm = config.classical.launch_power_dbm - loss
     summary.update({
         "qber_mean_kappa_on": _mean(on),
@@ -276,7 +275,9 @@ def _parse_set(pairs: list[str]) -> dict:
         key, raw = pair.split("=", 1)
         try:
             overrides[key] = json.loads(raw)
-        except ValueError:  # not JSON (a bare string), or an int of over 4300 digits
+        # not JSON (a bare string), an int of over 4300 digits, or nested past
+        # the recursion limit
+        except (ValueError, RecursionError):
             overrides[key] = raw
     return overrides
 

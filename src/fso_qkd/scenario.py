@@ -146,9 +146,19 @@ class ScenarioConfig(Record):
 
     @property
     def classical_total_loss_db(self) -> float:
-        """Loss seen by the classical channel (shares the FSO segment)."""
-        return (self.channel.fso_loss_db + self.channel.excess_loss_db
-                + self.classical.rx_insertion_db)
+        """Loss seen by the classical channel (shares the FSO segment). Each
+        term is finite; a sum that overflows is refused naming its largest."""
+        terms = {"channel.fso_loss_db": self.channel.fso_loss_db,
+                 "channel.excess_loss_db": self.channel.excess_loss_db,
+                 "classical.rx_insertion_db": self.classical.rx_insertion_db}
+        fso, excess, rx = terms.values()
+        total = fso + excess + rx
+        if not math.isfinite(total):
+            key = max(terms, key=terms.get)
+            raise ValidationError(
+                f"{key}: the classical path's total loss, {fso!r} + {excess!r} + {rx!r} dB, "
+                f"overflows a float; lower {key}")
+        return total
 
 
 def resolve_config(overrides: dict | None = None) -> ScenarioConfig:
@@ -164,6 +174,9 @@ def resolve_config(overrides: dict | None = None) -> ScenarioConfig:
             flat[key] = _coerce(key, flat[key], kind)
             if domain:  # refused as build refuses a field: "key: must be ..."
                 check(f"{key}:", flat[key], *domain)
+    for key in ("background.spectrum_path", "output_path"):  # the OS takes no NUL in a path
+        if "\0" in (flat[key] or ""):
+            raise ValidationError(f"{key}: a path cannot hold a NUL character, got {flat[key]!r}")
 
     def build(section, factory, **named):
         """``factory`` with each field read from its ``section.field`` key,
@@ -276,7 +289,9 @@ def load_config_file(path: str | Path) -> dict:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"config file {path}: cannot read ({exc})") from None
-    except ValueError as exc:  # bad JSON, or an int of more digits than str() converts
+    # bad JSON, an int of more digits than str() converts, or nested past the
+    # recursion limit
+    except (ValueError, RecursionError) as exc:
         raise ValidationError(f"config file {path}: invalid JSON ({exc})") from None
     if not isinstance(data, dict):
         raise ValidationError(f"config file {path}: top level must be an object")
