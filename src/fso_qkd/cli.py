@@ -51,7 +51,8 @@ from typing import TYPE_CHECKING, NoReturn
 from .calibration import ANCHOR_QBER_THRESHOLD
 from .coexistence import link_margin, ook_ber
 from .errors import ValidationError
-from .scenario import ScenarioConfig, from_spectrum, load_config_file, resolve_config
+from .scenario import (ScenarioConfig, check_path, from_spectrum, load_config_file,
+                       resolve_config)
 from . import spectrum as spectrum_mod
 
 if TYPE_CHECKING:
@@ -312,6 +313,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        for flag, path in (("--config", args.config), ("--out", args.out)):
+            check_path(flag, path)
         overrides = {}
         if args.config:
             overrides.update(load_config_file(args.config))

@@ -161,6 +161,12 @@ class ScenarioConfig(Record):
         return total
 
 
+def check_path(name: str, path: str | None) -> None:
+    """Refuse, naming ``name``, a path the OS cannot take: one with a NUL."""
+    if "\0" in (path or ""):
+        raise ValidationError(f"{name}: a path cannot hold a NUL character, got {path!r}")
+
+
 def resolve_config(overrides: dict | None = None) -> ScenarioConfig:
     """Merge overrides onto the defaults and build a validated ScenarioConfig."""
     flat = default_flat_config()
@@ -174,9 +180,8 @@ def resolve_config(overrides: dict | None = None) -> ScenarioConfig:
             flat[key] = _coerce(key, flat[key], kind)
             if domain:  # refused as build refuses a field: "key: must be ..."
                 check(f"{key}:", flat[key], *domain)
-    for key in ("background.spectrum_path", "output_path"):  # the OS takes no NUL in a path
-        if "\0" in (flat[key] or ""):
-            raise ValidationError(f"{key}: a path cannot hold a NUL character, got {flat[key]!r}")
+    for key in ("background.spectrum_path", "output_path"):
+        check_path(key, flat[key])
 
     def build(section, factory, **named):
         """``factory`` with each field read from its ``section.field`` key,

@@ -83,15 +83,6 @@ class TestDeadTime:
             out = dead_time_corrected(rate, tau)
             assert out <= min(rate, 1.0 / tau) + 1e-9
 
-    def test_filter_enforces_min_gap(self):
-        rng = np.random.default_rng(8)
-        times = np.sort(rng.uniform(0, 1.0, size=5000))
-        kept = dead_time_filter(times, 1e-3)
-        gaps = np.diff(times[kept])
-        assert np.all(gaps >= 1e-3)
-        # every dropped event sits within dead time of the previous kept one
-        assert len(kept) < 5000
-
 
 def greedy_survivors(times, dead_time) -> list[int]:
     """Reference rule, one event at a time: keep an event iff it arrives at
@@ -105,11 +96,12 @@ def greedy_survivors(times, dead_time) -> list[int]:
     return kept
 
 
-def assert_matches_greedy(times, dead_time):
+def assert_matches_greedy(times, dead_time) -> np.ndarray:
     times = np.asarray(times, dtype=np.float64)
     kept = dead_time_filter(times, dead_time)
     assert kept.dtype == np.int64
     assert kept.tolist() == greedy_survivors(times.tolist(), dead_time)
+    return kept
 
 
 def count_searched_keys(monkeypatch) -> list[int]:
@@ -145,10 +137,49 @@ def head_pattern(pattern):
     return np.repeat(starts, rng.integers(1, 6, size=300))
 
 
-def poisson_stream(load_tau, dead_time=25e-6, n=20_000):
-    rng = np.random.default_rng(int(load_tau * 10))
+def poisson_stream(load_tau, dead_time=25e-6, n=20_000, seed=None):
+    rng = np.random.default_rng(int(load_tau * 10) if seed is None else seed)
     return np.cumsum(rng.exponential(dead_time / load_tau, size=n))
 
+
+def dead_time_stream(id, times, dead_time, survivors=None, check=None):
+    """A row of DEAD_TIME_STREAMS: the greedy survivors are ``survivors`` where
+    given, and ``check(times, kept, searched keys)`` holds where given."""
+    return pytest.param(times, dead_time, survivors, check, id=id)
+
+
+# Streams checked against the greedy rule at the walk's own settings and with
+# every frontier probed through each of PROBE_STEPS. A new stream is a row.
+DEAD_TIME_STREAMS = [
+    dead_time_stream("empty", [], 1e-3, []),
+    dead_time_stream("single", [7.0], 1e-3, [0]),
+    # An event exactly one dead time on is kept, found by the probe at its first
+    # step (event 3, a head that closes the chain) or a later one (event 4).
+    dead_time_stream("one-dead-time-on-head", [0.0, 0.5, 1.0, 2.0, 2.5], 1.0, [0, 2, 3]),
+    dead_time_stream("one-dead-time-on", [0.0, 0.5, 1.0, 1.75, 2.0, 2.25], 1.0, [0, 2, 4]),
+    dead_time_stream("equal-timestamps", [0.0, 0.0, 0.0, 1.0, 1.0, 3.0, 3.0], 0.5, [0, 3, 5]),
+    dead_time_stream("zero-dead-time", [0.0, 0.0, 1e-12, 1e-12, 2.0], 0.0, [0, 1, 2, 3, 4]),
+    # t + tau rounds back to t: every later event, equal ones too, is due
+    dead_time_stream("below-resolution", [1e20, 1e20, 1e20, 2e20], 1.0, [0, 1, 2, 3]),
+    dead_time_stream("half-ulp", [1.0, 1.0, 1.0 + 2.0 ** -52, 2.0], 2.0 ** -53),
+    # each event one dead time after the last, summed one at a time: all heads
+    *[dead_time_stream(f"one-dead-time-apart-{tau!r}", np.cumsum(np.r_[0.0, np.full(4_999, tau)]),
+                       tau, list(range(5_000))) for tau in (2.0 ** -10, 25e-6)],
+    # A chain starts only at a head whose next event is not a head, so a
+    # stream of heads alone searches nothing.
+    *[dead_time_stream(pattern, head_pattern(pattern), 1.0, check=(
+        lambda times, kept, searched, pattern=pattern:
+        (sum(searched) > 0) == (pattern != "all-heads"))) for pattern in HEAD_PATTERNS],
+    dead_time_stream("uniform-5000", np.sort(np.random.default_rng(8).uniform(0, 1.0, 5_000)),
+                     1e-3, check=lambda times, kept, searched: len(kept) < len(times)),
+    # a non-paralyzable detector keeps 1 / (1 + load tau) of a Poisson stream
+    *[dead_time_stream(f"poisson-{load_tau}", poisson_stream(load_tau), 25e-6,
+                       check=lambda times, kept, _, survival=1.0 / (1.0 + load_tau):
+                       len(kept) / len(times) == pytest.approx(survival, rel=0.05))
+      for load_tau in (0.1, 1.0, 3.0, 10.0, 30.0)],
+    *[dead_time_stream(f"poisson-{load_tau}-2000", poisson_stream(load_tau, n=2_000), 25e-6)
+      for load_tau in (0.1, 1.0, 3.0, 10.0)],
+]
 
 # Steps through which every chain is probed once the probe phase is forced on
 # for any frontier (_PROBE_MIN_CHAINS = 1).
@@ -161,97 +192,17 @@ def force_probes(monkeypatch, steps):
 
 
 class TestDeadTimeFilterExact:
-    def test_event_exactly_one_dead_time_later_survives(self):
-        times = np.array([0.0, 0.5, 1.0, 1.75, 2.0, 2.25])
-        assert dead_time_filter(times, 1.0).tolist() == [0, 2, 4]
-        assert_matches_greedy(times, 1.0)
-
-    def test_equal_timestamps(self):
-        times = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 3.0, 3.0])
-        assert dead_time_filter(times, 0.5).tolist() == [0, 3, 5]
-        assert_matches_greedy(times, 0.5)
-
-    def test_empty_and_single_event(self):
-        assert dead_time_filter(np.empty(0), 1e-3).tolist() == []
-        assert dead_time_filter(np.empty(0), 1e-3).dtype == np.int64
-        assert dead_time_filter(np.array([7.0]), 1e-3).tolist() == [0]
-
-    def test_zero_dead_time_keeps_everything(self):
-        times = np.array([0.0, 0.0, 1e-12, 1e-12, 2.0])
-        assert dead_time_filter(times, 0.0).tolist() == [0, 1, 2, 3, 4]
-        assert_matches_greedy(times, 0.0)
-
-    def test_dead_time_below_timestamp_resolution(self):
-        # t + tau rounds back to t: every later event, equal ones too, is due.
-        times = np.array([1e20, 1e20, 1e20, 2e20])
-        assert dead_time_filter(times, 1.0).tolist() == [0, 1, 2, 3]
-        assert_matches_greedy(times, 1.0)
-
-    @pytest.mark.parametrize("load_tau", [0.1, 1.0, 3.0, 10.0, 30.0])
-    def test_poisson_stream_matches_greedy(self, load_tau):
-        dead_time = 25e-6
-        n = 20_000
-        times = poisson_stream(load_tau, dead_time, n)
-        kept = dead_time_filter(times, dead_time)
-        assert kept.tolist() == greedy_survivors(times.tolist(), dead_time)
-        # survival fraction of a non-paralyzable detector: 1 / (1 + load tau)
-        assert len(kept) / n == pytest.approx(1.0 / (1.0 + load_tau), rel=0.05)
-
-    @pytest.mark.parametrize("load_tau", [3.0, 10.0, 30.0])
-    def test_memory_stays_within_six_bytes_per_event(self, load_tau):
-        """The walk holds no stream-length float at any load: the heads are
-        compared a slice at a time (about 4 bytes per event; a whole-stream
-        ``times + dead_time`` alone would be 8)."""
-        dead_time = 25e-6
-        n = 200_000
-        rng = np.random.default_rng(int(load_tau))
-        times = np.cumsum(rng.exponential(dead_time / load_tau, size=n))
-        tracemalloc.start()
-        try:
-            dead_time_filter(times, dead_time)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak / n <= 6.0
-
-    @pytest.mark.parametrize("load_tau", [0.1, 0.3, 1.0])
-    def test_light_load_memory_stays_within_fourteen_bytes_per_event(self, load_tau):
-        """At light loads the probes' keys and indices, one each per chain,
-        set the walk's peak (about 9.3, 11.4 and 13.4 bytes per event): still
-        under the 14 bytes per expected event that pin a block's peak, so the
-        filter never sets it."""
-        dead_time = 25e-6
-        n = 200_000
-        times = poisson_stream(load_tau, dead_time, n)
-        tracemalloc.start()
-        try:
-            dead_time_filter(times, dead_time)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak / n <= 14.0
-
-    @pytest.mark.parametrize("dead_time", [2.0 ** -10, 25e-6])
-    def test_gaps_of_exactly_one_dead_time_are_all_heads(self, dead_time):
-        times = [0.0]
-        for _ in range(4999):
-            times.append(times[-1] + dead_time)
-        assert dead_time_filter(np.array(times), dead_time).tolist() == list(range(5000))
-        assert_matches_greedy(times, dead_time)
-
-    @pytest.mark.parametrize("pattern", HEAD_PATTERNS)
-    def test_head_patterns_match_greedy(self, monkeypatch, pattern):
-        """A chain starts only at a head whose next event is not a head, so a
-        stream of heads alone searches nothing. Every event a head, none but
-        event 0, one-event clusters alternating with many-event ones, and
-        clusters of equal timestamps all keep the greedy survivors."""
+    @pytest.mark.parametrize("steps", [None] + PROBE_STEPS,
+                             ids=lambda steps: f"probe-{steps}" if steps else "own")
+    @pytest.mark.parametrize("times, dead_time, survivors, check", DEAD_TIME_STREAMS)
+    def test_streams_match_greedy(self, monkeypatch, times, dead_time, survivors, check,
+                                  steps):
+        if steps is not None:
+            force_probes(monkeypatch, steps)
         searched = count_searched_keys(monkeypatch)
-        times = head_pattern(pattern)
-        assert_matches_greedy(times, 1.0)
-        if pattern == "all-heads":
-            assert searched == []
-        else:
-            assert sum(searched) > 0
+        kept = assert_matches_greedy(times, dead_time)
+        assert survivors is None or kept.tolist() == survivors
+        assert check is None or check(times, kept, searched)
 
     @given(st.lists(st.floats(min_value=0.0, max_value=100.0), max_size=200),
            st.floats(min_value=0.0, max_value=20.0), st.sampled_from([None] + PROBE_STEPS))
@@ -281,12 +232,6 @@ class TestDeadTimeProbe:
         assert_matches_greedy(times, dead_time)
         assert searched[0] < starts / 10
 
-    @pytest.mark.parametrize("steps", PROBE_STEPS)
-    @pytest.mark.parametrize("pattern", HEAD_PATTERNS)
-    def test_head_patterns_match_greedy(self, monkeypatch, pattern, steps):
-        force_probes(monkeypatch, steps)
-        assert_matches_greedy(head_pattern(pattern), 1.0)
-
     @pytest.mark.parametrize("steps", [1, 2, 3, 4, 8])
     def test_answers_within_the_probe_are_not_searched(self, monkeypatch, steps):
         """Each next survivor of the no-heads stream lies 4 events on: from 4
@@ -296,22 +241,6 @@ class TestDeadTimeProbe:
         searched = count_searched_keys(monkeypatch)
         assert_matches_greedy(head_pattern("no-heads"), 1.0)
         assert sum(searched) == (1 if steps >= 4 else len(range(0, 1000, 4)))
-
-    @pytest.mark.parametrize("steps", PROBE_STEPS)
-    def test_exact_streams_match_greedy(self, monkeypatch, steps):
-        """An event exactly one dead time on is found by the probe and kept,
-        at the first step (event 3, a head that closes the chain) or a later
-        one (event 4); equal timestamps, Poisson streams and a dead time
-        below the timestamps' resolution keep the greedy survivors."""
-        force_probes(monkeypatch, steps)
-        assert dead_time_filter(np.array([0.0, 0.5, 1.0, 2.0, 2.5]), 1.0).tolist() == [0, 2, 3]
-        assert dead_time_filter(np.array([0.0, 0.5, 1.0, 1.75, 2.0, 2.25]), 1.0).tolist() \
-            == [0, 2, 4]
-        assert_matches_greedy([0.0, 0.0, 0.0, 1.0, 1.0, 3.0, 3.0], 0.5)
-        assert_matches_greedy([1e20, 1e20, 1e20, 2e20], 1.0)
-        assert_matches_greedy([1.0, 1.0, 1.0 + 2.0 ** -52, 2.0], 2.0 ** -53)
-        for load_tau in [0.1, 1.0, 3.0, 10.0]:
-            assert_matches_greedy(poisson_stream(load_tau, n=2_000), 25e-6)
 
 
 class TestFiberPresets:
@@ -600,82 +529,76 @@ class TestMalusClicks:
         else:
             assert undecided == exact
 
-    @pytest.mark.parametrize("drift_rate", [None, 50.0])
-    def test_om4_block_peak_memory_per_expected_event(self, drift_rate):
-        """One default 2e9-symbol OM4 block holds at most 14 bytes per expected
-        detector event at its peak (about 13), whether the bounds decide most
-        photons (default drift) or none (50 rad/s): the slot indices are the
-        one array that spans the run while each 2^16-photon slice is decided,
-        and they are trimmed in place to the clicks, so the photons never sit
-        beside a copy of them; the merge's insert then sets the peak. At
-        50 rad/s the decide stage, which tests every photon exactly, comes
-        within 0.1 of it."""
-        overrides = {"channel.fiber_kind": "OM4"}
-        if drift_rate is not None:
-            overrides["channel.drift_rate"] = drift_rate
-        config = resolve_config(overrides)
-        n = config.symbols_per_block
-        src, ch, det, bg = config.source, config.channel, config.detector, config.background
-        events = linkmodel.expected_events(n, src, ch, det, bg)
-        alice = alice_generate(n, 5)
-        tracemalloc.start()
-        try:
-            simulate_clicks(alice, src, ch, det, bg, rng_seed=7,
-                            intrinsic_error=config.intrinsic_error)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak / events <= 14.0
 
-    @pytest.mark.parametrize("dead_time, bound", [(2e-4, 16.0), (0.0, 34.0)],
-                             ids=["200us", "0"])
-    def test_mmf25_block_peak_memory_per_expected_event(self, dead_time, bound):
-        """One MMF25 block of 2e10 symbols at a 200 us dead time (detector
-        load*tau 1.85), near the loads where the dead-time walk's probes hold
-        the most per event, holds at most 16 bytes per expected event at its
-        peak (about 15, as before the probes). With no dead time every event
-        survives, so the clicks' columns and their gathers are stream-sized:
-        at most 34 (about 32), the figure MAX_EXPECTED_EVENTS quotes."""
-        config = resolve_config({"detector.dead_time": dead_time,
-                                 "session.symbols_per_block": 2e10})
-        n = config.symbols_per_block
-        src, ch, det, bg = config.source, config.channel, config.detector, config.background
-        events = linkmodel.expected_events(n, src, ch, det, bg)
-        load_tau = linkmodel.detector_load(src, ch, det, bg) * det.dead_time
-        assert load_tau == 0.0 or 1.0 < load_tau < 3.0
-        alice = alice_generate(n, 5)
-        tracemalloc.start()
-        try:
-            simulate_clicks(alice, src, ch, det, bg, rng_seed=7,
-                            intrinsic_error=config.intrinsic_error)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak / events <= bound
+def peak_bytes_per_event(call, events) -> float:
+    """The peak of the heap ``call()`` traces, per one of ``events``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / events
+    finally:
+        tracemalloc.stop()
 
-    def test_background_block_peak_memory_per_expected_event(self):
-        """One default 2e9-symbol MMF25 block at an explicit 2e5 cts/s of
-        sunlight, where 92 % of the expected events are background arrivals,
-        holds at most 60 bytes per expected event at its peak (about 53): each
-        arrival's slot, fraction, time, gate flag and sort order are alive
-        while they are put in time order, and the merge and dead-time filter
-        then run beside the sorted arrays. At the event budget that is about
-        1.1 GB, the figure MAX_EXPECTED_EVENTS quotes."""
-        config = resolve_config({"background.mode": "explicit",
-                                 "background.solar_rate": 2e5})
-        n = config.symbols_per_block
-        src, ch, det, bg = config.source, config.channel, config.detector, config.background
-        events = linkmodel.expected_events(n, src, ch, det, bg)
-        assert bg.total_rate * n / src.symbol_rate > 0.9 * events
-        alice = alice_generate(n, 5)
-        tracemalloc.start()
-        try:
-            simulate_clicks(alice, src, ch, det, bg, rng_seed=7,
-                            intrinsic_error=config.intrinsic_error)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak / events <= 60.0
+
+def filter_run(load_tau, seed):
+    """The walk over 200,000 Poisson events at ``load_tau`` (25 us dead time)."""
+    times = poisson_stream(load_tau, n=200_000, seed=seed)
+    return (lambda: dead_time_filter(times, 25e-6)), len(times)
+
+
+def block_run(overrides, holds=lambda load_tau, background: True):
+    """One block of the config ``overrides`` resolve to and its expected events,
+    where ``holds(detector load*tau, background share of the events)``."""
+    config = resolve_config(overrides)
+    n = config.symbols_per_block
+    src, ch, det, bg = config.source, config.channel, config.detector, config.background
+    events = linkmodel.expected_events(n, src, ch, det, bg)
+    assert holds(linkmodel.detector_load(src, ch, det, bg) * det.dead_time,
+                 bg.total_rate * n / src.symbol_rate / events)
+    alice = alice_generate(n, 5)
+    return (lambda: simulate_clicks(alice, src, ch, det, bg, rng_seed=7,
+                                    intrinsic_error=config.intrinsic_error)), events
+
+
+MMF25_2E10 = {"detector.dead_time": 2e-4, "session.symbols_per_block": 2e10}
+# Row id: (run, args, bound): the call run(*args) gives peaks at no more than
+# bound bytes per event. A new memory bound is a row.
+PEAK_MEMORY = {
+    # The walk holds no stream-length float: its heads are compared a slice at
+    # a time (about 4.3, 3.6 and 3.6 bytes per event at load*tau 3, 10 and 30;
+    # a whole-stream times + dead_time alone would be 8). At light loads the
+    # probes' keys and indices, one each per chain, set its peak (about 9.3,
+    # 11.4 and 13.4 at 0.1, 0.3 and 1): under a block's 14, never its peak.
+    **{f"filter-{load_tau}": (filter_run, (load_tau, seed), bound)
+       for load_tau, seed, bound in [(3.0, 3, 6.0), (10.0, 10, 6.0), (30.0, 30, 6.0),
+                                     (0.1, 1, 14.0), (0.3, 3, 14.0), (1.0, 10, 14.0)]},
+    # A default 2e9-symbol OM4 block (about 13), whether the bounds decide most
+    # photons (default drift) or none (50 rad/s, where the decide stage comes
+    # within 0.1 of the peak): the slot indices are trimmed in place to the
+    # clicks, never copied beside the photons; the merge's insert sets the peak.
+    "om4": (block_run, ({"channel.fiber_kind": "OM4"},), 14.0),
+    "om4-50-rad-s": (block_run, ({"channel.fiber_kind": "OM4", "channel.drift_rate": 50.0},),
+                     14.0),
+    # An MMF25 block of 2e10 symbols at a 200 us dead time (load*tau 1.85),
+    # near the loads where the walk's probes hold the most (about 14). With no
+    # dead time every event survives and the clicks' columns and gathers are
+    # stream-sized (about 31; MAX_EXPECTED_EVENTS quotes 32).
+    "mmf25-200us": (block_run, (MMF25_2E10, lambda load_tau, _: 1.0 < load_tau < 3.0), 16.0),
+    "mmf25-0": (block_run, (MMF25_2E10 | {"detector.dead_time": 0.0},
+                            lambda load_tau, _: load_tau == 0.0), 34.0),
+    # A default MMF25 block at 2e5 cts/s of sunlight, 92 % of whose expected
+    # events are background arrivals (about 53; 1.1 GB at the event budget, as
+    # MAX_EXPECTED_EVENTS quotes): their slots, fractions, times, gate flags
+    # and sort order live through the sort, and the merge and walk beside them.
+    "background-92": (block_run, ({"background.mode": "explicit", "background.solar_rate": 2e5},
+                                  lambda _, background: background > 0.9), 60.0),
+}
+
+
+@pytest.mark.parametrize("row", PEAK_MEMORY)
+def test_peak_memory_per_event(row):
+    run, args, bound = PEAK_MEMORY[row]
+    assert peak_bytes_per_event(*run(*args)) <= bound
 
 
 # Gap probabilities on both sides of numpy's switch from inversion to search
@@ -685,7 +608,12 @@ GAP_Q = [1e-7, 4.3e-4, 0.02, 0.3333, float(np.nextafter(1.0 / 3.0, 0.0)), 1.0 / 
 
 def geometric_detection_indices(rng, n, q):
     """Reference sampler: every gap from ``rng.geometric``, batched as
-    ``_sample_detection_indices`` batches."""
+    ``_sample_detection_indices`` batches. No slots or no chance of a photon
+    give no slot, and q = 1 every slot, without a draw."""
+    if n == 0 or q == 0.0:
+        return np.empty(0, dtype=np.int64)
+    if q == 1.0:
+        return np.arange(n, dtype=np.int64)
     expected = n * q
     batch = int(expected + linkmodel._BATCH_SIGMAS * math.sqrt(expected) + 16.0)
     chunks, last = [], -1
@@ -697,6 +625,43 @@ def geometric_detection_indices(rng, n, q):
         chunks.append(cum)
         last = int(cum[-1])
         batch = max(batch // 2, 1024)
+
+
+# (n, q, _BATCH_SIGMAS): n slots at detection probability q, the first batch
+# _BATCH_SIGMAS deviations beyond the expected detections, checked against
+# the reference. A new sampler case is a row.
+SAMPLER_CASES = [
+    # on either side of 1/3, also where a batch spans several 2^16-draw slices
+    # (over 330,000 gaps at q = 0.3333)
+    *[(n, q, 6.0) for q in GAP_Q for n in (1, 1_000, 300_000, 1_000_000)],
+    # A first batch six deviations short of the expected detections: more
+    # batches follow, each half as long but at least 1024 gaps (longer than
+    # the first when few are expected).
+    *[(n, q, -6.0) for q in GAP_Q for n in (1_000, 1_000_000)],
+    # q = 1 (a source.mu_q of 1000 at no loss rounds to it): every slot; no
+    # slots, or no chance of a photon: none
+    (1_000, 1.0, 6.0), (0, 0.3, 6.0), (0, 1.0, 6.0), (1_000, 0.0, 6.0),
+]
+
+
+def sampler_cases(refill):
+    """The rows of SAMPLER_CASES whose first batch falls short (refill) or not."""
+    return [pytest.param(n, q, sigmas, id=f"{n}-{q!r}")
+            for n, q, sigmas in SAMPLER_CASES if (sigmas < 0) == refill]
+
+
+def assert_sampler_matches_reference(monkeypatch, n, q, sigmas):
+    """The reference's slots, as int64, and generator state, seed for seed;
+    the slots own their memory (trimmed in place, or concatenated)."""
+    monkeypatch.setattr(linkmodel, "_BATCH_SIGMAS", sigmas)
+    for seed in range(5):
+        ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = linkmodel._sample_detection_indices(ours, n, q)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, geometric_detection_indices(reference, n, q))
+        assert ours.bit_generator.state == reference.bit_generator.state
+        assert got.base is None
+    return got
 
 
 class TestStreamFacts:
@@ -737,57 +702,16 @@ class TestStreamFacts:
         assert np.array_equal(parts, whole.random(total))
         assert split.bit_generator.state == whole.bit_generator.state
 
-    @pytest.mark.parametrize("q", GAP_Q)
-    @pytest.mark.parametrize("n", [1, 1_000, 300_000, 1_000_000])
-    def test_sampler_draws_the_geometric_gaps(self, q, n):
-        """On either side of 1/3 the sampler's slots and generator state are
-        those of gaps drawn by ``rng.geometric``, also when a batch spans
-        several 2^16-draw slices (over 330,000 gaps at q = 0.3333)."""
-        for seed in range(5):
-            ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = linkmodel._sample_detection_indices(ours, n, q)
-            assert np.array_equal(got, geometric_detection_indices(reference, n, q))
-            assert ours.bit_generator.state == reference.bit_generator.state
-            assert got.base is None  # trimmed in place, not a view of its batch
+    @pytest.mark.parametrize("n, q, sigmas", sampler_cases(refill=False))
+    def test_sampler_draws_the_geometric_gaps(self, monkeypatch, n, q, sigmas):
+        assert_sampler_matches_reference(monkeypatch, n, q, sigmas)
 
-    def test_sampler_at_certain_detection_draws_nothing(self):
-        """At q = 1 (a source.mu_q of 1000 at no loss rounds to it) every slot
-        detects, and the generator is left where it was."""
-        rng = np.random.default_rng(3)
-        state = rng.bit_generator.state
-        got = linkmodel._sample_detection_indices(rng, 1_000, 1.0)
-        assert got.dtype == np.int64 and np.array_equal(got, np.arange(1_000))
-        assert rng.bit_generator.state == state
-        assert got.base is None
-
-    @pytest.mark.parametrize("n, q", [(0, 0.3), (0, 1.0), (1_000, 0.0)])
-    def test_sampler_without_detections_draws_nothing(self, n, q):
-        """No slots, or no chance of a photon: an empty int64 array that owns
-        its memory, and the generator is left where it was."""
-        rng = np.random.default_rng(4)
-        state = rng.bit_generator.state
-        got = linkmodel._sample_detection_indices(rng, n, q)
-        assert got.dtype == np.int64 and got.size == 0 and got.base is None
-        assert rng.bit_generator.state == state
-
-    @pytest.mark.parametrize("q", GAP_Q)
-    @pytest.mark.parametrize("n", [1_000, 1_000_000])
-    def test_sampler_refills_draw_for_draw(self, monkeypatch, q, n):
-        """With a first batch six deviations short of the expected detections,
-        the sampler draws more batches, each half as long but at least 1024
-        gaps (longer than the first when few are expected); the slots and
-        state still follow ``rng.geometric``."""
-        monkeypatch.setattr(linkmodel, "_BATCH_SIGMAS", -6.0)
+    @pytest.mark.parametrize("n, q, sigmas", sampler_cases(refill=True))
+    def test_sampler_refills_draw_for_draw(self, monkeypatch, n, q, sigmas):
+        got = assert_sampler_matches_reference(monkeypatch, n, q, sigmas)
         expected = n * q
-        first = int(expected - 6.0 * math.sqrt(expected) + 16.0)
-        for seed in range(3):
-            ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = linkmodel._sample_detection_indices(ours, n, q)
-            assert np.array_equal(got, geometric_detection_indices(reference, n, q))
-            assert ours.bit_generator.state == reference.bit_generator.state
-            assert got.base is None  # the batches' concatenation, or one trimmed
-            if expected >= 100:
-                assert len(got) > first  # the first batch did not reach n
+        if expected >= 100:  # the first batch did not reach n
+            assert len(got) > int(expected + sigmas * math.sqrt(expected) + 16.0)
 
 
 def whole_run_clicks(symbols, src, ch, det, bg, schedule_seed, rng_seed, intrinsic_error,

@@ -176,6 +176,17 @@ class TestSift:
         assert result.kept == 1
         assert result.mismatches == int(bit != 0)  # Bob's bit 0, from the earlier click
 
+    def test_duplicate_slots_apart_count_once(self):
+        """Arrivals at the edge of slots b and b + 1 can share one float time,
+        in draw order: slots b, b + 1, b. Slot b counts once, from its earliest
+        row, though its two rows are not adjacent."""
+        alice = alice_generate(100, 4)
+        (basis, bit), neighbour = symbol(alice, 40), symbol(alice, 41)
+        rows = [(82e-9, 40, basis, bit, True), (82e-9, 41, *neighbour, True),
+                (82e-9, 40, basis, 1 - bit, True)]
+        result = sift(alice, stream_from_rows(rows))
+        assert (result.kept, result.mismatches) == (2, 0)
+
     def test_no_dead_time_duplicates_count_once(self):
         """With no dead time, background arrivals share gated slots with clicks
         and with each other; each announced symbol is still sifted once, from

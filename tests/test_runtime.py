@@ -188,13 +188,21 @@ def test_main_keeps_heap(monkeypatch, tmp_path):
     assert len(libc.calls) == 2
 
 
+# Runs the CLI as ``__main__``, as ``-m`` does, on one of the usable cores.
+ONE_CORE = ("import os, runpy\n"
+            "os.sched_setaffinity(0, [min(os.sched_getaffinity(0))])\n"
+            "runpy.run_module('fso_qkd.cli', run_name='__main__', alter_sys=True)")
+
+
 def cli_process(args: list[str], cwd: Path, env: dict[str, str] | None = None,
-                **kwargs) -> subprocess.CompletedProcess:
+                one_core=False, **kwargs) -> subprocess.CompletedProcess:
     """``python -m fso_qkd.cli args`` in a fresh interpreter, with ``env``
     added to its environment, whose piped stdout is block-buffered, so output
-    that ``run`` does not flush is lost."""
+    that ``run`` does not flush is lost. With ``one_core`` the child sets its
+    own affinity to one core first."""
     kwargs.setdefault("stdout", subprocess.PIPE)
-    return subprocess.run([sys.executable, "-m", "fso_qkd.cli", *args], cwd=cwd,
+    entry = ["-c", ONE_CORE] if one_core else ["-m", "fso_qkd.cli"]
+    return subprocess.run([sys.executable, *entry, *args], cwd=cwd,
                           env={**python_env("PYTHONUNBUFFERED"), **(env or {})},
                           stderr=subprocess.PIPE, timeout=120, **kwargs)
 
@@ -225,18 +233,25 @@ def test_entry_point_writes_what_main_writes(tmp_path, monkeypatch, capfdbinary,
 
 
 def test_user_blas_thread_count_changes_no_byte(tmp_path):
-    """A session under a BLAS thread count the user exports writes the bytes
-    of one under the CLI's own single thread: four OM4 blocks expect about
-    3.4e6 detector events, over ``PARALLEL_MIN_EVENTS``, so both fork workers."""
+    """A session under a BLAS thread count the user exports, and one on a
+    single core, write the bytes of one under the CLI's own single thread:
+    four OM4 blocks expect about 3.4e6 detector events, over
+    ``PARALLEL_MIN_EVENTS``, so the first two use every usable core and the
+    one-core run, where the platform sets affinities, runs in one process.
+    A numpy nan or overflow warning fails a run, as it fails tier-1."""
     args = ["stability", "--set", "channel.fiber_kind=OM4", "--set", "session.blocks=4",
             "--out", "out"]
+    legs = {"1-thread": ("1", False), "2-threads": ("2", False)}
+    if hasattr(os, "sched_setaffinity"):
+        legs["one-core"] = ("1", True)
     runs = []
-    for threads in ("1", "2"):
-        (tmp_path / threads).mkdir()
-        proc = cli_process(args, tmp_path / threads, {"OPENBLAS_NUM_THREADS": threads})
+    for name, (threads, one_core) in legs.items():
+        (tmp_path / name).mkdir()
+        env = {"OPENBLAS_NUM_THREADS": threads, "PYTHONWARNINGS": "error::RuntimeWarning"}
+        proc = cli_process(args, tmp_path / name, env, one_core)
         assert proc.returncode == 0, proc.stderr
-        runs.append((proc.stdout, proc.stderr, read_files(tmp_path / threads)))
-    assert runs[0] == runs[1]
+        runs.append((proc.stdout, proc.stderr, read_files(tmp_path / name)))
+    assert runs == runs[:1] * len(runs)
 
 
 @pytest.mark.parametrize("args, rc", [(["--help"], 0), (["sweep-el", "--nope"], 2)],

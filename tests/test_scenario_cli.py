@@ -796,7 +796,8 @@ def refusal(id, argv: str, says: str, files=None):
     """A row of REFUSALS: ``argv``, split on spaces, is refused with a message
     that starts with ``says`` (see assert_refused). ``files`` maps a name to
     the text or bytes written there first; {dir} is the directory that holds
-    them."""
+    them. The row runs with ``--out`` the checked directory unless its own
+    ``--out``, which comes later, overrides it."""
     return pytest.param(argv, says, files or {}, id=id)
 
 
@@ -868,6 +869,10 @@ REFUSALS = [
             {"deep.json": f'{{"rng_seed": {_DEEP}}}'}),
     refusal("nul-output-path", "sweep-el --config {dir}/nul.json", "output_path",
             {"nul.json": '{"output_path": "o\\u0000x"}'}),
+    # a flag's path too, before the config file is read or anything written
+    *[refusal(f"nul-{flag}", f"plan-spectrum --{flag} {{dir}}/a\0b",
+              f"--{flag}: a path cannot hold a NUL character, got '{{dir}}/a\\x00b'")
+      for flag in ("out", "config")],
     # A count meets float arithmetic (the event budget, the cost cap), and a
     # float key is made a float, so an int past the largest float is refused
     # naming its key, not an OverflowError; in a list, as any one entry.
@@ -984,7 +989,8 @@ def test_refused(tmp_path, capsys, no_runs, argv, says, files):
         (tmp_path / name).write_bytes(content if isinstance(content, bytes) else content.encode())
     here = str(tmp_path)
     out = tmp_path / "out"
-    rc = main([arg.replace("{dir}", here) for arg in argv.split(" ")] + ["--out", str(out)])
+    command, *args = [arg.replace("{dir}", here) for arg in argv.split(" ")]
+    rc = main([command, "--out", str(out), *args])
     assert_refused(capsys, rc, out, says.replace("{dir}", here))
 
 
