@@ -105,13 +105,15 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _agreement_z(model: RatePrediction, point: BlockStats) -> tuple[float, float]:
-    """(z_qber, z_rawkey) of the MC against the model for one sweep point."""
+    """(z_qber, z_rawkey) of the MC against the model for one sweep point. Where
+    a sigma is 0, a point the model admits reads 0 and any other the largest float."""
     kept_expected = model.sifted_key_rate * point.block_duration
-    z_raw = ((point.kept_bits - kept_expected) / math.sqrt(kept_expected)
-             if kept_expected > 0 else 0.0)
+    z_raw = ((point.kept_bits - kept_expected) / math.sqrt(kept_expected) if kept_expected > 0
+             else sys.float_info.max if point.kept_bits else 0.0)
     if point.kept_bits > 0:
         sigma = math.sqrt(model.qber * (1.0 - model.qber) / point.kept_bits)
-        z_q = (point.qber - model.qber) / sigma if sigma > 0 else 0.0
+        z_q = ((point.qber - model.qber) / sigma if sigma > 0
+               else sys.float_info.max if point.mismatches else 0.0)
     else:
         z_q = 0.0
     return float(z_q), float(z_raw)

@@ -304,9 +304,11 @@ def _pass_probability(column, terms, angles) -> np.ndarray:
 # differences (about 1e-16) between one probability rounded two ways, and
 # small enough to leave only about 2e-9 of the draws undecided at no drift.
 _BOUND_SLACK = 1e-9
-# Photons are decided this many at a time by simulate_clicks, so a slice's
-# arrays stay in a 4 MiB L2 (2^16 beat 2^12..2^18 and the whole run on an OM4
-# block); the sampler draws its gaps this many at a time.
+# Photons are decided this many at a time by simulate_clicks: a slice's
+# temporaries peak near 1.7 MB (26 bytes a photon) beside its 0.5 MB of slots,
+# about one core's L2 on a 2-vCPU Xeon, which lscpu lists as 4 MiB over 2
+# instances, 2 MiB a core (2026-10-20). 2^16 beat 2^12..2^18 and the whole run
+# on an OM4 block. The sampler draws its gaps this many at a time.
 _EXACT_SLICE = 1 << 16
 
 

@@ -1,11 +1,13 @@
-"""Session logic: symbol generation, sifting dialogue, block stats, key bound."""
+"""Session logic: symbols, sifting, block stats, key bound; MC counts against the model."""
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2_contingency, entropy
 
+from fso_qkd.coexistence import crosstalk_background
 from fso_qkd.errors import ValidationError
 from fso_qkd.linkmodel import (
     ClickStream,
@@ -212,16 +214,6 @@ class TestSift:
         assert result.kept < np.count_nonzero(
             clicks.analyzer_ports[at] >> 1 == symbols_at(alice, gated)[0])
 
-    def test_kept_fraction_is_half(self):
-        src = SourceParams()
-        alice = alice_generate(4_000_000, 8)
-        clicks = simulate_clicks(alice, src, quiet_channel(), DetectorParams(),
-                                 BackgroundBudget(), rng_seed=15)
-        gated = int(np.count_nonzero(clicks.in_gate))
-        result = sift(alice, clicks)
-        sigma = math.sqrt(gated * 0.25)
-        assert abs(result.kept - gated / 2) <= 3 * sigma
-
 
 class TestBlockStats:
     def test_operating_point_numbers(self):
@@ -279,36 +271,89 @@ class TestSecureFraction:
             secure_fraction(-0.01)
 
 
+class ModelCase(NamedTuple):
+    """A Monte Carlo run and the statistics of it that must meet the closed form."""
+    symbols: int
+    seeds: tuple[int, int]  # Alice's, then the clicks'
+    ch: ChannelParams
+    det: DetectorParams = DetectorParams()
+    bg: BackgroundBudget = BackgroundBudget()
+    intrinsic_error: float = 0.0
+    src: SourceParams = SourceParams()
+    stats: tuple[str, ...] = ("signal", "background", "kept", "qber")
+    min_kept: int = 1  # kept bits a QBER is compared on at least
+
+
+def random_point(seed: int) -> ModelCase:
+    """A random operating point, drawn from ``seed`` in the order written."""
+    rng = np.random.default_rng(seed)
+    ch = quiet_channel(fso_loss_db=rng.uniform(6, 14), excess_loss_db=rng.uniform(0, 3),
+                       depol_p=rng.uniform(0, 0.3))
+    return ModelCase(20_000_000, (seed + 1, seed + 2), ch,
+                     bg=BackgroundBudget(solar_rate=rng.uniform(0, 3000.0)),
+                     intrinsic_error=rng.uniform(0, 0.1))
+
+
+def session_block(seeds: tuple[int, int], kappa: bool, **overrides) -> ModelCase:
+    """A default session block of the config, without the drift the closed form lacks."""
+    cfg = resolve_config({"channel.drift_rate": 0.0, **overrides})
+    bg = cfg.background.with_crosstalk(crosstalk_background(cfg.classical) if kappa else 0.0)
+    return ModelCase(cfg.symbols_per_block, seeds, cfg.channel, cfg.detector, bg,
+                     cfg.intrinsic_error, cfg.source)
+
+
+DARKLESS = dict(det=DetectorParams(dark_rate=0.0), bg=BackgroundBudget(dark_rate=0.0))
+MODEL_CASES = {
+    **{f"random-{seed}": random_point(seed) for seed in (101, 202, 303, 404, 505)},
+    "depolarized": ModelCase(4_000_000, (31, 32), quiet_channel(fso_loss_db=5.0, depol_p=1.0),
+                             **DARKLESS, stats=("qber",)),
+    "partial-gate": ModelCase(  # non-default gating under heavy dead time
+        20_000_000, (5, 6), quiet_channel(fso_loss_db=9.0, depol_p=0.05),
+        DetectorParams(gate_fraction=0.3, signal_gate_acceptance=0.7),
+        BackgroundBudget(solar_rate=4000.0), 0.04, stats=("signal", "kept")),
+    "kept-half": ModelCase(4_000_000, (8, 15), quiet_channel(fso_loss_db=6.0), stats=("half",)),
+    **{f"noiseless-{s}": ModelCase(2_000_000, (s, s + 100), quiet_channel(fso_loss_db=6.0),
+                                   **DARKLESS, stats=("qber",)) for s in (1, 2, 3)},
+    "many-kept": ModelCase(3_300_000_000, (51, 52), quiet_channel(fso_loss_db=13.0, depol_p=0.02),
+                           bg=BackgroundBudget(solar_rate=4.76), intrinsic_error=0.0631,
+                           stats=("qber",), min_kept=100_000),
+    "om4-load-3": session_block((61, 62), False, **{"channel.fiber_kind": "OM4"}),
+    "kappa-on": session_block((71, 72), True),
+}
+
+
+def model_agreement(case: ModelCase) -> dict[str, tuple[float, float, float]]:
+    """(Monte Carlo, model, sigma) of each statistic ``case`` names: gated
+    ``signal`` and ``background`` clicks and ``kept`` bits against
+    ``expected_rates`` times the duration at sqrt(mu), none below mu = 10; the
+    ``qber`` at the model's binomial sigma; ``half``, kept against gated / 2."""
+    alice = alice_generate(case.symbols, case.seeds[0])
+    clicks = simulate_clicks(alice, case.src, case.ch, case.det, case.bg,
+                             rng_seed=case.seeds[1], intrinsic_error=case.intrinsic_error)
+    sifted = sift(alice, clicks)
+    model = expected_rates(case.src, case.ch, case.det, case.bg, case.intrinsic_error)
+    duration = case.symbols / case.src.symbol_rate
+    gated = int(np.count_nonzero(clicks.in_gate))
+    signal = int(np.count_nonzero(clicks.in_gate & clicks.is_signal))
+    rows = {stat: (count, rate * duration, math.sqrt(rate * duration)) for stat, count, rate in (
+        ("signal", signal, model.signal_click_rate), ("kept", sifted.kept, model.sifted_key_rate),
+        ("background", gated - signal, model.background_click_rate)) if rate * duration >= 10}
+    rows["half"] = (sifted.kept, gated / 2, math.sqrt(gated * 0.25))
+    if "qber" in case.stats:
+        assert sifted.kept >= case.min_kept
+        q = model.qber
+        rows["qber"] = (sifted.mismatches / sifted.kept, q, math.sqrt(q * (1 - q) / sifted.kept))
+    return {stat: rows[stat] for stat in case.stats if stat in rows}
+
+
+@pytest.mark.parametrize("case", MODEL_CASES.values(), ids=MODEL_CASES)
+def test_monte_carlo_meets_model(case):
+    """Every statistic within 3 sigma of the model, and equal where its sigma is 0."""
+    rows = model_agreement(case).items()
+    assert [(stat, row) for stat, row in rows if not abs(row[0] - row[1]) <= 3 * row[2]] == []
+
+
 class TestEndToEnd:
-    def test_noiseless_session_has_zero_qber(self):
-        for seed in (1, 2, 3):
-            src = SourceParams()
-            ch = quiet_channel()
-            det = DetectorParams(dark_rate=0.0)
-            bg = BackgroundBudget(dark_rate=0.0)
-            alice = alice_generate(2_000_000, seed)
-            clicks = simulate_clicks(alice, src, ch, det, bg, rng_seed=seed + 100)
-            sifted = sift(alice, clicks)
-            assert sifted.kept > 0
-            assert sifted.mismatches == 0
-
-    def test_qber_matches_rate_equation_many_kept(self):
-        """>= 1e5 kept bits: empirical QBER within 3 binomial sigma of the model."""
-        src = SourceParams()
-        ch = quiet_channel(fso_loss_db=13.0, depol_p=0.02)
-        det = DetectorParams()
-        bg = BackgroundBudget(solar_rate=4.76)
-        e_i = 0.0631
-        pred = expected_rates(src, ch, det, bg, e_i)
-        n = 3_300_000_000
-        alice = alice_generate(n, 51)
-        clicks = simulate_clicks(alice, src, ch, det, bg, rng_seed=52,
-                                 intrinsic_error=e_i)
-        sifted = sift(alice, clicks)
-        assert sifted.kept >= 100_000
-        sigma = math.sqrt(pred.qber * (1 - pred.qber) / sifted.kept)
-        assert abs(sifted.mismatches / sifted.kept - pred.qber) <= 3 * sigma
-
     def test_basis_blindness(self):
         """Analyzer schedule choice must not change per-kept-bit error odds."""
         src = SourceParams()

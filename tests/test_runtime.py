@@ -18,22 +18,21 @@ TINY_SWEEP = ["sweep-el", "--set", "sweep.el_db=[0.0]", "--set",
               "sweep.symbols_per_point=1000000"]
 
 
-def python_env(*unset: str) -> dict[str, str]:
-    """This process's environment with ``unset`` removed and the imported
-    package's parent (``src``, or ``site-packages`` for an install) first on
-    the path."""
-    env = {k: v for k, v in os.environ.items() if k not in unset}
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
-    return env
+def fresh_python(*args: str, unset: tuple[str, ...] = (), env: dict[str, str] | None = None):
+    """``subprocess.run`` or ``Popen`` arguments that start ``python *args`` in
+    a fresh interpreter: this process's environment without ``unset`` and with
+    ``env``, the imported package's parent (``src``, or ``site-packages`` for
+    an install) first on its path."""
+    environ = {k: v for k, v in os.environ.items() if k not in unset}
+    environ["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, environ.get("PYTHONPATH")) if p)
+    return {"args": [sys.executable, *args], "env": {**environ, **(env or {})}}
 
 
 def run_python(code: str, *options: str, **env) -> str:
-    """Standard output of ``python *options -c code`` with the imported
-    package's parent on the path and ``OPENBLAS_NUM_THREADS`` unset unless
-    given in ``env``."""
-    proc = subprocess.run([sys.executable, *options, "-c", code], capture_output=True,
-                          text=True, timeout=60,
-                          env={**python_env("OPENBLAS_NUM_THREADS"), **env})
+    """Standard output of ``python *options -c code`` with ``OPENBLAS_NUM_THREADS``
+    unset unless given in ``env``."""
+    proc = subprocess.run(**fresh_python(*options, "-c", code, unset=("OPENBLAS_NUM_THREADS",),
+                                         env=env), capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
 
@@ -202,9 +201,8 @@ def cli_process(args: list[str], cwd: Path, env: dict[str, str] | None = None,
     own affinity to one core first."""
     kwargs.setdefault("stdout", subprocess.PIPE)
     entry = ["-c", ONE_CORE] if one_core else ["-m", "fso_qkd.cli"]
-    return subprocess.run([sys.executable, *entry, *args], cwd=cwd,
-                          env={**python_env("PYTHONUNBUFFERED"), **(env or {})},
-                          stderr=subprocess.PIPE, timeout=120, **kwargs)
+    return subprocess.run(**fresh_python(*entry, *args, unset=("PYTHONUNBUFFERED",), env=env),
+                          cwd=cwd, stderr=subprocess.PIPE, timeout=120, **kwargs)
 
 
 def read_files(root: Path) -> dict[str, bytes]:
@@ -254,6 +252,43 @@ def test_user_blas_thread_count_changes_no_byte(tmp_path):
     assert runs == runs[:1] * len(runs)
 
 
+def peak_kib(cwd: Path, *args: str) -> int:
+    """Peak resident set, in KiB, of ``python *args`` alone: ``os.wait4`` on
+    its own pid, since this process's ``RUSAGE_CHILDREN`` holds the largest
+    child it has reaped (say a four-block OM4 session of another test). A
+    numpy nan or overflow warning fails it, as it fails tier-1."""
+    env = {"PYTHONWARNINGS": "error::RuntimeWarning"}
+    with open(cwd / "stderr", "w+b") as err:
+        proc = subprocess.Popen(**fresh_python(*args, env=env), cwd=cwd,
+                                stdout=subprocess.DEVNULL, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        err.seek(0)
+        assert proc.returncode == 0, err.read().decode()
+    return usage.ru_maxrss
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
+def test_serial_om4_session_peak_memory(tmp_path):
+    """Two OM4 blocks expect about 1.7e6 detector events, under
+    ``PARALLEL_MIN_EVENTS``, so the session runs in one process. Its peak
+    resident set over that of a process that only imports the CLI and the
+    Monte Carlo (the CLI itself imports that only for a session or a sweep)
+    and resolves the same config is the blocks' own arrays, under 24 MiB
+    (24,576 KiB): about 14,600 KiB when the package is compiled from source
+    at start-up, and 18,300-18,600 KiB with bytecode compiled beforehand, as
+    pip installs it (the baseline reads about 1,200 KiB lower, the session
+    2,500 KiB higher). From source it read 17,300 KiB with a copy of the
+    clicks beside the photons' slot indices, and about 31,000 KiB when the
+    sampler, the decide loop and the merge also held whole-run temporaries."""
+    base = peak_kib(tmp_path, "-c", "import fso_qkd.cli, fso_qkd.protocol\n"
+                    "from fso_qkd.scenario import resolve_config\n"
+                    "resolve_config({'channel.fiber_kind': 'OM4', 'session.blocks': 2})")
+    run = peak_kib(tmp_path, "-m", "fso_qkd.cli", "stability", "--set", "channel.fiber_kind=OM4",
+                   "--set", "session.blocks=2", "--out", "stability-2")
+    assert run - base < 24 * 1024, (base, run)
+
+
 @pytest.mark.parametrize("args, rc", [(["--help"], 0), (["sweep-el", "--nope"], 2)],
                          ids=["help", "unknown-flag"])
 def test_argparse_exits_keep_their_text(tmp_path, monkeypatch, capfdbinary, args, rc):
@@ -274,9 +309,8 @@ def test_closed_stdout_pipe_exits_as_before(tmp_path):
     os.close(read_end)
     try:
         proc = cli_process(["plan-spectrum", "--out", "plan"], tmp_path, stdout=write_end)
-        plain = subprocess.run([sys.executable, "-c", "print('x')"], stdout=write_end,
-                               stderr=subprocess.PIPE, timeout=60,
-                               env=python_env("PYTHONUNBUFFERED"))
+        plain = subprocess.run(**fresh_python("-c", "print('x')", unset=("PYTHONUNBUFFERED",)),
+                               stdout=write_end, stderr=subprocess.PIPE, timeout=60)
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (120, plain.stderr)
@@ -297,8 +331,8 @@ def test_main_block_skips_teardown_on_return(tmp_path, args, rc, teardown):
             "atexit.register(print, 'teardown', file=sys.stderr)\n"
             f"sys.argv = ['fso-qkd', *{args!r}]\n"
             "runpy.run_module('fso_qkd.cli', run_name='__main__', alter_sys=True)")
-    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=python_env(),
-                          capture_output=True, text=True, timeout=60)
+    proc = subprocess.run(**fresh_python("-c", code), cwd=tmp_path, capture_output=True,
+                          text=True, timeout=60)
     assert proc.returncode == rc
     assert proc.stderr.endswith("teardown\n") is teardown
 

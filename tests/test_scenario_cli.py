@@ -30,6 +30,8 @@ from fso_qkd.spectrum import (
     load_spectrum,
 )
 
+from test_runtime import fresh_python
+
 
 def never(*args, **kwargs):
     pytest.fail("a run was simulated or a worker forked")
@@ -136,16 +138,6 @@ def big_runs(symbols, count=8):
     config = resolve_config({"source.mu_q": 100})
     return config, [Run(i, (101, 103, 107), symbols, config.channel, config.background)
                     for i in range(count)]
-
-
-def run_python(script: str) -> subprocess.CompletedProcess:
-    """Run ``script`` in a fresh interpreter that imports this fso_qkd: the
-    imported package's parent (``src``, or ``site-packages`` for an install)
-    goes first on its path."""
-    src = str(Path(protocol.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
 
 
 class TestConfigResolution:
@@ -321,6 +313,12 @@ def small_sweep_overrides(**extra):
     return base
 
 
+# Polarization drift is the only source of error, and there is no background.
+NO_ERROR_BUT_DRIFT = {"rng_seed": 3, "protocol.intrinsic_error": 0.0, "channel.depol_p": 0.0,
+                      "background.mode": "explicit", "background.solar_rate": 0.0,
+                      "detector.dark_rate": 0.0}
+
+
 class TestCliCommands:
     def test_sweep_csv_and_summary(self, tmp_path):
         cfg = resolve_config(small_sweep_overrides())
@@ -331,6 +329,25 @@ class TestCliCommands:
         assert len(lines) == 4
         assert all(line.endswith(cfg.config_hash) for line in lines[1:])
         assert summary["agreement"]["within_3_sigma"]
+
+    @pytest.mark.parametrize("overrides, stat, z", [
+        ({**NO_ERROR_BUT_DRIFT, "channel.drift_rate": 50.0}, "max_abs_z_qber", sys.float_info.max),
+        ({**NO_ERROR_BUT_DRIFT, "channel.drift_rate": 0.0}, "max_abs_z_qber", 0.0),
+        ({"rng_seed": 1, "detector.dead_time": 1e308}, "max_abs_z_rawkey", sys.float_info.max),
+    ], ids=["drift-errs", "no-drift", "dead-time-overflows"])
+    def test_sweep_zero_sigma_model_admits_no_difference(self, tmp_path, overrides, stat, z):
+        """Where the model's sigma is 0 a point must match it exactly. With drift
+        the only source of error the model's QBER is 0, yet a drifting point errs
+        (5 of 84 kept bits here); at a dead time whose load * tau overflows, the
+        model keeps no bit, yet the first click survives and is kept. Each is
+        beyond any sigma, at the largest float, not at z 0; without drift
+        nothing errs, and z stays 0."""
+        cfg = resolve_config({"sweep.el_db": [0.0], "sweep.symbols_per_point": 10_000_000,
+                              **overrides})
+        cmd_sweep_el(cfg, tmp_path)
+        agreement = _strict_json((tmp_path / "sweep_el_summary.json").read_text())["agreement"]
+        assert agreement[stat] == z
+        assert agreement["within_3_sigma"] is (z == 0.0)
 
     def test_sweep_rerun_byte_identical(self, tmp_path):
         cfg = resolve_config(small_sweep_overrides())
@@ -448,7 +465,8 @@ class TestCliCommands:
             "loaded = [m for m in sys.modules if m.startswith(('multiprocessing', 'concurrent'))]",
             "assert not loaded, loaded",
         ])
-        proc = run_python(script)
+        proc = subprocess.run(**fresh_python("-c", script), capture_output=True, text=True,
+                              timeout=120)
         assert proc.returncode == 0, proc.stderr
 
     def test_stability_blocks(self, tmp_path):
@@ -1005,7 +1023,8 @@ def test_runtime_imports_without_scipy(tmp_path):
         "             '--set', 'session.symbols_per_block=100000000',",
         f"             '--out', {str(tmp_path / 'coexist')!r}]) == 0",
     ])
-    proc = run_python(script)
+    proc = subprocess.run(**fresh_python("-c", script), capture_output=True, text=True,
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "coexist" / "coexist_summary.json").is_file()
 
