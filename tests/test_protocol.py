@@ -4,13 +4,14 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from scipy.stats import chi2_contingency, entropy
+from hypothesis import Phase, given, settings, strategies as st
+from scipy.stats import chi2_contingency, entropy, norm
 
 from fso_qkd.coexistence import crosstalk_background
 from fso_qkd.errors import ValidationError
 from fso_qkd.linkmodel import (
     ClickStream,
+    expected_events,
     expected_rates,
     random_unit_vector,
     simulate_clicks,
@@ -33,6 +34,7 @@ from fso_qkd.protocol import (
 )
 from fso_qkd.scenario import resolve_config
 from fso_qkd.seeding import hash_stream, mix64, rng_from
+from test_scenario_cli import domain_of
 
 
 def quiet_channel(**kwargs) -> ChannelParams:
@@ -272,53 +274,57 @@ class TestSecureFraction:
 
 
 class ModelCase(NamedTuple):
-    """A Monte Carlo run and the statistics of it that must meet the closed form."""
-    symbols: int
+    """A Monte Carlo run and the statistics of it that must meet the closed form.
+    ``config`` is a flat override map that ``resolve_config`` builds the run's
+    parameters from, its symbols by ``session.symbols_per_block``."""
+    config: dict
     seeds: tuple[int, int]  # Alice's, then the clicks'
-    ch: ChannelParams
-    det: DetectorParams = DetectorParams()
-    bg: BackgroundBudget = BackgroundBudget()
-    intrinsic_error: float = 0.0
-    src: SourceParams = SourceParams()
     stats: tuple[str, ...] = ("signal", "background", "kept", "qber")
     min_kept: int = 1  # kept bits a QBER is compared on at least
+    kappa: bool = False  # the classical channel's crosstalk added, as in an enabled block
 
 
-def random_point(seed: int) -> ModelCase:
-    """A random operating point, drawn from ``seed`` in the order written."""
+# The hand rows' base: 6 dB, and no drift, depolarization, insertion loss,
+# intrinsic error or solar background. A row overrides the keys it changes.
+QUIET = {"channel.fso_loss_db": 6.0, "channel.depol_p": 0.0, "channel.drift_rate": 0.0,
+         "channel.rx_insertion_db": 0.0, "background.mode": "explicit",
+         "protocol.intrinsic_error": 0.0}
+
+
+def random_row(seed: int) -> ModelCase:
+    """A random operating point over QUIET, drawn from ``seed`` in the order written."""
     rng = np.random.default_rng(seed)
-    ch = quiet_channel(fso_loss_db=rng.uniform(6, 14), excess_loss_db=rng.uniform(0, 3),
-                       depol_p=rng.uniform(0, 0.3))
-    return ModelCase(20_000_000, (seed + 1, seed + 2), ch,
-                     bg=BackgroundBudget(solar_rate=rng.uniform(0, 3000.0)),
-                     intrinsic_error=rng.uniform(0, 0.1))
+    keys = ("channel.fso_loss_db", "channel.excess_loss_db", "channel.depol_p",
+            "background.solar_rate", "protocol.intrinsic_error")
+    ranges = ((6, 14), (0, 3), (0, 0.3), (0, 3000.0), (0, 0.1))
+    drawn = {key: rng.uniform(low, high) for key, (low, high) in zip(keys, ranges)}
+    return ModelCase({**QUIET, "session.symbols_per_block": 20_000_000, **drawn},
+                     (seed + 1, seed + 2))
 
 
-def session_block(seeds: tuple[int, int], kappa: bool, **overrides) -> ModelCase:
-    """A default session block of the config, without the drift the closed form lacks."""
-    cfg = resolve_config({"channel.drift_rate": 0.0, **overrides})
-    bg = cfg.background.with_crosstalk(crosstalk_background(cfg.classical) if kappa else 0.0)
-    return ModelCase(cfg.symbols_per_block, seeds, cfg.channel, cfg.detector, bg,
-                     cfg.intrinsic_error, cfg.source)
-
-
-DARKLESS = dict(det=DetectorParams(dark_rate=0.0), bg=BackgroundBudget(dark_rate=0.0))
 MODEL_CASES = {
-    **{f"random-{seed}": random_point(seed) for seed in (101, 202, 303, 404, 505)},
-    "depolarized": ModelCase(4_000_000, (31, 32), quiet_channel(fso_loss_db=5.0, depol_p=1.0),
-                             **DARKLESS, stats=("qber",)),
+    **{f"random-{seed}": random_row(seed) for seed in (101, 202, 303, 404, 505)},
+    "depolarized": ModelCase({**QUIET, "session.symbols_per_block": 4_000_000,
+                              "channel.fso_loss_db": 5.0, "channel.depol_p": 1.0,
+                              "detector.dark_rate": 0.0}, (31, 32), ("qber",)),
     "partial-gate": ModelCase(  # non-default gating under heavy dead time
-        20_000_000, (5, 6), quiet_channel(fso_loss_db=9.0, depol_p=0.05),
-        DetectorParams(gate_fraction=0.3, signal_gate_acceptance=0.7),
-        BackgroundBudget(solar_rate=4000.0), 0.04, stats=("signal", "kept")),
-    "kept-half": ModelCase(4_000_000, (8, 15), quiet_channel(fso_loss_db=6.0), stats=("half",)),
-    **{f"noiseless-{s}": ModelCase(2_000_000, (s, s + 100), quiet_channel(fso_loss_db=6.0),
-                                   **DARKLESS, stats=("qber",)) for s in (1, 2, 3)},
-    "many-kept": ModelCase(3_300_000_000, (51, 52), quiet_channel(fso_loss_db=13.0, depol_p=0.02),
-                           bg=BackgroundBudget(solar_rate=4.76), intrinsic_error=0.0631,
-                           stats=("qber",), min_kept=100_000),
-    "om4-load-3": session_block((61, 62), False, **{"channel.fiber_kind": "OM4"}),
-    "kappa-on": session_block((71, 72), True),
+        {**QUIET, "session.symbols_per_block": 20_000_000, "channel.fso_loss_db": 9.0,
+         "channel.depol_p": 0.05, "detector.gate_fraction": 0.3,
+         "detector.signal_gate_acceptance": 0.7, "background.solar_rate": 4000.0,
+         "protocol.intrinsic_error": 0.04}, (5, 6), ("signal", "kept")),
+    "kept-half": ModelCase({**QUIET, "session.symbols_per_block": 4_000_000}, (8, 15),
+                           ("half",)),
+    **{f"noiseless-{s}": ModelCase({**QUIET, "session.symbols_per_block": 2_000_000,
+                                    "detector.dark_rate": 0.0}, (s, s + 100), ("qber",))
+       for s in (1, 2, 3)},
+    # the model expects 99,989 kept bits: the floor sits 5 Poisson sigma under it
+    "many-kept": ModelCase({**QUIET, "session.symbols_per_block": 3_300_000_000,
+                            "channel.fso_loss_db": 13.0, "channel.depol_p": 0.02,
+                            "background.solar_rate": 4.76, "protocol.intrinsic_error": 0.0631},
+                           (51, 52), ("qber",), min_kept=98_400),
+    # default session blocks, without the drift the closed form lacks
+    "om4-load-3": ModelCase({"channel.drift_rate": 0.0, "channel.fiber_kind": "OM4"}, (61, 62)),
+    "kappa-on": ModelCase({"channel.drift_rate": 0.0}, (71, 72), kappa=True),
 }
 
 
@@ -327,12 +333,16 @@ def model_agreement(case: ModelCase) -> dict[str, tuple[float, float, float]]:
     ``signal`` and ``background`` clicks and ``kept`` bits against
     ``expected_rates`` times the duration at sqrt(mu), none below mu = 10; the
     ``qber`` at the model's binomial sigma; ``half``, kept against gated / 2."""
-    alice = alice_generate(case.symbols, case.seeds[0])
-    clicks = simulate_clicks(alice, case.src, case.ch, case.det, case.bg,
-                             rng_seed=case.seeds[1], intrinsic_error=case.intrinsic_error)
+    cfg = resolve_config(case.config)
+    src, ch, det = cfg.source, cfg.channel, cfg.detector
+    bg = cfg.background.with_crosstalk(crosstalk_background(cfg.classical)) if case.kappa \
+        else cfg.background
+    alice = alice_generate(cfg.symbols_per_block, case.seeds[0])
+    clicks = simulate_clicks(alice, src, ch, det, bg, rng_seed=case.seeds[1],
+                             intrinsic_error=cfg.intrinsic_error)
     sifted = sift(alice, clicks)
-    model = expected_rates(case.src, case.ch, case.det, case.bg, case.intrinsic_error)
-    duration = case.symbols / case.src.symbol_rate
+    model = expected_rates(src, ch, det, bg, cfg.intrinsic_error)
+    duration = cfg.symbols_per_block / src.symbol_rate
     gated = int(np.count_nonzero(clicks.in_gate))
     signal = int(np.count_nonzero(clicks.in_gate & clicks.is_signal))
     rows = {stat: (count, rate * duration, math.sqrt(rate * duration)) for stat, count, rate in (
@@ -346,11 +356,97 @@ def model_agreement(case: ModelCase) -> dict[str, tuple[float, float, float]]:
     return {stat: rows[stat] for stat in case.stats if stat in rows}
 
 
+def disagreements(case: ModelCase, z: float) -> list:
+    """The statistics of ``case`` farther than ``z`` sigma from the model, or
+    unequal to it where the sigma is 0."""
+    return [(stat, row) for stat, row in model_agreement(case).items()
+            if not abs(row[0] - row[1]) <= z * row[2]]
+
+
 @pytest.mark.parametrize("case", MODEL_CASES.values(), ids=MODEL_CASES)
 def test_monte_carlo_meets_model(case):
     """Every statistic within 3 sigma of the model, and equal where its sigma is 0."""
-    rows = model_agreement(case).items()
-    assert [(stat, row) for stat, row in rows if not abs(row[0] - row[1]) <= 3 * row[2]] == []
+    assert disagreements(case, 3.0) == []
+
+
+SLOT = 1.0 / SourceParams.symbol_rate
+EVENTS = 200_000  # expected detector events of a generated run
+MAX_SYMBOLS = 10**12  # a run of no events, or few, stops here (2,000 s)
+EXAMPLES = 100
+Z_FAMILY = float(norm.isf(0.001 / (2 * 4 * EXAMPLES)))  # 4.85; see test_valid_configs_meet_model
+# The physical sub-range each key is drawn in, beside its table's closed bounds.
+# Drift stays 0, as link_rates has no drift term. The fiber kind is not drawn:
+# it picks only the preset losses and depol_p, which are drawn themselves.
+LONG_DEAD_TIME = {
+    "source.mu_q": (0.5, 8.0),
+    "channel.fso_loss_db": (0.0, 14.0),
+    "channel.excess_loss_db": (0.0, 3.0),
+    "channel.rx_insertion_db": (0.0, 3.0),
+    "channel.depol_p": (0.0, 0.3),
+    "detector.dark_rate": (0.0, 1e4),
+    "detector.dead_time": (50 * SLOT, 15_800 * SLOT),
+    "detector.gate_fraction": (0.05, 1.0),
+    "detector.signal_gate_acceptance": (0.3, 1.0),
+    "background.solar_rate": (0.0, 1e6),
+    "protocol.intrinsic_error": (0.0, 0.1),
+}
+
+
+@st.composite
+def model_cases(draw, ranges: dict, edges: bool = True) -> ModelCase:
+    """A ModelCase of a valid config at drift 0, each key of ``ranges`` inside
+    its sub-range there or, one key in eight with ``edges``, at a closed bound
+    of the interval ``domain_of`` reads for it, so a table written too wide is
+    drawn. Its symbols make EVENTS expected events, and it compares the QBER
+    where the model expects at least 100 kept bits."""
+    config = {"channel.drift_rate": 0.0, "background.mode": "explicit"}
+    for key, (low, high) in ranges.items():
+        lo, hi, ends = domain_of(key)
+        bounds = [b for b, closed in ((lo, ends[0] == "["), (hi, ends[1] == "]"))
+                  if closed and math.isfinite(b)]
+        # sampled_from picks evenly, where st.integers would favour 0
+        at_bound = edges and bounds and draw(st.sampled_from(range(8))) == 0
+        config[key] = draw(st.sampled_from(bounds) if at_bound else st.floats(low, high))
+    cfg = resolve_config(config)
+    src, ch, det, bg = cfg.source, cfg.channel, cfg.detector, cfg.background
+    per_symbol = expected_events(1, src, ch, det, bg)
+    symbols = round(EVENTS / max(per_symbol, EVENTS / MAX_SYMBOLS))
+    kept = expected_rates(src, ch, det, bg, cfg.intrinsic_error).sifted_key_rate \
+        * symbols / src.symbol_rate
+    stats = ("signal", "background", "kept") + ("qber",) * (kept >= 100)
+    seeds = (draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 2**32 - 1)))
+    return ModelCase({**config, "session.symbols_per_block": symbols}, seeds, stats)
+
+
+@settings(max_examples=EXAMPLES, derandomize=True, deadline=None)
+@given(case=model_cases(LONG_DEAD_TIME))
+def test_valid_configs_meet_model(case):
+    """Valid configs drawn from the domain tables meet the closed form.
+
+    Each example compares up to k = 4 statistics and the test draws
+    N = EXAMPLES examples, so each z is held to the family-wise bound
+    Z_FAMILY = PhiInverse(1 - 0.001 / (2kN)), about 4.85: by Bonferroni, a
+    correct Monte Carlo fails a fresh draw of N examples with probability at
+    most 0.001, and less, since the Poisson sigma overstates the spread of
+    dead-time survivors. Where sigma is 0 the counts must be equal. Dead
+    times are 0, the table's closed bound, or at least 50 slots: there the
+    slot lattice's excess over the Poisson dead-time form (ROADMAP item 4)
+    is at most about +2.3 sigma at EVENTS events."""
+    assert disagreements(case, Z_FAMILY) == []
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 4: below about 50 slots the Monte Carlo's slot lattice keeps "
+    "more clicks than link_rates' Poisson dead-time form"))
+# Without the shrink phase: shrinking would only re-run a known failure.
+@settings(max_examples=EXAMPLES, derandomize=True, deadline=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(case=model_cases({**LONG_DEAD_TIME, "detector.dead_time": (SLOT, 25 * SLOT)},
+                        edges=False))
+def test_short_dead_times_meet_model(case):
+    """Dead times of 1-25 slots, the band the Poisson form misses, under the
+    same bound as test_valid_configs_meet_model."""
+    assert disagreements(case, Z_FAMILY) == []
 
 
 class TestEndToEnd:

@@ -1043,18 +1043,23 @@ _SECTION_RECORD = {"source": SourceParams, "channel": ChannelParams,
                    "classical": ClassicalParams}
 
 
-def _bound_edges(key: str) -> list[tuple[object, bool]]:
-    """(value, allowed) at each finite bound of ``key``'s interval, read from the
-    table its check reads: the bound itself where it is closed, and one step
-    inside and one outside, a ulp for a float key and 1 for an int key."""
+def domain_of(key: str) -> tuple[float, float, str]:
+    """``(lo, hi, ends)`` of ``key``'s interval, read from the table its check
+    reads: the ``_domain`` of the record its section builds, or else its
+    ``_KEYS`` entry; ``(-inf, inf, "()")`` for a key no interval bounds."""
     section, _, name = key.partition(".")
     if section in _SECTION_RECORD:
         domain = _SECTION_RECORD[section]._domain.get(name)
     else:
         domain = (_KEYS[key][2:] or [None])[0]
-    if domain is None:
-        return []
-    lo, hi, ends = (*domain, "[]")[:3]
+    return (*(domain or (-math.inf, math.inf, "()")), "[]")[:3]
+
+
+def _bound_edges(key: str) -> list[tuple[object, bool]]:
+    """(value, allowed) at each finite bound of ``key``'s interval: the bound
+    itself where it is closed, and one step inside and one outside, a ulp for
+    a float key and 1 for an int key."""
+    lo, hi, ends = domain_of(key)
     whole = _KEYS[key][0] == "int"
     edges = []
     for bound, closed, inward in ((lo, ends[0] == "[", 1), (hi, ends[1] == "]", -1)):
@@ -1138,7 +1143,12 @@ _EDGES = [(key, value, allowed) for key in sorted(_KEYS)
 def test_every_bound_from_its_table(tmp_path, capsys, ran, key, value, allowed):
     """One step outside a key's bound is refused naming the key; the bound, if
     closed, and one step inside run sweep-el and coexist to exit 0 or 2, never
-    a traceback. A bound written too wide fails here."""
+    a traceback. A bound written too wide fails here only where the value it
+    lets in crashes. One too wide inside the physics runs cleanly; the model
+    check over valid configs, ``test_protocol.test_valid_configs_meet_model``,
+    draws each closed bound and fails where the Monte Carlo and the closed
+    form part there. ``gate_fraction`` closed at 0 parts neither: both drop
+    every background arrival at gate 0."""
     # background.solar_rate is read only in explicit mode
     overrides = {"background.mode": "explicit"} if key == "background.solar_rate" else {}
     overrides[key] = value
