@@ -234,16 +234,18 @@ def _can_fork() -> bool:
     return hasattr(os, "fork") and sys.platform != "darwin"
 
 
-def _auto_workers(events: list[float]) -> int:
-    """Default worker count for runs that expect ``events`` detector events
-    each: one process below ``PARALLEL_MIN_EVENTS`` in total or where
-    workers would not fork, else every usable core, but never more runs at
-    a time than fit together in one run's budget of ``MAX_EXPECTED_EVENTS``.
-    """
-    if sum(events) < PARALLEL_MIN_EVENTS or not _can_fork():
+def _worker_count(events: list[float], workers: int | None) -> int:
+    """The processes for runs that expect ``events`` detector events each, given
+    ``workers`` (None: the automatic choice): one where workers would not fork
+    or, if None, below ``PARALLEL_MIN_EVENTS`` in total; else ``workers`` or
+    every usable core, but never more than the runs, nor more runs at a time
+    than fit together in one run's budget of ``MAX_EXPECTED_EVENTS``."""
+    if not _can_fork() or workers is None and sum(events) < PARALLEL_MIN_EVENTS:
         return 1
+    peak = max(events, default=0.0)
     # every run was checked to be within the budget, so this is at least 1
-    return min(_usable_cores(), int(MAX_EXPECTED_EVENTS // max(events)))
+    in_flight = int(MAX_EXPECTED_EVENTS // peak) if peak else len(events)
+    return min(_usable_cores() if workers is None else workers, len(events), in_flight)
 
 
 def _check_cost(key: str, runs: int, events: float = 0.0) -> None:
@@ -272,11 +274,11 @@ def run_map(config: ScenarioConfig, runs: list[Run], key: str,
     its rate), then the cost cap (refused naming ``key``), and,
     once every run's time axis has passed ``check_time_axis`` (which names the
     key of the runs' symbols for a run too long at any start), sets the worker
-    count. The runs then go to ``workers`` forked processes, at most one per
-    run (see ``_forked_map``); where ``_can_fork`` is false they all run in
-    this process, whatever ``workers`` says. With ``workers`` None,
-    ``_auto_workers`` chooses the count. Each run's seeds depend on its index
-    and tags alone, so the results do not depend on the worker count.
+    count by one rule, ``_worker_count``'s: ``workers`` (None: every usable
+    core, if the runs expect ``PARALLEL_MIN_EVENTS``) is honoured only where
+    workers fork (see ``_forked_map``), and only up to one per run and to the
+    runs that fit in one run's budget at once. Each run's seeds depend on its
+    index and tags alone, so the results do not depend on the worker count.
     """
     bg_key = ("background.spectrum_path" if config.resolved["background.mode"] == "spectrum"
               else "background.solar_rate")
@@ -288,10 +290,8 @@ def run_map(config: ScenarioConfig, runs: list[Run], key: str,
                    else "session.symbols_per_block")
     for run in runs:
         check_time_axis(run.symbols, config.source, run.channel, run.start_time, symbols_key)
-    if workers is None:
-        workers = _auto_workers(events)
-    workers = min(workers, len(runs))
-    if workers > 1 and _can_fork():
+    workers = _worker_count(events, workers)
+    if workers > 1:
         return _forked_map(config, runs, workers)
     return [run_block(config, run) for run in runs]
 

@@ -30,7 +30,7 @@ from fso_qkd.spectrum import (
     load_spectrum,
 )
 
-from test_runtime import fresh_python
+from test_runtime import fresh_python, read_files
 
 
 def never(*args, **kwargs):
@@ -110,10 +110,6 @@ def platform(monkeypatch):
     return use
 
 
-def read_tree(directory: Path) -> dict[str, bytes]:
-    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
-
-
 def run_index(config, run):
     return run.index
 
@@ -132,12 +128,13 @@ def force_workers(monkeypatch, workers):
     monkeypatch.setattr("fso_qkd.protocol.PARALLEL_MIN_EVENTS", 1.0)
 
 
-def big_runs(symbols, count=8):
+def big_runs(symbols, count=8, saturated=False):
     """``count`` sweep-like runs at mu_q 100 (about 3.5e6 detector events per
-    1e8 symbols); run_map only checks them under ``index_runs``."""
+    1e8 symbols, none if ``saturated``); run_map only checks them under
+    ``index_runs``."""
     config = resolve_config({"source.mu_q": 100})
-    return config, [Run(i, (101, 103, 107), symbols, config.channel, config.background)
-                    for i in range(count)]
+    return config, [Run(i, (101, 103, 107), symbols, config.channel, config.background,
+                        saturated=saturated) for i in range(count)]
 
 
 class TestConfigResolution:
@@ -358,98 +355,6 @@ class TestCliCommands:
         assert (tmp_path / "a/sweep_el_summary.json").read_bytes() == \
                (tmp_path / "b/sweep_el_summary.json").read_bytes()
 
-    def test_sweep_workers_do_not_change_output(self, tmp_path):
-        cfg = resolve_config(small_sweep_overrides())
-        cmd_sweep_el(cfg, tmp_path / "w1", workers=1)
-        cmd_sweep_el(cfg, tmp_path / "w2", workers=2)
-        assert read_tree(tmp_path / "w1") == read_tree(tmp_path / "w2")
-
-    def test_sweep_workers_capped_at_point_count(self, tmp_path, pool_sizes, platform):
-        """run_map never forks more workers than there are sweep points."""
-        assert main(["sweep-el", "--workers", "64", "--out", str(tmp_path),
-                     "--set", "sweep.el_db=[0.0, 4.0]",
-                     "--set", "sweep.symbols_per_point=100000"]) == 0
-        assert pool_sizes == [2]
-
-    @pytest.mark.parametrize("cmd, overrides, flags", [
-        (cmd_stability, {"channel.fiber_kind": "OM4", "channel.drift_rate": 0.02,
-                         "session.symbols_per_block": 50_000_000}, ["ok"] * 4),
-        # at 50 rad/s the per-run Malus bounds decide no photon, so every one
-        # takes the exact cos/sin path
-        (cmd_stability, {"channel.fiber_kind": "OM4", "channel.drift_rate": 50,
-                         "session.symbols_per_block": 50_000_000}, ["ok"] * 4),
-        (cmd_coexist, {"session.symbols_per_block": 200_000_000}, ["ok"] * 4),
-        # kappa-on blocks saturate: run_block flags them wherever it runs them
-        (cmd_coexist, {"classical.launch_power_dbm": 40,
-                       "session.symbols_per_block": 100_000_000}, ["ok", "saturated"] * 2),
-    ], ids=["stability", "stability-fast-drift", "coexist", "coexist-saturated"])
-    def test_session_workers_do_not_change_output(self, tmp_path, monkeypatch,
-                                                  cmd, overrides, flags):
-        """One worker, two workers and the automatic choice write the same bytes."""
-        config = resolve_config({**overrides, "session.blocks": 4, "rng_seed": 5})
-        trees = []
-        for workers in (1, 2, None):
-            out = tmp_path / str(workers)
-            with monkeypatch.context() as patch:
-                if workers is not None:
-                    force_workers(patch, workers)
-                cmd(config, out)
-            trees.append(read_tree(out))
-        assert trees[0] == trees[1] == trees[2]
-        csv = next(v for k, v in trees[0].items() if k.endswith(".csv")).decode()
-        assert [row.split(",")[-2] for row in csv.splitlines()[1:]] == flags
-
-    @pytest.mark.parametrize("command", ["coexist", "sweep-el"])
-    def test_auto_workers_start_no_pool_below_threshold(self, tmp_path, no_pool, command):
-        """The default coexist session (about 7e5 expected detector events) and
-        the default sweep (about 3e3) cost less than a pool saves: no pool."""
-        assert main([command, "--out", str(tmp_path)]) == 0
-
-    @pytest.mark.parametrize("cores, expected", [(2, [2]), (8, [3])])
-    def test_auto_workers_use_every_core_over_threshold(self, tmp_path, monkeypatch,
-                                                        pool_sizes, platform,
-                                                        cores, expected):
-        """Three OM4 blocks expect about 2.6e6 detector events, over
-        PARALLEL_MIN_EVENTS: the automatic choice is min(usable cores, blocks)."""
-        monkeypatch.setattr("fso_qkd.protocol._usable_cores", lambda: cores)
-        assert main(["stability", "--set", "channel.fiber_kind=OM4",
-                     "--set", "session.blocks=3", "--out", str(tmp_path)]) == 0
-        assert pool_sizes == expected
-
-    @pytest.mark.parametrize("symbols, expected", [
-        (100_000_000, [5]), (150_000_000, [3]), (200_000_000, [2]), (500_000_000, []),
-    ])
-    def test_auto_workers_hold_one_run_budget_at_a_time(self, monkeypatch, pool_sizes,
-                                                       platform, index_runs,
-                                                       symbols, expected):
-        """On 8 cores, the runs held at once expect at most MAX_EXPECTED_EVENTS
-        (2e7) detector events together: 3.5e6 per run allows 5 workers, 7e6
-        allows 2, and 1.8e7 runs one at a time in this process."""
-        monkeypatch.setattr("fso_qkd.protocol._usable_cores", lambda: 8)
-        config, runs = big_runs(symbols)
-        assert run_map(config, runs, "sweep.el_db") == list(range(8))
-        assert pool_sizes == expected
-
-    @pytest.mark.parametrize("kind", ["no-fork", "macOS"])
-    def test_auto_workers_only_where_workers_fork(self, monkeypatch, no_pool, platform,
-                                                  index_runs, kind):
-        """A worker that is not forked imports numpy again, so on a platform
-        without fork, or on macOS, the automatic choice stays in this process
-        however many events the runs expect."""
-        platform(kind)
-        monkeypatch.setattr("fso_qkd.protocol._usable_cores", lambda: 8)
-        config, runs = big_runs(100_000_000)
-        assert run_map(config, runs, "sweep.el_db") == list(range(8))
-
-    @pytest.mark.parametrize("kind", ["no-fork", "macOS"])
-    def test_explicit_workers_stay_in_one_process_without_fork(self, no_pool, platform,
-                                                               index_runs, kind):
-        """Where run_map does not fork, an explicit worker count runs every
-        run in this process too."""
-        platform(kind)
-        config, runs = big_runs(1_000_000, count=3)
-        assert run_map(config, runs, "sweep.el_db", workers=2) == [0, 1, 2]
-
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="Linux workers fork")
     def test_auto_workers_fork_whatever_the_default_start_method(self, tmp_path):
         """Python 3.14 makes forkserver Linux's default start method. run_map
@@ -510,7 +415,7 @@ class TestCliCommands:
                      "session.symbols_per_block": 100_000_000}
         cmd_coexist(resolve_config(overrides), tmp_path / "off")
         cmd_coexist(resolve_config({**overrides, "classical.enabled": True}), tmp_path / "on")
-        assert read_tree(tmp_path / "off") == read_tree(tmp_path / "on")
+        assert read_files(tmp_path / "off") == read_files(tmp_path / "on")
 
     def test_coexist_low_launch_penalty_negligible(self, tmp_path):
         from fso_qkd.coexistence import crosstalk_background
@@ -546,156 +451,212 @@ def thread_count() -> int:
     return int(re.search(r"^Threads:\s+(\d+)", status, re.M).group(1))
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+def count_forks(monkeypatch, fail_at=0):
+    """Record this process's thread count at each ``os.fork``, and make fork
+    number ``fail_at`` fail as at a process limit (EAGAIN); the rest fork."""
+    threads = []
+    fork = os.fork
+
+    def counting_fork():
+        threads.append(thread_count())
+        if len(threads) == fail_at:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return threads
 
 
-class TestPreflight:
-    """run_map prices and checks a command's runs once, in the parent."""
-
-    @pytest.mark.parametrize("overrides, flags", [
-        ({}, None),
-        # kappa-on blocks saturate and expect no events
-        ({"classical.enabled": True, "classical.launch_power_dbm": 40,
-          "session.blocks": 4, "session.symbols_per_block": 100_000_000},
-         [False, True, False, True]),
-    ], ids=["sweep", "coexist-saturated"])
-    def test_expected_events_once_per_unsaturated_run(self, monkeypatch, no_pool,
-                                                      index_runs, overrides, flags):
-        calls = []
-        expected_events = protocol.expected_events
-        monkeypatch.setattr("fso_qkd.protocol.expected_events",
-                            lambda *args: calls.append(args) or expected_events(*args))
-        runs = []
-        run_map = protocol.run_map
-        monkeypatch.setattr("fso_qkd.protocol.run_map",
-                            lambda config, blocks, *args: runs.extend(blocks)
-                            or run_map(config, blocks, *args))
-        config = resolve_config(overrides)
-        if flags is None:
-            assert protocol.run_sweep(config) == list(range(len(config.sweep_el_db)))
-        else:
-            assert protocol.run_session(config) == list(range(4))
-            assert [run.saturated for run in runs] == flags
-        assert len(calls) == sum(not run.saturated for run in runs) > 0
+def sweep(overrides):
+    return lambda workers: protocol.run_sweep(resolve_config(overrides), workers)
 
 
-@pytest.mark.skipif(not protocol._can_fork(), reason="run_map forks only where it can")
-class TestForkedMap:
-    """run_map on real forked workers."""
+def session(overrides):
+    """A session asks for no worker count: its rows ask for None."""
+    return lambda workers: protocol.run_session(resolve_config(overrides))
 
-    @pytest.mark.parametrize("workers", [2, 3])
-    @pytest.mark.parametrize("kind", ["sweep", "session"])
-    def test_equals_serial(self, kind, workers):
-        """Child k runs every workers-th run; the results come back in run
-        order, saturated session blocks included."""
-        config = resolve_config(small_sweep_overrides())
-        n = 2_000_000
-        if kind == "sweep":
-            runs = [Run(i, (101, 103, 107), n, config.channel.with_excess_loss(el),
-                        config.background) for i, el in enumerate([0.0, 2.0, 4.0, 8.0])]
-        else:
-            axis = np.array([0.0, 0.6, 0.8])
-            runs = [Run(i, (11, 13, 17), n, config.channel, config.background, 45.0 * i,
-                        axis, kappa=i % 2 == 1, saturated=i == 3) for i in range(5)]
-        key = "sweep.el_db" if kind == "sweep" else "session.blocks"
-        serial = run_map(config, runs, key, workers=1)
-        assert run_map(config, runs, key, workers=workers) == serial
-        assert [stats.flag for stats in serial].count("saturated") == (kind == "session")
-        assert_no_child_left()
 
-    @pytest.mark.parametrize("failing, raised", [({1, 2}, 1), ({2, 3}, 2)])
-    def test_lowest_failing_run_is_raised(self, monkeypatch, failing, raised):
-        """Child 0 runs runs 0, 2, 4 and child 1 runs 1, 3; each stops at its
-        first failure, and the lowest-indexed failing run's error is raised,
-        as the serial loop raises it."""
-        def fail_some(config, run):
-            if run.index in failing:
-                raise ValidationError(f"run {run.index} failed")
-            return run.index
+def mapped(symbols, count=8, saturated=False):
+    return lambda workers: protocol.run_map(*big_runs(symbols, count, saturated),
+                                            "sweep.el_db", workers)
 
-        monkeypatch.setattr("fso_qkd.protocol.run_block", fail_some)
-        config, runs = big_runs(1_000_000, count=5)
-        with pytest.raises(ValidationError, match=f"^run {raised} failed$"):
-            run_map(config, runs, "sweep.el_db", workers=2)
-        assert_no_child_left()
 
-    def test_child_that_sends_nothing_is_named(self, monkeypatch):
-        def exit_at_run_1(config, run):
-            if run.index == 1:
-                os._exit(1)
-            return run.index
+OM4_3_BLOCKS = {"channel.fiber_kind": "OM4", "session.blocks": 3}  # 2.6e6 events
+KAPPA_ON_SATURATES = {"classical.enabled": True, "classical.launch_power_dbm": 40,
+                      "session.blocks": 4, "session.symbols_per_block": 100_000_000}
 
-        monkeypatch.setattr("fso_qkd.protocol.run_block", exit_at_run_1)
-        config, runs = big_runs(1_000_000, count=4)
-        with pytest.raises(ChildProcessError, match=r"^worker 1 of 2 \(pid \d+\) ended "
-                                                    r"with exit status 1 "):
-            run_map(config, runs, "sweep.el_db", workers=2)
-        assert_no_child_left()
+# platform, usable cores, runs, workers asked for -> workers forked (None: the
+# runs run in this process), expected_events calls. big_runs expect 3.5e6
+# events per 1e8 symbols, so the budget of 2e7 holds 5 runs of 1e8 symbols at
+# once, 3 of 1.5e8, 2 of 2e8 and 1 of 5e8 (1.76e7 events).
+WORKER_COUNTS = [
+    pytest.param("linux", 8, sweep({"sweep.el_db": [0.0, 4.0],
+                                    "sweep.symbols_per_point": 100_000}), 64, 2, 2,
+                 id="explicit-capped-at-runs"),
+    pytest.param("linux", 8, mapped(1_000_000, 3), 2, 2, 3, id="explicit-below-threshold"),
+    pytest.param("linux", 2, mapped(100_000_000), 8, 5, 8, id="explicit-over-cores"),
+    pytest.param("linux", 8, mapped(500_000_000), 8, None, 8, id="explicit-over-budget"),
+    pytest.param("linux", 8, mapped(1_000_000, 4, saturated=True), 2, 2, 0,
+                 id="explicit-all-saturated"),
+    pytest.param("linux", 8, mapped(1_000_000, 0), 2, None, 0, id="explicit-no-runs"),
+    pytest.param("no-fork", 8, mapped(1_000_000, 3), 2, None, 3, id="explicit-no-fork"),
+    pytest.param("macOS", 8, mapped(1_000_000, 3), 2, None, 3, id="explicit-macOS"),
+    # the default coexist (7e5 events) and sweep (3e3) cost less than workers save
+    pytest.param("linux", 8, session({"classical.enabled": True}), None, None, 10,
+                 id="auto-default-coexist"),
+    pytest.param("linux", 8, sweep({}), None, None, 21, id="auto-default-sweep"),
+    pytest.param("linux", 8, session(KAPPA_ON_SATURATES), None, None, 2,
+                 id="auto-coexist-saturated"),
+    pytest.param("linux", 2, session(OM4_3_BLOCKS), None, 2, 3, id="auto-every-core"),
+    pytest.param("linux", 8, session(OM4_3_BLOCKS), None, 3, 3, id="auto-capped-at-runs"),
+    pytest.param("linux", 8, mapped(100_000_000), None, 5, 8, id="auto-budget-5"),
+    pytest.param("linux", 8, mapped(150_000_000), None, 3, 8, id="auto-budget-3"),
+    pytest.param("linux", 8, mapped(200_000_000), None, 2, 8, id="auto-budget-2"),
+    pytest.param("linux", 8, mapped(500_000_000), None, None, 8, id="auto-budget-1"),
+    pytest.param("linux", 8, mapped(1_000_000, 4, saturated=True), None, None, 0,
+                 id="auto-all-saturated"),
+    pytest.param("linux", 8, mapped(1_000_000, 0), None, None, 0, id="auto-no-runs"),
+    pytest.param("no-fork", 8, mapped(100_000_000), None, None, 8, id="auto-no-fork"),
+    pytest.param("macOS", 8, mapped(100_000_000), None, None, 8, id="auto-macOS"),
+]
 
-    def test_interrupted_parent_kills_its_children(self, monkeypatch):
-        """A parent interrupted while its children still run kills and reaps
-        them before the interruption propagates."""
-        class Interrupted(Exception):
-            pass
 
-        def interrupt(signum, frame):
-            raise Interrupted
+@pytest.mark.parametrize("kind, cores, command, workers, forked, priced", WORKER_COUNTS)
+def test_worker_count(monkeypatch, platform, index_runs, pool_sizes,
+                      kind, cores, command, workers, forked, priced):
+    """One rule sets every worker count, asked for or automatic: one process
+    where workers would not fork (a worker that is not forked imports numpy
+    again) and, for the automatic choice, below PARALLEL_MIN_EVENTS; else the
+    count asked for, or every usable core, up to one worker per run and to the
+    runs that fit together in one run's budget. Before that, run_map prices
+    each unsaturated run once, in the parent. Nothing forks for real."""
+    platform(kind)
+    monkeypatch.setattr(protocol, "_usable_cores", lambda: cores)
+    calls, runs = [], []
+    expected_events, run_map = protocol.expected_events, protocol.run_map
+    monkeypatch.setattr(protocol, "expected_events",
+                        lambda *args: calls.append(args) or expected_events(*args))
+    monkeypatch.setattr(protocol, "run_map",
+                        lambda config, given, *args: runs.extend(given)
+                        or run_map(config, given, *args))
+    assert command(workers) == [run.index for run in runs]
+    assert pool_sizes == ([] if forked is None else [forked])
+    assert len(calls) == sum(not run.saturated for run in runs) == priced
 
-        monkeypatch.setattr("fso_qkd.protocol.run_block", lambda config, run: time.sleep(60))
-        config, runs = big_runs(1_000_000, count=2)
-        previous = signal.signal(signal.SIGALRM, interrupt)
-        start = time.perf_counter()
-        try:
+
+SESSION = {"session.blocks": 4}
+
+# command, config, the runs' flags
+WORKER_BYTES = [
+    pytest.param("sweep-el", {"sweep.el_db": [0.0, 2.0, 4.0, 8.0],
+                              "sweep.symbols_per_point": 2_000_000}, ["ok"] * 4, id="sweep"),
+    pytest.param("stability", {**SESSION, "channel.fiber_kind": "OM4", "channel.drift_rate": 0.02,
+                               "session.symbols_per_block": 50_000_000}, ["ok"] * 4,
+                 id="stability"),
+    # at 50 rad/s the per-run Malus bounds decide no photon, so every one
+    # takes the exact cos/sin path
+    pytest.param("stability", {**SESSION, "channel.fiber_kind": "OM4", "channel.drift_rate": 50,
+                               "session.symbols_per_block": 50_000_000}, ["ok"] * 4,
+                 id="stability-fast-drift"),
+    pytest.param("coexist", {**SESSION, "session.symbols_per_block": 200_000_000}, ["ok"] * 4,
+                 id="coexist"),
+    # kappa-on blocks saturate: run_block flags them wherever it runs them
+    pytest.param("coexist", {**SESSION, "classical.launch_power_dbm": 40,
+                             "session.symbols_per_block": 100_000_000},
+                 ["ok", "saturated"] * 2, id="coexist-saturated"),
+]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="forks; reads /proc/self/status")
+@pytest.mark.parametrize("command, overrides, flags", WORKER_BYTES)
+def test_workers_change_no_byte(tmp_path, monkeypatch, command, overrides, flags):
+    """One worker in this process, two and three forked (child k runs every
+    workers-th run, each forked from one thread) write the same files and map
+    the same BlockStats, in run order. sweep-el is given ``--workers``; a
+    session takes its count from the usable cores."""
+    legs = []
+    for workers, forks in ((1, 0), (2, 2), (3, 3)):
+        out, stats = tmp_path / str(workers), []
+        argv = [command, "--seed", "5", "--out", str(out)]
+        for key, value in overrides.items():
+            argv += ["--set", f"{key}={json.dumps(value)}"]
+        with monkeypatch.context() as patch:
+            if command == "sweep-el":
+                argv += ["--workers", str(workers)]
+            else:
+                force_workers(patch, workers)
+            threads = count_forks(patch)
+            run_map = protocol.run_map
+            patch.setattr(protocol, "run_map", lambda *args: stats.extend(run_map(*args)) or stats)
+            assert main(argv) == 0
+        assert threads == [1] * forks
+        legs.append((read_files(out), stats))
+    assert legs[0] == legs[1] == legs[2]
+    assert [block.flag for block in legs[0][1]] == flags
+
+
+class Interrupted(Exception):
+    pass
+
+
+def interrupt(signum, frame):
+    raise Interrupted
+
+
+def fail_runs(*failing):
+    def block(config, run):
+        if run.index in failing:
+            raise ValidationError(f"run {run.index} failed")
+        return run.index
+    return block
+
+
+def exit_at_run_1(config, run):
+    if run.index == 1:
+        os._exit(1)
+    return run.index
+
+
+# run_block's stand-in, runs, the fork that fails (0: none) -> error, message.
+# Child 0 runs runs 0, 2, 4 and child 1 runs 1, 3; each stops at its first
+# failure, and the lowest-indexed failing run's error is raised, as the serial
+# loop raises it. A child that sends nothing is named with its exit status.
+FORK_FAULTS = [
+    pytest.param(fail_runs(1, 2), 5, 0, ValidationError, "^run 1 failed$", id="runs-1-2-fail"),
+    pytest.param(fail_runs(2, 3), 5, 0, ValidationError, "^run 2 failed$", id="runs-2-3-fail"),
+    pytest.param(exit_at_run_1, 4, 0, ChildProcessError,
+                 r"^worker 1 of 2 \(pid \d+\) ended with exit status 1 ", id="child-exits"),
+    # SIGALRM interrupts this process while its children still run
+    pytest.param(lambda config, run: time.sleep(60), 2, 0, Interrupted, None,
+                 id="parent-interrupted"),
+    pytest.param(run_index, 3, 2, BlockingIOError, None, id="second-fork-fails"),
+]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="forks; reads /proc/self")
+@pytest.mark.parametrize("block, count, fail_at, error, match", FORK_FAULTS)
+def test_fork_fault(monkeypatch, block, count, fail_at, error, match):
+    """A fault in a worker or in this process raises its named error only
+    once every child is reaped (killed first if this process is interrupted),
+    with both ends of every pipe closed; every fork, failed or not, was made
+    from one thread."""
+    monkeypatch.setattr(protocol, "run_block", block)
+    threads = count_forks(monkeypatch, fail_at)
+    config, runs = big_runs(1_000_000, count)
+    fds = len(os.listdir("/proc/self/fd"))
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    start = time.perf_counter()
+    try:
+        if error is Interrupted:
             signal.setitimer(signal.ITIMER_REAL, 0.5)  # not inherited by the children
-            with pytest.raises(Interrupted):
-                run_map(config, runs, "sweep.el_db", workers=2)
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
-        assert time.perf_counter() - start < 30.0
-        assert_no_child_left()
-
-    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
-    def test_workers_fork_from_one_thread(self, monkeypatch, index_runs):
-        """Every worker is forked from a process that runs one thread (numpy's
-        OpenBLAS starts none of its own with OPENBLAS_NUM_THREADS=1, which the
-        CLI and tests/conftest.py set), so no fork warns of a multi-threaded
-        parent."""
-        threads = []
-        fork = os.fork
-
-        def counting_fork():
-            threads.append(thread_count())
-            return fork()
-
-        monkeypatch.setattr(os, "fork", counting_fork)
-        config, runs = big_runs(1_000_000, count=3)
-        assert run_map(config, runs, "sweep.el_db", workers=2) == [0, 1, 2]
-        assert threads == [1, 1]
-
-    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/fd")
-    def test_failed_fork_closes_its_pipe(self, monkeypatch, index_runs):
-        """A fork that fails (say EAGAIN at a process limit) leaves no pipe
-        open: the error propagates once worker 0 is reaped and both ends of
-        worker 1's pipe are closed."""
-        fork = os.fork
-        forks = []
-
-        def second_fork_fails():
-            forks.append(None)
-            if len(forks) == 2:
-                raise BlockingIOError(11, "Resource temporarily unavailable")
-            return fork()
-
-        monkeypatch.setattr(os, "fork", second_fork_fails)
-        config, runs = big_runs(1_000_000, count=3)
-        before = len(os.listdir("/proc/self/fd"))
-        with pytest.raises(BlockingIOError):
+        with pytest.raises(error, match=match):
             run_map(config, runs, "sweep.el_db", workers=2)
-        assert len(os.listdir("/proc/self/fd")) == before
-        assert_no_child_left()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.perf_counter() - start < 30.0
+    assert len(os.listdir("/proc/self/fd")) == fds
+    assert threads == [1, 1]
 
 
 class TestMainEntry:
@@ -775,7 +736,7 @@ class TestMainEntry:
                            ("key", ["--set", f"background.spectrum_path={bright}"]),
                            ("packaged", [])):
             assert main(["plan-spectrum", "--out", str(tmp_path / name)] + args) == 0
-        assert read_tree(tmp_path / "flag") == read_tree(tmp_path / "key")
+        assert read_files(tmp_path / "flag") == read_files(tmp_path / "key")
         ranked, packaged = (json.loads((tmp_path / name / "channel_ranking.json").read_text())
                             for name in ("flag", "packaged"))
         assert ranked["spectrum"] == str(bright)
