@@ -1,4 +1,5 @@
 """Config resolution, CLI subcommands, reproducibility, exit codes."""
+import contextlib
 import json
 import math
 import os
@@ -494,6 +495,7 @@ WORKER_COUNTS = [
                                     "sweep.symbols_per_point": 100_000}), 64, 2, 2,
                  id="explicit-capped-at-runs"),
     pytest.param("linux", 8, mapped(1_000_000, 3), 2, 2, 3, id="explicit-below-threshold"),
+    pytest.param("linux", 8, sweep({}), 2, 2, 21, id="explicit-default-sweep"),
     pytest.param("linux", 2, mapped(100_000_000), 8, 5, 8, id="explicit-over-cores"),
     pytest.param("linux", 8, mapped(500_000_000), 8, None, 8, id="explicit-over-budget"),
     pytest.param("linux", 8, mapped(1_000_000, 4, saturated=True), 2, 2, 0,
@@ -595,6 +597,30 @@ def test_workers_change_no_byte(tmp_path, monkeypatch, command, overrides, flags
     assert [block.flag for block in legs[0][1]] == flags
 
 
+@pytest.mark.skipif(not protocol._can_fork(), reason="run_map forks only where it can")
+class TestForkedMap:
+    """run_map itself on real forked workers, runs built by hand."""
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("kind", ["sweep", "session"])
+    def test_equals_serial(self, kind, workers):
+        """Child k runs every workers-th run; the results come back in run
+        order, saturated session blocks included."""
+        config = resolve_config(small_sweep_overrides())
+        n = 2_000_000
+        if kind == "sweep":
+            runs = [Run(i, (101, 103, 107), n, config.channel.with_excess_loss(el),
+                        config.background) for i, el in enumerate([0.0, 2.0, 4.0, 8.0])]
+        else:
+            axis = np.array([0.0, 0.6, 0.8])
+            runs = [Run(i, (11, 13, 17), n, config.channel, config.background, 45.0 * i,
+                        axis, kappa=i % 2 == 1, saturated=i == 3) for i in range(5)]
+        key = "sweep.el_db" if kind == "sweep" else "session.blocks"
+        serial = run_map(config, runs, key, workers=1)
+        assert run_map(config, runs, key, workers=workers) == serial
+        assert [stats.flag for stats in serial].count("saturated") == (kind == "session")
+
+
 class Interrupted(Exception):
     pass
 
@@ -621,6 +647,7 @@ def exit_at_run_1(config, run):
 # Child 0 runs runs 0, 2, 4 and child 1 runs 1, 3; each stops at its first
 # failure, and the lowest-indexed failing run's error is raised, as the serial
 # loop raises it. A child that sends nothing is named with its exit status.
+# With no fault (error None) the results come back in run order.
 FORK_FAULTS = [
     pytest.param(fail_runs(1, 2), 5, 0, ValidationError, "^run 1 failed$", id="runs-1-2-fail"),
     pytest.param(fail_runs(2, 3), 5, 0, ValidationError, "^run 2 failed$", id="runs-2-3-fail"),
@@ -630,6 +657,7 @@ FORK_FAULTS = [
     pytest.param(lambda config, run: time.sleep(60), 2, 0, Interrupted, None,
                  id="parent-interrupted"),
     pytest.param(run_index, 3, 2, BlockingIOError, None, id="second-fork-fails"),
+    pytest.param(run_index, 3, 0, None, None, id="no-fault"),
 ]
 
 
@@ -639,7 +667,7 @@ def test_fork_fault(monkeypatch, block, count, fail_at, error, match):
     """A fault in a worker or in this process raises its named error only
     once every child is reaped (killed first if this process is interrupted),
     with both ends of every pipe closed; every fork, failed or not, was made
-    from one thread."""
+    from one thread, also where nothing fails."""
     monkeypatch.setattr(protocol, "run_block", block)
     threads = count_forks(monkeypatch, fail_at)
     config, runs = big_runs(1_000_000, count)
@@ -649,8 +677,8 @@ def test_fork_fault(monkeypatch, block, count, fail_at, error, match):
     try:
         if error is Interrupted:
             signal.setitimer(signal.ITIMER_REAL, 0.5)  # not inherited by the children
-        with pytest.raises(error, match=match):
-            run_map(config, runs, "sweep.el_db", workers=2)
+        with pytest.raises(error, match=match) if error else contextlib.nullcontext():
+            assert run_map(config, runs, "sweep.el_db", workers=2) == list(range(count))
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
